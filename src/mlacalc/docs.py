@@ -39,7 +39,7 @@ import numpy as np
 from .actions import CompatiblePair, MlaAction, check_compatibility, validate_action
 from .errors import InputError
 from .groups import FiniteGroup, validate_cayley
-from .mla import MultLieAlg, check_axioms
+from .mla import MultLieAlg, make_algebra
 from .util import Deadline
 
 KINDS = ("algebra", "pair", "tensor")
@@ -179,10 +179,9 @@ def _parse_algebra(
         raise InputError(f"{where}.star is required (a table, 'trivial', or 'improper')")
     else:
         star = _name_table(star_node, index, index, f"{where}.star")
-    M = MultLieAlg(group, star)
     if check:
-        check_axioms(M, deadline)
-    return M
+        return make_algebra(group, star, deadline)
+    return MultLieAlg(group, star)
 
 
 def _algebra_key(node: Mapping[str, Any]) -> Any:

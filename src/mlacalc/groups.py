@@ -180,7 +180,11 @@ def make_subgroup(G: FiniteGroup, members: Iterable[int]) -> Subgroup:
     return Subgroup(G, frozenset(ms))
 
 
-def _closure(G: FiniteGroup, seed: Iterable[int], conjugate: bool) -> frozenset[int]:
+def _closure(
+    G: FiniteGroup, seed: Iterable[int], conjugate: bool, star: np.ndarray | None = None
+) -> frozenset[int]:
+    """Least subgroup containing the seed; normal if ``conjugate``, and closed
+    under ``star`` against every element when a star table is given."""
     T, inv = G.table, G.inverses
     members = {G.identity}
     pending = []
@@ -200,6 +204,9 @@ def _closure(G: FiniteGroup, seed: Iterable[int], conjugate: bool) -> frozenset[
         fresh.update(int(v) for v in T[mem, a])
         if conjugate:
             fresh.update(int(v) for v in G.conj_table[:, a])
+        if star is not None:
+            fresh.update(int(v) for v in star[:, a])
+            fresh.update(int(v) for v in star[a, :])
         for v in fresh - members:
             members.add(v)
             pending.append(v)

@@ -495,9 +495,8 @@ def _ms(t0: float) -> int:
     return int((time.perf_counter() - t0) * 1000)
 
 
-def _evaluate(st: Statement, inst: Instance) -> Verdict:
+def _evaluate(st: Statement, inst: Instance, deadline: Deadline) -> Verdict:
     t0 = time.perf_counter()
-    deadline = Deadline.from_env()
     try:
         report = st.runner(inst, deadline)
     except Inapplicable as ex:
@@ -531,7 +530,8 @@ def run_suite(inst: Instance, selection: str | Iterable[str] = "all") -> Verdict
     ``selection`` is a suite name or an iterable of statement ids.  Unselected
     statements report skipped("not selected").  A suite statement the instance
     cannot host reports inapplicable; an explicitly selected one raises
-    SelectionMismatch.
+    SelectionMismatch.  One MLACALC_BUDGET_SECS budget covers the whole call,
+    so a statement that finds it spent reports skipped("resource: ...").
     """
     explicit: set[str] | None = None
     if isinstance(selection, str):
@@ -548,6 +548,7 @@ def run_suite(inst: Instance, selection: str | Iterable[str] = "all") -> Verdict
                 f"unknown statement id(s): {', '.join(unknown)}", statements=unknown
             )
 
+    deadline = Deadline.from_env()
     verdicts: list[Verdict] = []
     for st in CATALOGUE:
         if explicit is not None:
@@ -579,5 +580,5 @@ def run_suite(inst: Instance, selection: str | Iterable[str] = "all") -> Verdict
                 )
             )
             continue
-        verdicts.append(_evaluate(st, inst))
+        verdicts.append(_evaluate(st, inst, deadline))
     return VerdictLedger(inst.name, inst.kind, tuple(verdicts))

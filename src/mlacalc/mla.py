@@ -9,27 +9,29 @@ The star table S is an order x order matrix over element indices.  Axioms
   4  ((x*y) * ^y z) · ((y*z) * ^z x) · ((z*x) * ^x y) = 1
   5  ^z(x*y)   = ^z x * ^z y
 
-with ^z x = z x z^-1.  The defect operator L[a,b] = (a*b)^-1 [a,b]
-measures how far * sits from the commutator and drives the two series.
+with ^z x = z x z^-1, evaluated in one kernel, axiom_sides.  An algebra
+records that its axioms hold once a scan, the tensor fixpoint or a verified
+parent proves it, and check_axioms skips it from then on.  The defect
+operator L[a,b] = (a*b)^-1 [a,b] measures how far * sits from the
+commutator and drives the two series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import (
     AxiomViolation,
     IdealityFailure,
-    IdentityViolation,
     InputError,
     QuotientStarIllDefined,
 )
-from .groups import FiniteGroup, GroupMap, Subgroup, _freeze, make_subgroup, quotient
-from .util import Deadline
+from .groups import FiniteGroup, GroupMap, Subgroup, _closure, _freeze, quotient, validate_cayley
+from .util import Deadline, first_true
 
 AXIOM_NAMES = {
     1: "alternating (x*x = 1)",
@@ -44,6 +46,8 @@ AXIOM_NAMES = {
 class MultLieAlg:
     group: FiniteGroup
     star: np.ndarray
+    # the five axioms are proven; set only by _record_verified, never by a caller
+    _verified: bool = field(default=False, init=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -75,9 +79,9 @@ def make_star_table(G: FiniteGroup, star) -> np.ndarray:
     n = G.order
     if arr.shape != (n, n):
         raise InputError(f"star table shape {arr.shape} does not match order {n}")
-    if ((arr < 0) | (arr >= n)).any():
-        i, j = (int(v) for v in np.argwhere((arr < 0) | (arr >= n))[0])
-        raise InputError("star table entry out of range", witness=[i, j])
+    at = first_true((arr < 0) | (arr >= n))
+    if at is not None:
+        raise InputError("star table entry out of range", witness=list(at))
     return _freeze(arr.copy())
 
 
@@ -91,93 +95,76 @@ def make_improper_star(G: FiniteGroup) -> MultLieAlg:
 
 def _least_witness(mask_rows: Iterable[tuple[int, np.ndarray]]) -> list[int] | None:
     for x, bad in mask_rows:
-        if bad.any():
-            rest = np.argwhere(bad)[0]
-            return [x, *(int(v) for v in rest)]
+        at = first_true(bad)
+        if at is not None:
+            return [x, *at]
     return None
 
 
-def _axiom_failures(
-    M: MultLieAlg, deadline: Deadline | None = None
-) -> list[tuple[int, list[int]]]:
-    """All axiom numbers that fail, each with its least witness tuple."""
-    G, S = M.group, M.star
-    T, C, inv, e = G.table, G.conj_table, G.inverses, G.identity
-    n = G.order
-    out: list[tuple[int, list[int]]] = []
+def axiom_sides(
+    G: FiniteGroup,
+    S: np.ndarray,
+    deadline: Deadline | None = None,
+    stage: str = "axiom scan",
+) -> Iterator[tuple[int, tuple[int, ...], np.ndarray, np.ndarray | int]]:
+    """The one evaluation of the five axioms on a star table S over G.
 
-    d = np.diagonal(S)
-    if (d != e).any():
-        out.append((1, [int(np.flatnonzero(d != e)[0])]))
+    Yields (axiom, prefix, lhs, rhs) in axiom order, for axioms 2-5 once per
+    outer x in increasing order.  The axiom fails exactly where lhs != rhs (rhs
+    may be the identity), with witness (*prefix, *position), so the first
+    mismatch met is the least witness of the first failing axiom.
+    """
+    T, C, e = G.table, G.conj_table, G.identity
 
-    def rows2():
-        for x in range(n):
+    def jacobi(x: int) -> tuple[np.ndarray, int]:
+        P1 = S[S[x][:, None], C]  # (x*y) * ^y z
+        P2 = S[S, C[:, x][None, :]]  # (y*z) * ^z x
+        P3 = S[S[:, x][None, :], C[x][:, None]]  # (z*x) * ^x y
+        return T[T[P1, P2], P3], e
+
+    rows = (
+        (2, lambda x: (S[x][T], T[S[x][:, None], C[:, S[x]]])),  # x*(y·z), (x*y) · ^y(x*z) at [y, z]
+        (3, lambda x: (S[T[x]], T[C[x][S], S[x][None, :]])),  # (x·y)*z, ^x(y*z) · (x*z) at [y, z]
+        (4, jacobi),
+        (5, lambda x: (C[:, S[x]], S[C[:, x][:, None], C])),  # ^z(x*y), ^z x * ^z y at [z, y]
+    )
+    yield 1, (), np.diagonal(S), e
+    for num, sides in rows:
+        for x in range(G.order):
             if deadline:
-                deadline.check("axiom scan")
-            L = S[x][T]  # x*(y·z)
-            R = T[S[x][:, None], C[:, S[x]]]  # (x*y) · ^y(x*z)
-            yield x, L != R
-
-    w = _least_witness(rows2())
-    if w:
-        out.append((2, w))
-
-    def rows3():
-        for x in range(n):
-            if deadline:
-                deadline.check("axiom scan")
-            L = S[T[x]]  # (x·y)*z
-            R = T[C[x][S], S[x][None, :]]  # ^x(y*z) · (x*z)
-            yield x, L != R
-
-    w = _least_witness(rows3())
-    if w:
-        out.append((3, w))
-
-    def rows4():
-        for x in range(n):
-            if deadline:
-                deadline.check("axiom scan")
-            P1 = S[S[x][:, None], C]  # (x*y) * ^y z
-            P2 = S[S, C[:, x][None, :]]  # (y*z) * ^z x
-            P3 = S[S[:, x][None, :], C[x][:, None]]  # (z*x) * ^x y
-            yield x, T[T[P1, P2], P3] != e
-
-    w = _least_witness(rows4())
-    if w:
-        out.append((4, w))
-
-    def rows5():
-        for x in range(n):
-            if deadline:
-                deadline.check("axiom scan")
-            L = C[:, S[x]].T  # rows indexed by y: ^z(x*y)
-            R = S[C[:, x][None, :], C.T]
-            yield x, (L != R).T  # witness order (x, y, z)
-
-    w = _least_witness(rows5())
-    if w:
-        out.append((5, w))
-    return out
+                deadline.check(stage)
+            yield num, (x,), *sides(x)
 
 
 def check_axioms(M: MultLieAlg, deadline: Deadline | None = None) -> None:
-    """Raise AxiomViolation on the first failing axiom (least witness)."""
-    fails = _axiom_failures(M, deadline)
-    if fails:
-        num, witness = fails[0]
-        labels = [M.group.labels[i] for i in witness]
-        raise AxiomViolation(
-            f"axiom {num} ({AXIOM_NAMES[num]}) fails at ({', '.join(labels)})",
-            axiom=num,
-            witness=witness,
-        )
+    """Raise AxiomViolation on the first failing axiom (least witness).
+
+    Returns at once on a verified algebra; a hand-built one is always scanned.
+    """
+    if M._verified:
+        return
+    for num, prefix, lhs, rhs in axiom_sides(M.group, M.star, deadline):
+        at = first_true(lhs != rhs)
+        if at is not None:
+            witness = [*prefix, *at]
+            labels = [M.group.labels[i] for i in witness]
+            raise AxiomViolation(
+                f"axiom {num} ({AXIOM_NAMES[num]}) fails at ({', '.join(labels)})",
+                axiom=num,
+                witness=witness,
+            )
+
+
+def _record_verified(M: MultLieAlg) -> MultLieAlg:
+    object.__setattr__(M, "_verified", True)
+    return M
 
 
 def make_algebra(G: FiniteGroup, star, deadline: Deadline | None = None) -> MultLieAlg:
+    """The validating constructor: a clean axiom scan records the algebra as verified."""
     M = MultLieAlg(G, make_star_table(G, star))
     check_axioms(M, deadline)
-    return M
+    return _record_verified(M)
 
 
 IDENTITY_NAMES = {
@@ -209,14 +196,12 @@ def check_lie_identities(
     results: dict[int, list[int] | None] = {}
 
     if 1 in wanted:
-        d = np.diagonal(L)
-        bad = np.flatnonzero(d != e)
-        results[1] = [int(bad[0])] if bad.size else None
+        at = first_true(np.diagonal(L) != e)
+        results[1] = list(at) if at else None
 
     if 2 in wanted:
-        P = T[L, L.T]
-        full = np.argwhere(P != e)
-        results[2] = [int(v) for v in full[0]] if full.size else None
+        at = first_true(T[L, L.T] != e)
+        results[2] = list(at) if at else None
 
     if 3 in wanted:
         def rows3():
@@ -257,14 +242,10 @@ def check_lie_identities(
         results[5] = _least_witness(rows5())
 
     if 6 in wanted:
-        bad6 = None
         m1 = L[inv, :] != C[inv[:, None], L.T]  # L[a^-1, b] vs ^(a^-1) L[b, a]
         m2 = L[:, inv] != C[inv[None, :], L.T]  # L[a, b^-1] vs ^(b^-1) L[b, a]
-        m = m1 | m2
-        if m.any():
-            a, b = (int(v) for v in np.argwhere(m)[0])
-            bad6 = [a, b]
-        results[6] = bad6
+        at = first_true(m1 | m2)
+        results[6] = list(at) if at else None
 
     if 7 in wanted:
         # distinct values suffice; recover a least witness pair afterwards
@@ -274,28 +255,14 @@ def check_lie_identities(
         for li in ls:
             if deadline:
                 deadline.check("identity scan")
-            wrong = G.comm_table[li, stars] != e
-            if wrong.any():
-                si = int(stars[np.flatnonzero(wrong)[0]])
-                ai, bi = (int(v) for v in np.argwhere(L == li)[0])
-                xi, yi = (int(v) for v in np.argwhere(S == si)[0])
-                bad7 = [ai, bi, xi, yi]
+            wrong = first_true(G.comm_table[li, stars] != e)
+            if wrong is not None:
+                si = int(stars[wrong[0]])
+                bad7 = [*first_true(L == li), *first_true(S == si)]
                 break
         results[7] = bad7
 
     return {k: results[k] for k in sorted(results)}
-
-
-def assert_lie_identities(M: MultLieAlg, deadline: Deadline | None = None) -> None:
-    res = check_lie_identities(M, deadline=deadline)
-    for num, witness in res.items():
-        if witness is not None:
-            labels = [M.group.labels[i] for i in witness]
-            raise IdentityViolation(
-                f"defect identity {num} ({IDENTITY_NAMES[num]}) fails at ({', '.join(labels)})",
-                identity=num,
-                witness=witness,
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -316,25 +283,25 @@ def validate_ideal(M: MultLieAlg, S: Subgroup) -> Ideal:
     """Normal subgroup absorbing * from both sides."""
     G = M.group
     mem = np.fromiter(S.sorted_members, dtype=np.int64)
-    out = ~np.isin(G.conj_table[:, mem], mem)
-    if out.any():
-        z, k = (int(v) for v in np.argwhere(out)[0])
+    at = first_true(~np.isin(G.conj_table[:, mem], mem))
+    if at is not None:
+        z, k = at
         raise IdealityFailure(
             f"not normal: ^{G.labels[z]} {G.labels[int(mem[k])]} escapes",
             kind="normality",
             witness=[z, int(mem[k])],
         )
-    out = ~np.isin(M.star[:, mem], mem)
-    if out.any():
-        g, k = (int(v) for v in np.argwhere(out)[0])
+    at = first_true(~np.isin(M.star[:, mem], mem))
+    if at is not None:
+        g, k = at
         raise IdealityFailure(
             f"not absorbed: {G.labels[g]} * {G.labels[int(mem[k])]} escapes",
             kind="star-right",
             witness=[g, int(mem[k])],
         )
-    out = ~np.isin(M.star[mem, :], mem)
-    if out.any():
-        k, g = (int(v) for v in np.argwhere(out)[0])
+    at = first_true(~np.isin(M.star[mem, :], mem))
+    if at is not None:
+        k, g = at
         raise IdealityFailure(
             f"not absorbed: {G.labels[int(mem[k])]} * {G.labels[g]} escapes",
             kind="star-left",
@@ -344,32 +311,9 @@ def validate_ideal(M: MultLieAlg, S: Subgroup) -> Ideal:
 
 
 def ideal_closure(M: MultLieAlg, seed: Iterable[int]) -> Ideal:
-    """Smallest subset containing the seed that passes validate_ideal."""
-    G = M.group
-    T, inv, C, S = G.table, G.inverses, G.conj_table, M.star
-    members = {G.identity}
-    pending = []
-    for s in sorted({int(x) for x in seed}):
-        if s < 0 or s >= G.order:
-            raise InputError("seed element out of range", value=s)
-        if s not in members:
-            members.add(s)
-            pending.append(s)
-    i = 0
-    while i < len(pending):
-        a = pending[i]
-        i += 1
-        mem = np.fromiter(members, dtype=np.int64)
-        fresh = {int(inv[a])}
-        fresh.update(int(v) for v in T[a, mem])
-        fresh.update(int(v) for v in T[mem, a])
-        fresh.update(int(v) for v in C[:, a])
-        fresh.update(int(v) for v in S[:, a])
-        fresh.update(int(v) for v in S[a, :])
-        for v in fresh - members:
-            members.add(v)
-            pending.append(v)
-    return Ideal(M, Subgroup(G, frozenset(members)))
+    """Smallest subset containing the seed that passes validate_ideal: the
+    normal closure, also closed under * against the whole algebra."""
+    return Ideal(M, Subgroup(M.group, _closure(M.group, seed, conjugate=True, star=M.star)))
 
 
 def lie_commutator_ideal(M: MultLieAlg, A: Iterable[int], B: Iterable[int]) -> Ideal:
@@ -442,22 +386,36 @@ def solvable_length(M: MultLieAlg, deadline: Deadline | None = None) -> int | No
 # substructures and quotients
 
 
+def _image_algebra(M: MultLieAlg, G: FiniteGroup, star: np.ndarray) -> MultLieAlg:
+    """A quotient or sub-algebra of M: verified with M, else scanned."""
+    if not M._verified:
+        return make_algebra(G, star)
+    return _record_verified(MultLieAlg(G, make_star_table(G, star)))
+
+
 def sub_algebra(M: MultLieAlg, S: Subgroup) -> MultLieAlg:
-    """Restrict to a subgroup closed under *; reindexes elements."""
+    """Restrict to a subgroup closed under *; reindexes elements.
+
+    Verified when M is: the axioms are equations that hold on every tuple of
+    M, so on every tuple of a subgroup that * does not leave.
+    """
     G = M.group
     mem = np.fromiter(S.sorted_members, dtype=np.int64)
     if not np.isin(M.star[np.ix_(mem, mem)], mem).all():
         raise InputError("subgroup is not closed under *")
     pos = {int(v): i for i, v in enumerate(mem)}
     remap = np.vectorize(pos.__getitem__, otypes=[np.int64])
-    from .groups import validate_cayley
-
     H = validate_cayley([G.labels[int(v)] for v in mem], remap(G.table[np.ix_(mem, mem)]))
-    return make_algebra(H, remap(M.star[np.ix_(mem, mem)]))
+    return _image_algebra(M, H, remap(M.star[np.ix_(mem, mem)]))
 
 
 def quotient_algebra(M: MultLieAlg, I: Ideal) -> tuple[MultLieAlg, GroupMap]:
-    """Quotient group with the star pushed forward; rejects ill-defined stars."""
+    """Quotient group with the star pushed forward; rejects ill-defined stars.
+
+    Verified when M is: the descent check proves the projection preserves
+    both operations, and equations pass to homomorphic images (Ellis,
+    J. Austral. Math. Soc. A 54, 1993).
+    """
     if I.algebra is not M:
         validate_ideal(M, I.subgroup)  # accept foreign but equivalent ideals
     Q, pi = quotient(M.group, I.subgroup)
@@ -473,17 +431,17 @@ def quotient_algebra(M: MultLieAlg, I: Ideal) -> tuple[MultLieAlg, GroupMap]:
         cur = row[cols]
         fresh = cur < 0
         row[cols[fresh]] = vals[fresh]
-        clash = (~fresh) & (cur != vals)
-        if clash.any():
-            b = int(np.flatnonzero(clash)[0])
+        clash = first_true((~fresh) & (cur != vals))
+        if clash is not None:
+            (b,) = clash
             raise QuotientStarIllDefined(
                 "star does not descend: representatives disagree",
                 witness=[a, b],
             )
     # second pass: all pairs must agree with the filled table
-    if (img[src] != Sq[img[:, None], img[None, :]]).any():
-        a, b = (int(v) for v in np.argwhere(img[src] != Sq[img[:, None], img[None, :]])[0])
+    at = first_true(img[src] != Sq[img[:, None], img[None, :]])
+    if at is not None:
         raise QuotientStarIllDefined(
-            "star does not descend: representatives disagree", witness=[a, b]
+            "star does not descend: representatives disagree", witness=list(at)
         )
-    return make_algebra(Q, Sq), pi
+    return _image_algebra(M, Q, Sq), pi

@@ -2,15 +2,18 @@
 
 Pipeline: instantiate the defining relations of the pairing over all element
 tuples, enumerate the presented group, extend the star from its generator
-seed along normal-form words, then validate the algebra axioms.  Axiom or
-seed failures are converted into new group relators and the construction
-reruns, a fixpoint loop with a round cap.  Induced actions of both factors,
-the identity suites, and the quotient bounds live here as well.
+seed along normal-form words, then collect what the axiom kernel and the
+seed find wrong.  Offending values become new group relators and the
+construction reruns, a fixpoint loop with a round cap; a round that finds
+nothing has proven all five axioms, so its algebra is recorded as verified
+without a second scan.  Induced actions of both factors, the identity
+suites, and the quotient bounds live here as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -25,26 +28,27 @@ from .coset import (
 )
 from .errors import (
     BoundViolation,
-    IdentityViolation,
     Inapplicable,
     InducedActionIllDefined,
     InputError,
     PreconditionFailed,
     StarInconsistent,
 )
-from .groups import FiniteGroup, Subgroup, make_subgroup, subgroup_closure, validate_cayley
+from .groups import FiniteGroup, Subgroup, subgroup_closure, validate_cayley
 from .mla import (
     Ideal,
     MultLieAlg,
+    _record_verified,
+    axiom_sides,
     lie_commutator_ideal,
-    make_algebra,
+    make_star_table,
     make_trivial_star,
     nilpotency_class,
     quotient_algebra,
     solvable_length,
     validate_ideal,
 )
-from .util import CheckReport, Deadline
+from .util import CheckReport, Deadline, first_true
 
 DEFAULT_MAX_ROUNDS = 8
 SEED_ORDERS = ("default", "alt")
@@ -215,47 +219,26 @@ def _extend_star(
     return star
 
 
-def _collect(out: list[np.ndarray], lhs: np.ndarray, rhs: np.ndarray, K: FiniteGroup) -> None:
-    mask = lhs != rhs
-    if mask.any():
-        out.append(K.table[lhs[mask], K.inverses[rhs[mask]]])
-
-
-def _violation_elements(
+def _offending_values(
     K: FiniteGroup,
     S: np.ndarray,
     images: np.ndarray,
     seed_elem: np.ndarray,
     deadline: Deadline | None,
 ) -> np.ndarray:
-    """Elements that the axioms or the generator seed force to be trivial."""
-    T, C, inv, e = K.table, K.conj_table, K.inverses, K.identity
-    n = K.order
+    """Elements that the axioms or the generator seed force to be trivial:
+    lhs·rhs⁻¹ wherever a side of the seed or of an axiom_sides row differs."""
+    T, inv = K.table, K.inverses
+    seed = (0, (), S[images[:, None], images[None, :]], seed_elem)
     out: list[np.ndarray] = []
-
-    _collect(out, S[images[:, None], images[None, :]], seed_elem, K)
-
-    diag = S[np.arange(n), np.arange(n)]
-    if (diag != e).any():
-        out.append(diag[diag != e])
-
-    for x in range(n):
-        if deadline:
-            deadline.check("tensor star validation")
-        _collect(out, S[x][T], T[S[x][:, None], C[:, S[x]]], K)
-        _collect(out, S[T[x]], T[C[x][S], S[x][None, :]], K)
-        p1 = S[S[x][:, None], C]
-        p2 = S[S, C[:, x][None, :]]
-        p3 = S[S[:, x][None, :], C[x][:, None]]
-        prod = T[T[p1, p2], p3]
-        if (prod != e).any():
-            out.append(prod[prod != e])
-        _collect(out, C[x][S], S[C[x][:, None], C[x][None, :]], K)
-
+    for _, _, lhs, rhs in chain([seed], axiom_sides(K, S, deadline, "tensor star validation")):
+        bad = lhs != rhs
+        if bad.any():
+            out.append(T[lhs[bad], inv[np.broadcast_to(rhs, lhs.shape)[bad]]])
     if not out:
         return np.empty(0, dtype=np.int64)
-    bad = np.unique(np.concatenate(out))
-    return bad[bad != e][:RELATOR_BATCH]
+    vals = np.unique(np.concatenate(out))
+    return vals[vals != K.identity][:RELATOR_BATCH]
 
 
 def _word_of(parent: np.ndarray, letter: np.ndarray, identity: int, v: int) -> tuple[int, ...]:
@@ -290,9 +273,10 @@ def induce_star(
         images = res.gen_image
         seed_elem = images[seed_idx]
         star = _extend_star(K, images, seed_elem, seed_order)
-        bad = _violation_elements(K, star, images, seed_elem, deadline)
+        bad = _offending_values(K, star, images, seed_elem, deadline)
         if bad.size == 0:
-            alg = make_algebra(K, star, deadline)
+            # the scan that found nothing to collect proved all five axioms
+            alg = _record_verified(MultLieAlg(K, make_star_table(K, star)))
             extra = res.presentation.relators[base_count:]
             return TensorAlgebra(
                 alg, pair, images.reshape(ng, nh).copy(), res, seed_order, round_no, extra
@@ -350,21 +334,21 @@ def induce_actions(t: TensorAlgebra, deadline: Deadline | None = None) -> Tensor
                 raise InducedActionIllDefined(
                     f"induced map of {side} element {a} is not a bijection", side=side, element=a
                 )
-            if (row[K.table] != K.table[row[:, None], row[None, :]]).any():
-                bad = np.argwhere(row[K.table] != K.table[row[:, None], row[None, :]])[0]
+            bad = first_true(row[K.table] != K.table[row[:, None], row[None, :]])
+            if bad is not None:
                 raise InducedActionIllDefined(
                     f"induced map of {side} element {a} breaks multiplication",
                     side=side,
                     element=a,
-                    witness=tuple(int(w) for w in bad),
+                    witness=bad,
                 )
-            if (row[S] != S[row[:, None], row[None, :]]).any():
-                bad = np.argwhere(row[S] != S[row[:, None], row[None, :]])[0]
+            bad = first_true(row[S] != S[row[:, None], row[None, :]])
+            if bad is not None:
                 raise InducedActionIllDefined(
                     f"induced map of {side} element {a} breaks the star",
                     side=side,
                     element=a,
-                    witness=tuple(int(w) for w in bad),
+                    witness=bad,
                 )
             rows[a] = row
         return rows
@@ -380,12 +364,12 @@ def induce_actions(t: TensorAlgebra, deadline: Deadline | None = None) -> Tensor
         # the maps must compose as a group action: rows[a·b] == rows[a] ∘ rows[b]
         lhs = rows[group.table]
         rhs = rows[:, rows]
-        if (lhs != rhs).any():
-            bad = np.argwhere((lhs != rhs).any(axis=2))[0]
+        bad = first_true((lhs != rhs).any(axis=2))
+        if bad is not None:
             raise InducedActionIllDefined(
                 f"{side} images do not compose as a group action",
                 side=side,
-                witness=tuple(int(w) for w in bad),
+                witness=bad,
             )
 
     return replace(t, act_g=act_g, act_h=act_h)
@@ -404,9 +388,9 @@ def check_defining_relations(t: TensorAlgebra, deadline: Deadline | None = None)
     lhs = tm[:, H.table]
     rhs = T[tm[:, :, None], tm[co.phi.T[:, :, None], H.conj_table[None, :, :]]]
     checked += lhs.size
-    if (lhs != rhs).any():
-        w = np.argwhere(lhs != rhs)[0]
-        return CheckReport("tensor-defining-relations", False, checked, tuple(int(v) for v in w), "product in the right slot")
+    w = first_true(lhs != rhs)
+    if w is not None:
+        return CheckReport("tensor-defining-relations", False, checked, w, "product in the right slot")
 
     lhs = tm[G.table]
     rhs = T[
@@ -414,9 +398,9 @@ def check_defining_relations(t: TensorAlgebra, deadline: Deadline | None = None)
         np.broadcast_to(tm[:, None, :], (G.order, G.order, H.order)),
     ]
     checked += lhs.size
-    if (lhs != rhs).any():
-        w = np.argwhere(lhs != rhs)[0]
-        return CheckReport("tensor-defining-relations", False, checked, tuple(int(v) for v in w), "product in the left slot")
+    w = first_true(lhs != rhs)
+    if w is not None:
+        return CheckReport("tensor-defining-relations", False, checked, w, "product in the left slot")
 
     SG, SH = pair.G.star, pair.H.star
     a = tm[SG[:, :, None], act.phi[None, :, :]]
@@ -424,26 +408,26 @@ def check_defining_relations(t: TensorAlgebra, deadline: Deadline | None = None)
     c = tm[G.conj_table[:, :, None], H.inverses[act.bracket][:, None, :]]
     prod = T[T[a, K.inverses[b]], K.inverses[c]]
     checked += prod.size
-    if (prod != K.identity).any():
-        w = np.argwhere(prod != K.identity)[0]
-        return CheckReport("tensor-defining-relations", False, checked, tuple(int(v) for v in w), "left star relation")
+    w = first_true(prod != K.identity)
+    if w is not None:
+        return CheckReport("tensor-defining-relations", False, checked, w, "left star relation")
 
     a = tm[co.phi.T[:, None, :], SH[None, :, :]]
     b = tm[G.inverses[co.bracket].T[:, :, None], H.conj_table[None, :, :]]
     c = tm[co.bracket.T[:, None, :], act.phi[:, :, None]]
     prod = T[T[a, K.inverses[b]], K.inverses[c]]
     checked += prod.size
-    if (prod != K.identity).any():
-        w = np.argwhere(prod != K.identity)[0]
-        return CheckReport("tensor-defining-relations", False, checked, tuple(int(v) for v in w), "right star relation")
+    w = first_true(prod != K.identity)
+    if w is not None:
+        return CheckReport("tensor-defining-relations", False, checked, w, "right star relation")
 
     seed = t.result.gen_image[star_seed_indices(pair)]
     img = t.result.gen_image
     lhs = t.algebra.star[img[:, None], img[None, :]]
     checked += lhs.size
-    if (lhs != seed).any():
-        w = np.argwhere(lhs != seed)[0]
-        return CheckReport("tensor-defining-relations", False, checked, tuple(int(v) for v in w), "star seed")
+    w = first_true(lhs != seed)
+    if w is not None:
+        return CheckReport("tensor-defining-relations", False, checked, w, "star seed")
 
     return CheckReport("tensor-defining-relations", True, checked)
 
@@ -458,15 +442,15 @@ def check_induced_action_formulas(t: TensorAlgebra, deadline: Deadline | None = 
     lhs = act_g[:, tm]  # (g, x, y)
     rhs = tm[G.conj_table[:, :, None], pair.g_on_h.phi[:, None, :]]
     checked += lhs.size
-    if (lhs != rhs).any():
-        w = np.argwhere(lhs != rhs)[0]
-        return CheckReport("induced-action-formulas", False, checked, tuple(int(v) for v in w), "left factor")
+    w = first_true(lhs != rhs)
+    if w is not None:
+        return CheckReport("induced-action-formulas", False, checked, w, "left factor")
     lhs = act_h[:, tm]  # (h, x, y)
     rhs = tm[pair.h_on_g.phi[:, :, None], H.conj_table[:, None, :]]
     checked += lhs.size
-    if (lhs != rhs).any():
-        w = np.argwhere(lhs != rhs)[0]
-        return CheckReport("induced-action-formulas", False, checked, tuple(int(v) for v in w), "right factor")
+    w = first_true(lhs != rhs)
+    if w is not None:
+        return CheckReport("induced-action-formulas", False, checked, w, "right factor")
     return CheckReport("induced-action-formulas", True, checked)
 
 
@@ -498,20 +482,18 @@ def check_tensor_identities(
         checked = 0
         if k == 1:
             checked = ng + nh
-            bad_h = np.nonzero(tm[G.identity, :] != K.identity)[0]
-            bad_g = np.nonzero(tm[:, H.identity] != K.identity)[0]
-            if bad_h.size:
-                witness = (int(G.identity), int(bad_h[0]))
-            elif bad_g.size:
-                witness = (int(bad_g[0]), int(H.identity))
+            bad_h = first_true(tm[G.identity, :] != K.identity)
+            bad_g = first_true(tm[:, H.identity] != K.identity)
+            if bad_h is not None:
+                witness = (int(G.identity), *bad_h)
+            elif bad_g is not None:
+                witness = (*bad_g, int(H.identity))
         elif k == 2:
             lhs = inv[tm]
             r1 = act_g[np.arange(ng)[:, None], tm[G.inverses, :]]
             r2 = act_h[np.arange(nh)[None, :], tm[:, H.inverses]]
             checked = 2 * tm.size
-            mask = (lhs != r1) | (lhs != r2)
-            if mask.any():
-                witness = tuple(int(v) for v in np.argwhere(mask)[0])
+            witness = first_true((lhs != r1) | (lhs != r2))
         elif k == 3:
             checked = ng * nh * K.order
             for g in range(ng):
@@ -519,9 +501,9 @@ def check_tensor_identities(
                     deadline.check(name)
                 lhs = K.conj_table[tm[g]]
                 rhs = act_h[hslot[g]]
-                if (lhs != rhs).any():
-                    h, x = np.argwhere(lhs != rhs)[0]
-                    witness = (g, int(h), int(x))
+                at = first_true(lhs != rhs)
+                if at is not None:
+                    witness = (g, *at)
                     break
         elif k == 4:
             checked = ng * nh * nh
@@ -531,9 +513,9 @@ def check_tensor_identities(
                 tt = tm[g]
                 lhs = tm[gslot[g]]  # (h, h') via broadcast below
                 rhs = T[tt[:, None], act_h[:, inv[tt]].T]
-                if (lhs != rhs).any():
-                    h, hp = np.argwhere(lhs != rhs)[0]
-                    witness = (g, int(h), int(hp))
+                at = first_true(lhs != rhs)
+                if at is not None:
+                    witness = (g, *at)
                     break
         elif k == 5:
             checked = ng * nh * ng
@@ -543,9 +525,10 @@ def check_tensor_identities(
                 tt = tm[g]
                 lhs = tm[:, hslot[g]]  # (g', h)
                 rhs = T[act_g[:, tt], inv[tt][None, :]]
-                if (lhs != rhs).any():
-                    gp, h = np.argwhere(lhs != rhs)[0]
-                    witness = (g, int(h), int(gp))
+                at = first_true(lhs != rhs)
+                if at is not None:
+                    gp, h = at
+                    witness = (g, h, gp)
                     break
         elif k == 6:
             checked = (ng * nh) ** 2
@@ -555,24 +538,14 @@ def check_tensor_identities(
                 for h in range(nh):
                     lhs = K.comm_table[tm[g, h]][tm]
                     rhs = tm[gslot[g, h]][hslot]
-                    if (lhs != rhs).any():
-                        gp, hp = np.argwhere(lhs != rhs)[0]
-                        witness = (g, h, int(gp), int(hp))
+                    at = first_true(lhs != rhs)
+                    if at is not None:
+                        witness = (g, h, *at)
                         break
                 if witness:
                     break
         out[k] = CheckReport(name, witness is None, checked, witness, TENSOR_IDENTITY_NAMES[k])
     return out
-
-
-def assert_tensor_identities(t: TensorAlgebra, deadline: Deadline | None = None) -> None:
-    for k, rep in check_tensor_identities(t, deadline=deadline).items():
-        if not rep.passed:
-            raise IdentityViolation(
-                f"tensor identity {k} ({TENSOR_IDENTITY_NAMES[k]}) fails",
-                which=k,
-                witness=rep.witness,
-            )
 
 
 def check_tensor_lie_commutator(t: TensorAlgebra, deadline: Deadline | None = None) -> CheckReport:
@@ -603,11 +576,9 @@ def check_tensor_lie_commutator(t: TensorAlgebra, deadline: Deadline | None = No
             rhs = T[T[pref, f2], f3]
             lhs = D[tm[g, h]][tm]
             checked += lhs.size
-            if (lhs != rhs).any():
-                gp, hp = np.argwhere(lhs != rhs)[0]
-                return CheckReport(
-                    "tensor-lie-commutator", False, checked, (g, h, int(gp), int(hp))
-                )
+            at = first_true(lhs != rhs)
+            if at is not None:
+                return CheckReport("tensor-lie-commutator", False, checked, (g, h, *at))
     return CheckReport("tensor-lie-commutator", True, checked)
 
 
@@ -633,22 +604,22 @@ def tensor_ideal(
     mem_i = np.fromiter(I.sorted_members, dtype=np.int64)
     mem_j = np.fromiter(J.sorted_members, dtype=np.int64)
     hit = pair.h_on_g.phi[:, mem_i]
-    ok = np.isin(hit, mem_i)
-    if not ok.all():
-        h, a = np.argwhere(~ok)[0]
+    bad = first_true(~np.isin(hit, mem_i))
+    if bad is not None:
+        h, a = bad
         raise PreconditionFailed(
             "left ideal is not invariant under the right factor's action",
             which="left-invariance",
-            witness=(int(h), int(mem_i[a])),
+            witness=(h, int(mem_i[a])),
         )
     hit = pair.g_on_h.phi[:, mem_j]
-    ok = np.isin(hit, mem_j)
-    if not ok.all():
-        g, b = np.argwhere(~ok)[0]
+    bad = first_true(~np.isin(hit, mem_j))
+    if bad is not None:
+        g, b = bad
         raise PreconditionFailed(
             "right ideal is not invariant under the left factor's action",
             which="right-invariance",
-            witness=(int(g), int(mem_j[b])),
+            witness=(g, int(mem_j[b])),
         )
     gens = np.unique(t.tensor_map[np.ix_(mem_i, mem_j)])
     S = subgroup_closure(t.group, (int(x) for x in gens))
@@ -857,21 +828,15 @@ def compare_seed_orders(
     if (np.sort(psi) != np.arange(Kd.order)).any():
         return CheckReport("seed-order-independence", False, checked, None, "not a bijection")
     checked += Kd.order ** 2
-    if (psi[Kd.table] != Ka.table[psi[:, None], psi[None, :]]).any():
-        w = np.argwhere(psi[Kd.table] != Ka.table[psi[:, None], psi[None, :]])[0]
-        return CheckReport(
-            "seed-order-independence", False, checked, tuple(int(v) for v in w), "not multiplicative"
-        )
+    w = first_true(psi[Kd.table] != Ka.table[psi[:, None], psi[None, :]])
+    if w is not None:
+        return CheckReport("seed-order-independence", False, checked, w, "not multiplicative")
     checked += Kd.order ** 2
-    if (psi[td.algebra.star] != ta.algebra.star[psi[:, None], psi[None, :]]).any():
-        w = np.argwhere(psi[td.algebra.star] != ta.algebra.star[psi[:, None], psi[None, :]])[0]
-        return CheckReport(
-            "seed-order-independence", False, checked, tuple(int(v) for v in w), "star differs"
-        )
+    w = first_true(psi[td.algebra.star] != ta.algebra.star[psi[:, None], psi[None, :]])
+    if w is not None:
+        return CheckReport("seed-order-independence", False, checked, w, "star differs")
     checked += td.tensor_map.size
-    if (psi[td.tensor_map] != ta.tensor_map).any():
-        w = np.argwhere(psi[td.tensor_map] != ta.tensor_map)[0]
-        return CheckReport(
-            "seed-order-independence", False, checked, tuple(int(v) for v in w), "symbols differ"
-        )
+    w = first_true(psi[td.tensor_map] != ta.tensor_map)
+    if w is not None:
+        return CheckReport("seed-order-independence", False, checked, w, "symbols differ")
     return CheckReport("seed-order-independence", True, checked)

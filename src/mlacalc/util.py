@@ -6,6 +6,8 @@ import os
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BudgetExceeded
 
 BUDGET_ENV = "MLACALC_BUDGET_SECS"
@@ -36,6 +38,13 @@ class Deadline:
 def budget_from_env() -> float | None:
     raw = os.environ.get(BUDGET_ENV)
     return float(raw) if raw else None
+
+
+def first_true(mask: np.ndarray) -> tuple[int, ...] | None:
+    """Row-major index of the first True entry of ``mask``, or None."""
+    if not mask.any():
+        return None
+    return tuple(int(v) for v in np.unravel_index(int(mask.argmax()), mask.shape))
 
 
 @dataclass(frozen=True)

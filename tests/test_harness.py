@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from mlacalc import util
 from mlacalc.corpus import get_group
 from mlacalc.errors import AxiomViolation, InputError, SelectionMismatch
 from mlacalc.harness import (
@@ -200,5 +201,43 @@ def test_zero_budget_skips_scanning_statements(pairs, monkeypatch):
     resource = [v for v in ledger.verdicts if v.status == SKIPPED]
     assert resource, "an expired budget must surface as resource skips"
     for v in resource:
+        assert v.detail.startswith("resource:")
+    assert ledger.counts()[FAIL] == 0
+
+
+class _TickingClock:
+    """Stands in for the time module: every monotonic() reading is a second later."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += 1.0
+        return self.now
+
+
+def _clock_readings(inst, selection, monkeypatch):
+    """Budget checks one run makes, under a budget it cannot exhaust."""
+    clock = _TickingClock()
+    monkeypatch.setattr(util, "time", clock)
+    monkeypatch.setenv("MLACALC_BUDGET_SECS", "1e9")
+    run_suite(inst, selection)
+    return int(clock.now) - 1  # one reading arms the budget
+
+
+def test_budget_covers_the_whole_ledger(corpus_algebras, monkeypatch):
+    inst = Instance.from_algebra(corpus_algebras["D4-trivial"], name="d4")
+    ran = [st.ident for st in CATALOGUE if st.kind == "algebra"]
+    checks = {ident: _clock_readings(inst, [ident], monkeypatch) for ident in ran}
+    # longer than any one statement needs, shorter than the ledger
+    budget = max(checks.values()) + 1
+    assert budget < sum(checks.values())
+    monkeypatch.setattr(util, "time", _TickingClock())
+    monkeypatch.setenv("MLACALC_BUDGET_SECS", str(budget))
+    ledger = run_suite(inst)
+    assert ledger.get(ran[0]).status == PASS
+    skipped = [v for v in ledger.verdicts if v.statement in ran and v.status == SKIPPED]
+    assert skipped, "statements past the budget must be skipped"
+    for v in skipped:
         assert v.detail.startswith("resource:")
     assert ledger.counts()[FAIL] == 0

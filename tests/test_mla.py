@@ -7,11 +7,14 @@ computed with that oracle and are asserted exactly.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlacalc.actions import bracket_ideal, mixed_lie_ideal
 from mlacalc.corpus import get_group, group_names
 from mlacalc.errors import AxiomViolation, IdealityFailure, MathViolation
 from mlacalc.mla import (
@@ -31,7 +34,8 @@ from mlacalc.mla import (
     sub_algebra,
     validate_ideal,
 )
-from mlacalc.groups import subgroup_closure
+from mlacalc.groups import Subgroup, subgroup_closure
+from mlacalc.tensor import tensor_ideal
 
 
 # --- naive oracle -------------------------------------------------------------
@@ -317,3 +321,53 @@ def test_quotient_by_full_algebra_is_trivial():
     I = ideal_closure(M, range(M.order))
     Q, _ = quotient_algebra(M, I)
     assert Q.order == 1
+
+
+# --- proof-carrying algebras ---------------------------------------------------------
+
+
+def test_series_quotients_and_subalgebras_inherit_verification(groups):
+    # quotient_algebra and sub_algebra of a verified algebra are recorded as
+    # verified without a scan; the oracle re-checks every one of them
+    for name, G in groups.items():
+        for base in (make_trivial_star(G), make_improper_star(G)):
+            M = make_algebra(G, base.star)
+            terms = {t for s in (derived_series(M), lower_central_series(M)) for t in s.terms}
+            for members in sorted(terms):
+                I = validate_ideal(M, Subgroup(G, frozenset(members)))
+                for X in (quotient_algebra(M, I)[0], sub_algebra(M, I.subgroup)):
+                    assert X._verified
+                    assert oracle_axiom_failures(X.group, X.star) == set(), (name, members)
+
+
+def test_canonical_q8_tensor_quotient_holds_the_axioms(tensors):
+    t = tensors["q8-trivial"]
+    assert t.algebra._verified
+    I = mixed_lie_ideal(t.pair, side="h-on-g").carrier
+    J = bracket_ideal(t.pair, side="g-on-h").subgroup
+    Q, _ = quotient_algebra(t.algebra, tensor_ideal(t, I, J))
+    assert Q._verified
+    assert oracle_axiom_failures(Q.group, Q.star) == set()
+
+
+def test_hand_built_algebras_are_always_scanned():
+    for name, make, (i, j) in (("S3", make_improper_star, (1, 2)), ("Q8", make_trivial_star, (2, 3))):
+        G = get_group(name)
+        S = make(G).star.copy()
+        S[i, j] = (S[i, j] + 1) % G.order
+        M = MultLieAlg(G, S)
+        expected = oracle_axiom_failures(G, S)
+        # a failed scan records nothing, so every later scan fails the same way
+        for _ in range(2):
+            with pytest.raises(AxiomViolation) as exc:
+                check_axioms(M)
+            assert exc.value.payload["axiom"] in expected
+        assert not M._verified
+    valid = make_improper_star(get_group("S3"))
+    check_axioms(valid)
+    assert not valid._verified  # only the constructors named in mla record it
+    # and no caller can hand the record to a constructor
+    with pytest.raises(TypeError):
+        MultLieAlg(valid.group, valid.star, _verified=True)
+    with pytest.raises(ValueError):
+        dataclasses.replace(valid, _verified=True)

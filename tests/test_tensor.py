@@ -12,9 +12,11 @@ from math import gcd, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlacalc.actions import check_compatibility, trivial_action, validate_action
-from mlacalc.corpus import get_group
+from mlacalc.corpus import get_group, group_names
 from mlacalc.errors import (
     CosetCapExceeded,
     Inapplicable,
@@ -22,8 +24,10 @@ from mlacalc.errors import (
     PreconditionFailed,
 )
 from mlacalc.groups import subgroup_closure
-from mlacalc.mla import make_trivial_star, quotient_algebra, validate_ideal
+from mlacalc.mla import make_improper_star, make_trivial_star, quotient_algebra, validate_ideal
 from mlacalc.tensor import (
+    RELATOR_BATCH,
+    _offending_values,
     build_tensor_algebra,
     build_tensor_presentation,
     check_defining_relations,
@@ -249,3 +253,55 @@ def test_self_pair_checks_applicability(tensors):
     for name in ("s3-improper-star", "q8-trivial"):
         assert self_pair_quotient_check(tensors[name]).passed
         assert defect_square_bound(tensors[name]).passed
+
+
+# --- the star fixpoint's collector ---------------------------------------------------
+
+
+def _brute_force_offending(K, S, images, seed_elem):
+    """lhs·rhs⁻¹ at every failing seed cell and axiom tuple, by loops over
+    the formulas of the mla module docstring."""
+    T, inv, e = K.table, K.inverses, K.identity
+    conj = lambda z, x: T[T[z, x], inv[z]]
+    found = set()
+
+    def note(lhs, rhs):
+        if lhs != rhs:
+            found.add(int(T[lhs, inv[rhs]]))
+
+    for a, ga in enumerate(images):
+        for b, gb in enumerate(images):
+            note(S[ga, gb], seed_elem[a, b])
+    for x in range(K.order):
+        note(S[x, x], e)
+        for y in range(K.order):
+            for z in range(K.order):
+                note(S[x, T[y, z]], T[S[x, y], conj(y, S[x, z])])
+                note(S[T[x, y], z], T[conj(x, S[y, z]), S[x, z]])
+                p1 = S[S[x, y], conj(y, z)]
+                p2 = S[S[y, z], conj(z, x)]
+                p3 = S[S[z, x], conj(x, y)]
+                note(T[T[p1, p2], p3], e)
+                note(conj(z, S[x, y]), S[conj(z, x), conj(z, y)])
+    found.discard(int(e))
+    return sorted(found)[:RELATOR_BATCH]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_star_fixpoint_collects_every_offending_value(data):
+    # every corpus tensor passes the fixpoint in its first round, so only
+    # perturbed stars reach the branch that turns values into relators
+    name = data.draw(st.sampled_from([n for n in group_names() if 2 <= get_group(n).order <= 8]))
+    K = get_group(name)
+    n = K.order
+    base = data.draw(st.sampled_from([make_trivial_star, make_improper_star]))(K).star
+    S = base.copy()
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    S[i, j] = data.draw(st.integers(0, n - 1).filter(lambda v: v != base[i, j]))
+    images = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    seed_elem = base[images[:, None], images[None, :]]
+    got = _offending_values(K, S, images, seed_elem, None)
+    want = _brute_force_offending(K, S, images, seed_elem)
+    assert want, "a single changed cell always breaks an axiom"
+    assert [int(v) for v in got] == want
