@@ -262,7 +262,7 @@ def cmd_tensor(args: argparse.Namespace) -> int:
     J = bracket_ideal(pair, side="g-on-h").subgroup
     big = tensor_ideal(t, I, J, deadline)
 
-    ledger = run_suite(Instance.from_tensor(t, pd.name), "tensor")
+    ledger = run_suite(Instance.from_tensor(t, pd.name), "tensor", deadline)
     series_lines, series_payload = _series_block(f"{pd.name} tensor", t.algebra, deadline)
     stats = t.result.stats
 
@@ -340,7 +340,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     pd = load_document(args.file, deadline)
     inst = _verify_instance(args, pd, deadline)
     selection: str | list[str] = [args.statement] if args.statement else args.suite
-    ledger = run_suite(inst, selection)
+    ledger = run_suite(inst, selection, deadline)
 
     counts = ledger.counts()
     lines = [

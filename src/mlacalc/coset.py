@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CosetCapExceeded, InputError
-from .groups import FiniteGroup, validate_cayley
+from .groups import FiniteGroup, check_order_cap, validate_cayley
 from .util import Deadline
 
 DEFAULT_MAX_COSETS = 200_000
@@ -241,8 +241,9 @@ def coset_enumerate(
     eng.run()
 
     live = [a for a in range(len(eng.table)) if eng.alive(a)]
-    index = {a: i for i, a in enumerate(live)}
     m = len(live)
+    check_order_cap(m)  # before the m x m Cayley table exists
+    index = {a: i for i, a in enumerate(live)}
     nl = eng.nletters
     tbl = np.empty((m, nl), dtype=np.int64)
     for i, a in enumerate(live):

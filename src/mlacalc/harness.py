@@ -524,14 +524,20 @@ def _evaluate(st: Statement, inst: Instance, deadline: Deadline) -> Verdict:
     )
 
 
-def run_suite(inst: Instance, selection: str | Iterable[str] = "all") -> VerdictLedger:
+def run_suite(
+    inst: Instance,
+    selection: str | Iterable[str] = "all",
+    deadline: Deadline | None = None,
+) -> VerdictLedger:
     """One verdict per catalogue id.
 
     ``selection`` is a suite name or an iterable of statement ids.  Unselected
     statements report skipped("not selected").  A suite statement the instance
     cannot host reports inapplicable; an explicitly selected one raises
-    SelectionMismatch.  One MLACALC_BUDGET_SECS budget covers the whole call,
-    so a statement that finds it spent reports skipped("resource: ...").
+    SelectionMismatch.  One budget covers the whole call: the caller's
+    ``deadline`` (the CLI passes the one armed for its whole run), else a fresh
+    MLACALC_BUDGET_SECS budget.  A statement that finds it spent reports
+    skipped("resource: ...").
     """
     explicit: set[str] | None = None
     if isinstance(selection, str):
@@ -548,7 +554,8 @@ def run_suite(inst: Instance, selection: str | Iterable[str] = "all") -> Verdict
                 f"unknown statement id(s): {', '.join(unknown)}", statements=unknown
             )
 
-    deadline = Deadline.from_env()
+    if deadline is None:
+        deadline = Deadline.from_env()
     verdicts: list[Verdict] = []
     for st in CATALOGUE:
         if explicit is not None:

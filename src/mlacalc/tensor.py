@@ -40,6 +40,7 @@ from .mla import (
     MultLieAlg,
     _record_verified,
     axiom_sides,
+    broken_axioms,
     lie_commutator_ideal,
     make_star_table,
     make_trivial_star,
@@ -227,11 +228,15 @@ def _offending_values(
     deadline: Deadline | None,
 ) -> np.ndarray:
     """Elements that the axioms or the generator seed force to be trivial:
-    lhs·rhs⁻¹ wherever a side of the seed or of an axiom_sides row differs."""
+    lhs·rhs⁻¹ wherever a side of the seed or of an axiom_sides row differs.
+    Only the axioms that broken_axioms finds failing are scanned; an axiom
+    that holds has no offending values."""
     T, inv = K.table, K.inverses
+    stage = "tensor star validation"
     seed = (0, (), S[images[:, None], images[None, :]], seed_elem)
+    broken = list(broken_axioms(K, S, deadline, stage))
     out: list[np.ndarray] = []
-    for _, _, lhs, rhs in chain([seed], axiom_sides(K, S, deadline, "tensor star validation")):
+    for _, _, lhs, rhs in chain([seed], axiom_sides(K, S, broken, deadline, stage)):
         bad = lhs != rhs
         if bad.any():
             out.append(T[lhs[bad], inv[np.broadcast_to(rhs, lhs.shape)[bad]]])
@@ -275,7 +280,7 @@ def induce_star(
         star = _extend_star(K, images, seed_elem, seed_order)
         bad = _offending_values(K, star, images, seed_elem, deadline)
         if bad.size == 0:
-            # the scan that found nothing to collect proved all five axioms
+            # the checks that found nothing to collect proved all five axioms
             alg = _record_verified(MultLieAlg(K, make_star_table(K, star)))
             extra = res.presentation.relators[base_count:]
             return TensorAlgebra(

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlacalc import coset, groups
+from mlacalc.cli import main
 from mlacalc.coset import Presentation, coset_enumerate, make_presentation
-from mlacalc.errors import BudgetExceeded, CosetCapExceeded, InputError
+from mlacalc.errors import BudgetExceeded, CosetCapExceeded, InputError, ResourceError
 from mlacalc.groups import subgroup_closure
 from mlacalc.util import Deadline
 
@@ -102,6 +104,36 @@ def test_gen_images_generate_and_satisfy_relators():
             v = int(img[abs(e) - 1])
             x = G.mul(x, v if e > 0 else G.inv(v))
         assert x == G.identity
+
+
+class _AllocationLog:
+    """Stands in for numpy inside coset: records the shape of every np.empty."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, *args, **kwargs):
+        self.shapes.append(tuple(shape))
+        return np.empty(shape, *args, **kwargs)
+
+
+def test_order_cap_is_enforced_before_the_tables_exist(monkeypatch, fixtures_dir):
+    pres = make_presentation(("a", "b"), [(1, 1, 1, 1), (1, 1, -2, -2), (-2, 1, 2, 1)])
+    log = _AllocationLog()
+    monkeypatch.setattr(coset, "np", log)
+    monkeypatch.setattr(groups, "ORDER_CAP", 4)
+    with pytest.raises(ResourceError) as exc:
+        coset_enumerate(pres)
+    assert exc.value.payload == {"order": 8, "cap": 4}
+    assert not [shape for shape in log.shapes if 8 in shape]
+    # Q8 (order 8) parses under a cap of 8; its tensor square (order 64) is
+    # refused before its tables exist, and the CLI maps that to exit code 3
+    monkeypatch.setattr(groups, "ORDER_CAP", 8)
+    assert main(["tensor", str(fixtures_dir / "tensors" / "q8-trivial.json"), "--json"]) == 3
+    assert not [shape for shape in log.shapes if 64 in shape]
 
 
 def test_free_group_exceeds_cap():

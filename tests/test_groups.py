@@ -6,13 +6,17 @@ code with the implementation under test.
 
 from __future__ import annotations
 
+from itertools import product
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlacalc.corpus import all_groups, get_group, group_names
-from mlacalc.errors import InputError, MathViolation
+from mlacalc.errors import InputError, MathViolation, NotAssociative
 from mlacalc.groups import normal_closure, quotient, subgroup_closure, validate_cayley
+from mlacalc.mla import check_lie_identities, make_trivial_star
 
 EXPECTED_ORDERS = {
     "C1": 1, "C2": 2, "C3": 3, "C4": 4, "C5": 5, "C6": 6, "C7": 7, "C8": 8,
@@ -63,6 +67,56 @@ def test_element_order_multisets():
     s3 = get_group("S3")
     orders = sorted(element_order(s3.table, x) for x in range(6))
     assert orders == [1, 2, 2, 2, 3, 3]
+
+
+def test_least_generators_generate_and_are_least():
+    for name, G in all_groups().items():
+        gens = G.generators
+        assert gens.dtype == np.int64, name
+        span = naive_closure(G.table, ())
+        for g in gens:
+            # the least element outside the span of the earlier generators
+            assert int(g) == min(set(range(G.order)) - span), name
+            span = naive_closure(G.table, span | {int(g)})
+        assert span == set(range(G.order)), name
+    C1 = get_group("C1")
+    assert C1.generators.shape == (0,) and C1.generators.dtype == np.int64
+    # the reduced checks index tables with the generators, also when there are none
+    assert set(check_lie_identities(make_trivial_star(C1)).values()) == {None}
+
+
+def oracle_associativity_witness(table):
+    """Least (i, j, k) with (i·j)·k != i·(j·k), by a triple loop."""
+    for i, j, k in product(range(len(table)), repeat=3):
+        if table[table[i, j], k] != table[i, table[j, k]]:
+            return [i, j, k]
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_perturbed_tables_raise_the_least_associativity_witness(data):
+    # associativity is proven on the generators (Light's test); a table it
+    # rejects must still report the least witness of the full scan
+    name = data.draw(st.sampled_from([n for n in group_names() if EXPECTED_ORDERS[n] >= 2]))
+    G = get_group(name)
+    n = G.order
+    table = G.table.copy()
+    for _ in range(data.draw(st.integers(1, 2))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        old = int(table[i, j])
+        table[i, j] = data.draw(st.integers(0, n - 1).filter(lambda v: v != old))
+    want = oracle_associativity_witness(table)
+    try:
+        validate_cayley(G.labels, table)
+    except NotAssociative as ex:
+        assert ex.payload["witness"] == want
+        i, j, k = want
+        assert str(ex) == f"associativity fails at ({G.labels[i]},{G.labels[j]},{G.labels[k]})"
+    except MathViolation:
+        pass  # closure, identity or inverses fail before associativity is checked
+    else:
+        assert want is None
 
 
 def test_validate_cayley_rejects_shape_and_range():

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import re
 
 import pytest
 
-from mlacalc import util
+from mlacalc import cli, util
 from mlacalc.corpus import get_group
 from mlacalc.errors import AxiomViolation, InputError, SelectionMismatch
 from mlacalc.harness import (
@@ -240,4 +242,41 @@ def test_budget_covers_the_whole_ledger(corpus_algebras, monkeypatch):
     assert skipped, "statements past the budget must be skipped"
     for v in skipped:
         assert v.detail.startswith("resource:")
+    assert ledger.counts()[FAIL] == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "tensor"])
+def test_one_budget_covers_a_cli_run(fixtures_dir, monkeypatch, command):
+    # parsing and the tensor build spend the same budget as the ledger after
+    # them; a ledger that armed its own would pass every statement here
+    path = str(fixtures_dir / "tensors" / "s3-improper-star.json")
+    ledgers = []
+
+    def recording_run_suite(*args, **kwargs):
+        start = clock.now
+        ledger = run_suite(*args, **kwargs)
+        ledgers.append((start, clock.now, ledger))
+        return ledger
+
+    monkeypatch.setattr(cli, "run_suite", recording_run_suite)
+
+    def run(budget):
+        nonlocal clock
+        clock = _TickingClock()
+        monkeypatch.setattr(util, "time", clock)
+        monkeypatch.setenv("MLACALC_BUDGET_SECS", str(budget))
+        ledgers.clear()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.main([command, path])
+        ((start, end, ledger),) = ledgers
+        return start, end - start, ledger
+
+    clock = _TickingClock()
+    before, during, _ = run(1e9)
+    # enough for the readings before the ledger, or for the ledger alone
+    budget = max(before, during) + 1
+    assert budget + 2 <= before + during
+    _, _, ledger = run(budget)
+    skipped = [v for v in ledger.verdicts if v.status == SKIPPED and v.detail.startswith("resource:")]
+    assert skipped, "the ledger must spend what is left of the run's budget"
     assert ledger.counts()[FAIL] == 0

@@ -24,7 +24,13 @@ from mlacalc.errors import (
     PreconditionFailed,
 )
 from mlacalc.groups import subgroup_closure
-from mlacalc.mla import make_improper_star, make_trivial_star, quotient_algebra, validate_ideal
+from mlacalc.mla import (
+    axiom_sides,
+    make_improper_star,
+    make_trivial_star,
+    quotient_algebra,
+    validate_ideal,
+)
 from mlacalc.tensor import (
     RELATOR_BATCH,
     _offending_values,
@@ -305,3 +311,33 @@ def test_star_fixpoint_collects_every_offending_value(data):
     want = _brute_force_offending(K, S, images, seed_elem)
     assert want, "a single changed cell always breaks an axiom"
     assert [int(v) for v in got] == want
+
+
+def _full_collection(K, S, images, seed_elem):
+    """lhs·rhs⁻¹ over the seed and the exhaustive rows of all five axioms."""
+    T, inv = K.table, K.inverses
+    seed = S[images[:, None], images[None, :]]
+    found = {int(T[a, inv[b]]) for a, b in zip(seed.ravel(), seed_elem.ravel()) if a != b}
+    for _, _, lhs, rhs in axiom_sides(K, S, range(1, 6)):
+        rhs = np.broadcast_to(rhs, lhs.shape)
+        bad = lhs != rhs
+        found.update(int(v) for v in T[lhs[bad], inv[rhs[bad]]])
+    found.discard(int(K.identity))
+    return sorted(found)[:RELATOR_BATCH]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_offending_values_scan_only_broken_axioms_and_lose_nothing(data):
+    name = data.draw(st.sampled_from([n for n in group_names() if 2 <= get_group(n).order <= 12]))
+    K = get_group(name)
+    n = K.order
+    base = data.draw(st.sampled_from([make_trivial_star, make_improper_star]))(K).star
+    S = base.copy()
+    for _ in range(data.draw(st.integers(1, 2))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        S[i, j] = data.draw(st.integers(0, n - 1).filter(lambda v: v != base[i, j]))
+    images = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    seed_elem = base[images[:, None], images[None, :]]
+    got = _offending_values(K, S, images, seed_elem, None)
+    assert [int(v) for v in got] == _full_collection(K, S, images, seed_elem)
