@@ -117,15 +117,6 @@ def least_generators(table: np.ndarray, identity: int) -> np.ndarray:
     return np.asarray(gens, dtype=np.int64)
 
 
-def _associativity_witness(arr: np.ndarray) -> list[int] | None:
-    """Least (i, j, k) with (i·j)·k != i·(j·k), by the exhaustive row scan."""
-    for i in range(len(arr)):
-        at = first_true(arr[arr[i], :] != arr[i][arr])
-        if at is not None:
-            return [i, *at]
-    return None
-
-
 def validate_cayley(labels: Sequence[str], table) -> FiniteGroup:
     """Check the group axioms and return a frozen FiniteGroup.
 
@@ -184,11 +175,14 @@ def validate_cayley(labels: Sequence[str], table) -> FiniteGroup:
     gens = least_generators(arr, e)
     # (x·g)·y against x·(g·y) at [x, y], one generator g at a time
     if any((arr[arr[:, g]] != arr[:, arr[g]]).any() for g in gens):
-        i, j, k = _associativity_witness(arr)
-        raise NotAssociative(
-            f"associativity fails at ({labels[i]},{labels[j]},{labels[k]})",
-            witness=[i, j, k],
-        )
+        for i in range(n):
+            at = first_true(arr[arr[i], :] != arr[i][arr])  # (i·j)·k against i·(j·k)
+            if at is not None:
+                j, k = at
+                raise NotAssociative(
+                    f"associativity fails at ({labels[i]},{labels[j]},{labels[k]})",
+                    witness=[i, j, k],
+                )
 
     return FiniteGroup(labels, _freeze(arr.copy()), e, _freeze(inv), _freeze(gens))
 
