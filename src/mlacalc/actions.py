@@ -33,7 +33,7 @@ from .errors import (
 )
 from .groups import FiniteGroup, Subgroup, subgroup_closure
 from .mla import Ideal, MultLieAlg, nilpotency_class, solvable_length, sub_algebra, validate_ideal
-from .util import CheckReport, Deadline
+from .util import CheckReport, check_budget
 
 SIDES = ("g-on-h", "h-on-g")
 
@@ -109,7 +109,6 @@ def validate_action(
     phi,
     bracket,
     companion: MlaAction | None = None,
-    deadline: Deadline | None = None,
 ) -> MlaAction:
     """Check the action laws; defer companion-dependent ones if alone.
 
@@ -133,8 +132,7 @@ def validate_action(
 
     idx = np.arange(H.order)
     for g in range(G.order):
-        if deadline:
-            deadline.check("action validation")
+        check_budget("action validation")
         p = phi[g]
         if not (np.sort(p) == idx).all():
             raise NotAutomorphism(
@@ -172,7 +170,7 @@ def validate_action(
             )
 
     action = MlaAction(actor, acted, phi, bracket)
-    hit = _bracket_condition_witness(action, None, which=(2,), deadline=deadline)
+    hit = _bracket_condition_witness(action, None, which=(2,))
     if hit:
         cond, witness = hit
         raise ActionViolation(
@@ -182,7 +180,7 @@ def validate_action(
         )
     if companion is None:
         return MlaAction(actor, acted, phi, bracket, deferred=(1, 3, 4))
-    hit = _bracket_condition_witness(action, companion, which=(1, 3, 4), deadline=deadline)
+    hit = _bracket_condition_witness(action, companion, which=(1, 3, 4))
     if hit:
         cond, witness = hit
         raise ActionViolation(
@@ -197,7 +195,6 @@ def _bracket_condition_witness(
     act: MlaAction,
     co: MlaAction | None,
     which: Iterable[int],
-    deadline: Deadline | None = None,
 ) -> tuple[int, list[int]] | None:
     """Least witness (x-major) of a failing bracket law, or None."""
     G, H = act.actor.group, act.acted.group
@@ -206,8 +203,7 @@ def _bracket_condition_witness(
     wanted = set(which)
 
     for x in range(G.order):
-        if deadline:
-            deadline.check("bracket laws")
+        check_budget("bracket laws")
         if 2 in wanted:
             lhs = B[G.table[x]]  # <x·x', y> at [x', y]
             rhs = H.table[B[np.ix_(G.conj_table[x], P[x])], B[x][None, :]]
@@ -271,16 +267,14 @@ class CompatiblePair:
         return check_compatibility(self.h_on_g, self.g_on_h)
 
 
-def check_compatibility(
-    g_on_h: MlaAction, h_on_g: MlaAction, deadline: Deadline | None = None
-) -> CompatiblePair:
+def check_compatibility(g_on_h: MlaAction, h_on_g: MlaAction) -> CompatiblePair:
     """Verify the five pair conditions plus any deferred action laws."""
     if g_on_h.actor is not h_on_g.acted or g_on_h.acted is not h_on_g.actor:
         raise InputError("actions are not over the same pair of algebras")
     flags: list[str] = []
 
     for side, act, co in (("g-on-h", g_on_h, h_on_g), ("h-on-g", h_on_g, g_on_h)):
-        hit = _bracket_condition_witness(act, co, which=(1, 2, 3, 4), deadline=deadline)
+        hit = _bracket_condition_witness(act, co, which=(1, 2, 3, 4))
         if hit:
             cond, witness = hit
             raise ActionViolation(
@@ -292,7 +286,7 @@ def check_compatibility(
         flags.append(f"action-laws:{side}")
 
     for cond in (1, 2, 3, 4, 5):
-        hit = _pair_condition_witness(g_on_h, h_on_g, cond, deadline)
+        hit = _pair_condition_witness(g_on_h, h_on_g, cond)
         if hit:
             side, witness = hit
             raise CompatibilityViolation(
@@ -306,24 +300,24 @@ def check_compatibility(
     return CompatiblePair(g_on_h, h_on_g, tuple(flags))
 
 
-def check_action_laws(pair: CompatiblePair, deadline: Deadline | None = None) -> CheckReport:
+def check_action_laws(pair: CompatiblePair) -> CheckReport:
     """Re-verify both actions from their raw tables: phi structure plus all
     four bracket laws, with nothing deferred."""
     tuples = 0
     for side in SIDES:
         act, co = pair.action(side), pair.companion(side)
-        validate_action(act.actor, act.acted, act.phi, act.bracket, companion=co, deadline=deadline)
+        validate_action(act.actor, act.acted, act.phi, act.bracket, companion=co)
         na, nb = act.actor.group.order, act.acted.group.order
         tuples += na * nb + 3 * na * nb * nb + 3 * na * na * nb
     return CheckReport("action-laws", True, tuples)
 
 
-def check_pair_conditions(pair: CompatiblePair, deadline: Deadline | None = None) -> CheckReport:
+def check_pair_conditions(pair: CompatiblePair) -> CheckReport:
     """Re-verify the five mutual-compatibility laws on both displays."""
     ng, nh = pair.G.group.order, pair.H.group.order
     tuples = 0
     for cond in (1, 2, 3, 4, 5):
-        hit = _pair_condition_witness(pair.g_on_h, pair.h_on_g, cond, deadline)
+        hit = _pair_condition_witness(pair.g_on_h, pair.h_on_g, cond)
         if hit:
             side, witness = hit
             raise CompatibilityViolation(
@@ -337,7 +331,7 @@ def check_pair_conditions(pair: CompatiblePair, deadline: Deadline | None = None
 
 
 def _pair_condition_witness(
-    gh: MlaAction, hg: MlaAction, cond: int, deadline: Deadline | None
+    gh: MlaAction, hg: MlaAction, cond: int
 ) -> tuple[str, list[int]] | None:
     """Check one pair condition, both displays; witness is (g, h, primed)."""
     G, H = gh.actor.group, gh.acted.group
@@ -345,8 +339,7 @@ def _pair_condition_witness(
 
     def scan(n_a: int, n_b: int, fail_row) -> list[int] | None:
         for a in range(n_a):
-            if deadline:
-                deadline.check("pair conditions")
+            check_budget("pair conditions")
             for b in range(n_b):
                 bad = fail_row(a, b)
                 if bad.any():
@@ -589,9 +582,7 @@ def mixed_lie_ideal(pair: CompatiblePair, side: str = "g-on-h") -> WitnessedIdea
     return WitnessedIdeal(pair, side, 0, ideal, words)
 
 
-def witnessed_derived_terms(
-    pair: CompatiblePair, side: str, depth: int, deadline: Deadline | None = None
-) -> list[WitnessedIdeal]:
+def witnessed_derived_terms(pair: CompatiblePair, side: str, depth: int) -> list[WitnessedIdeal]:
     """Terms 0..depth of the derived series of the mixed defect ideal, each
     carried with witness words over that level's defect letters."""
     terms = [mixed_lie_ideal(pair, side)]
@@ -599,8 +590,7 @@ def witnessed_derived_terms(
     alg = act.acted
     H = alg.group
     for level in range(1, depth + 1):
-        if deadline:
-            deadline.check("derived terms")
+        check_budget("derived terms")
         prev = terms[-1]
         members = sorted(prev.carrier.members)
         letters: list[Letter] = []
@@ -664,15 +654,14 @@ def action_partner(pair: CompatiblePair, word: Word, side: str = "g-on-h") -> tu
     return x, y, mirror.words[y]
 
 
-def check_partner_generators(pair: CompatiblePair, deadline: Deadline | None = None) -> CheckReport:
+def check_partner_generators(pair: CompatiblePair) -> CheckReport:
     """Single-defect partners act identically on both groups (both sides)."""
     checked = 0
     for side in SIDES:
         act = pair.action(side)
         G, H = act.actor.group, act.acted.group
         for g in range(G.order):
-            if deadline:
-                deadline.check("partner generators")
+            check_budget("partner generators")
             for h in range(H.order):
                 x, y = partner_element(pair, side, (("gen", g, h, 1),))
                 bad = _agreement_witness(pair, side, x, y)
@@ -688,15 +677,14 @@ def check_partner_generators(pair: CompatiblePair, deadline: Deadline | None = N
     return CheckReport("partner-generators", True, checked)
 
 
-def check_partner_words(pair: CompatiblePair, deadline: Deadline | None = None) -> CheckReport:
+def check_partner_words(pair: CompatiblePair) -> CheckReport:
     """Every witnessed element of each defect ideal has an identically
     acting partner built letter-by-letter from its word."""
     checked = 0
     for side in SIDES:
         term = mixed_lie_ideal(pair, side)
         for x in sorted(term.carrier.members):
-            if deadline:
-                deadline.check("partner words")
+            check_budget("partner words")
             xe, y = partner_element(pair, side, term.words[x])
             if xe != x:
                 raise IdentityViolation(
@@ -717,7 +705,7 @@ def check_partner_words(pair: CompatiblePair, deadline: Deadline | None = None) 
     return CheckReport("partner-words", True, checked)
 
 
-def check_partner_closure_ops(pair: CompatiblePair, deadline: Deadline | None = None) -> CheckReport:
+def check_partner_closure_ops(pair: CompatiblePair) -> CheckReport:
     """Agreement survives inverses and commutators of agreeing pairs."""
     checked = 0
     for side in SIDES:
@@ -726,8 +714,7 @@ def check_partner_closure_ops(pair: CompatiblePair, deadline: Deadline | None = 
         term = mixed_lie_ideal(pair, side)
         pairs = [partner_element(pair, side, term.words[x]) for x in sorted(term.carrier.members)]
         for x, y in pairs:
-            if deadline:
-                deadline.check("partner closure")
+            check_budget("partner closure")
             bad = _agreement_witness(pair, side, H.inv(x), G.inv(y))
             checked += G.order + H.order
             if bad:
@@ -740,8 +727,7 @@ def check_partner_closure_ops(pair: CompatiblePair, deadline: Deadline | None = 
                 )
         for x1, y1 in pairs:
             for x2, y2 in pairs:
-                if deadline:
-                    deadline.check("partner closure")
+                check_budget("partner closure")
                 bad = _agreement_witness(pair, side, H.commutator(x1, x2), G.commutator(y1, y2))
                 checked += G.order + H.order
                 if bad:
@@ -788,19 +774,16 @@ def star_to_bracket(
     return z
 
 
-def check_star_to_bracket_level(
-    pair: CompatiblePair, level: int, deadline: Deadline | None = None
-) -> CheckReport:
+def check_star_to_bracket_level(pair: CompatiblePair, level: int) -> CheckReport:
     """x1 * x2 = <partner(x1), x2> over all witnessed pairs at one level."""
     checked = 0
     for side in SIDES:
         act = pair.action(side)
-        terms = witnessed_derived_terms(pair, side, level, deadline)
+        terms = witnessed_derived_terms(pair, side, level)
         term = terms[level]
         members = sorted(term.carrier.members)
         for x1 in members:
-            if deadline:
-                deadline.check("star-to-bracket")
+            check_budget("star-to-bracket")
             z = _eval_word(pair, side, term.words[x1], True)
             for x2 in members:
                 lhs = act.acted.op(x1, x2)
@@ -816,9 +799,7 @@ def check_star_to_bracket_level(
     return CheckReport(f"star-to-bracket-level-{level}", True, checked)
 
 
-def check_lie_conjugation_transfer(
-    pair: CompatiblePair, deadline: Deadline | None = None
-) -> CheckReport:
+def check_lie_conjugation_transfer(pair: CompatiblePair) -> CheckReport:
     """Defects of agreeing pairs act identically: ^L[x1,x2] vs ^L[y1,y2]."""
     checked = 0
     for side in SIDES:
@@ -827,8 +808,7 @@ def check_lie_conjugation_transfer(
         members = sorted(term.carrier.members)
         partners = {x: _eval_word(pair, side, term.words[x], True) for x in members}
         for x1 in members:
-            if deadline:
-                deadline.check("conjugation transfer")
+            check_budget("conjugation transfer")
             for x2 in members:
                 dx = act.acted.lie_defect(x1, x2)
                 dy = act.actor.lie_defect(partners[x1], partners[x2])
@@ -845,15 +825,14 @@ def check_lie_conjugation_transfer(
     return CheckReport("lie-conjugation-transfer", True, checked)
 
 
-def check_bracket_conjugation(pair: CompatiblePair, deadline: Deadline | None = None) -> CheckReport:
+def check_bracket_conjugation(pair: CompatiblePair) -> CheckReport:
     """Conjugating one bracket value by another equals bracketing the
     mixed-commutator conjugates, on both sides."""
     gh, hg = pair.g_on_h, pair.h_on_g
     G, H = pair.G.group, pair.H.group
     checked = 0
     for x in range(G.order):
-        if deadline:
-            deadline.check("bracket conjugation")
+        check_budget("bracket conjugation")
         for y in range(H.order):
             c = int(gh.mixed_comm_table[x, y])  # ^x y · y^-1 in H
             lhs = H.conj_table[gh.brk(x, y)][gh.bracket]  # over (g, h)
@@ -867,8 +846,7 @@ def check_bracket_conjugation(pair: CompatiblePair, deadline: Deadline | None = 
                     witness=[x, y, g, h],
                 )
     for y in range(H.order):
-        if deadline:
-            deadline.check("bracket conjugation")
+        check_budget("bracket conjugation")
         for x in range(G.order):
             d = int(hg.mixed_comm_table[y, x])  # ^y x · x^-1 in G
             lhs = G.conj_table[hg.brk(y, x)][hg.bracket]  # over (h, g)
@@ -884,9 +862,7 @@ def check_bracket_conjugation(pair: CompatiblePair, deadline: Deadline | None = 
     return CheckReport("bracket-conjugation", True, checked)
 
 
-def check_lemma_commutator_bracket(
-    pair: CompatiblePair, deadline: Deadline | None = None
-) -> CheckReport:
+def check_lemma_commutator_bracket(pair: CompatiblePair) -> CheckReport:
     """[<g,h>, h'] = <g·^h g^-1, h'> = (^g h·h^-1) * h', and mirrored."""
     checked = 0
     for side in SIDES:
@@ -894,8 +870,7 @@ def check_lemma_commutator_bracket(
         co = pair.companion(side)
         G, H = act.actor.group, act.acted.group
         for g in range(G.order):
-            if deadline:
-                deadline.check("commutator bracket")
+            check_budget("commutator bracket")
             for h in range(H.order):
                 left = H.comm_table[act.brk(g, h)]  # [<g,h>, h'] over h'
                 mid = act.bracket[G.mul(g, co.act(h, G.inv(g)))]
@@ -912,9 +887,7 @@ def check_lemma_commutator_bracket(
     return CheckReport("commutator-bracket-chain", True, checked)
 
 
-def check_defect_centralizes_bracket_ideal(
-    pair: CompatiblePair, deadline: Deadline | None = None
-) -> CheckReport:
+def check_defect_centralizes_bracket_ideal(pair: CompatiblePair) -> CheckReport:
     """Every defect-ideal element group-commutes with the bracket ideal."""
     checked = 0
     for side in SIDES:
@@ -923,8 +896,7 @@ def check_defect_centralizes_bracket_ideal(
         defects = sorted(mixed_lie_ideal(pair, side).carrier.members)
         brk = np.fromiter(sorted(bracket_ideal(pair, side).subgroup.members), dtype=np.int64)
         for a in defects:
-            if deadline:
-                deadline.check("defect centralizer")
+            check_budget("defect centralizer")
             bad = H.comm_table[a, brk] != H.identity
             checked += brk.size
             if bad.any():
@@ -937,9 +909,7 @@ def check_defect_centralizes_bracket_ideal(
     return CheckReport("defect-centralizes-bracket-ideal", True, checked)
 
 
-def check_defect_fixes_opposite_bracket_ideal(
-    pair: CompatiblePair, deadline: Deadline | None = None
-) -> CheckReport:
+def check_defect_fixes_opposite_bracket_ideal(pair: CompatiblePair) -> CheckReport:
     """Defect-ideal elements act trivially on the opposite bracket ideal."""
     checked = 0
     for side in SIDES:
@@ -951,8 +921,7 @@ def check_defect_fixes_opposite_bracket_ideal(
             sorted(bracket_ideal(pair, mirror_side).subgroup.members), dtype=np.int64
         )
         for a in defects:
-            if deadline:
-                deadline.check("defect fixes opposite")
+            check_budget("defect fixes opposite")
             bad = co.phi[a, opp] != opp
             checked += opp.size
             if bad.any():
@@ -973,15 +942,15 @@ class TransferBounds:
     l_hg: int | None
 
 
-def check_transfer_bounds(pair: CompatiblePair, deadline: Deadline | None = None) -> CheckReport:
+def check_transfer_bounds(pair: CompatiblePair) -> CheckReport:
     """Nilpotency class / solvable length transfer between the two defect
     ideals with slack one, in both directions."""
     subs = {}
     for side in SIDES:
         act = pair.action(side)
         subs[side] = sub_algebra(act.acted, mixed_lie_ideal(pair, side).carrier)
-    cl = {side: nilpotency_class(subs[side], deadline) for side in SIDES}
-    ln = {side: solvable_length(subs[side], deadline) for side in SIDES}
+    cl = {side: nilpotency_class(subs[side]) for side in SIDES}
+    ln = {side: solvable_length(subs[side]) for side in SIDES}
     bounds = TransferBounds(cl["g-on-h"], cl["h-on-g"], ln["g-on-h"], ln["h-on-g"])
 
     def demand(kind: str, a_side: str, b_side: str, vals: dict) -> None:

@@ -16,6 +16,7 @@ hit (cosets, rounds, or the MLACALC_BUDGET_SECS time budget).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -33,9 +34,10 @@ from .tensor import (
     build_tensor_algebra,
     tensor_ideal,
 )
-from .util import Deadline
+from .util import run_budget
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlacalc",
@@ -98,9 +100,9 @@ def _emit(args: argparse.Namespace, lines: list[str], payload: dict[str, Any]) -
 # --- per-algebra series reporting --------------------------------------------
 
 
-def _series_block(label: str, M: MultLieAlg, deadline: Deadline) -> tuple[list[str], dict[str, Any]]:
-    ds = derived_series(M, deadline)
-    lc = lower_central_series(M, deadline)
+def _series_block(label: str, M: MultLieAlg) -> tuple[list[str], dict[str, Any]]:
+    ds = derived_series(M)
+    lc = lower_central_series(M)
 
     def orders(rep) -> list[int]:
         return [len(term) for term in rep.terms]
@@ -146,10 +148,9 @@ def _declared_algebras(pd: ParsedDocument) -> list[tuple[str, MultLieAlg]]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    deadline = Deadline.from_env()
-    pd = load_document(args.file, deadline)
+    pd = load_document(args.file)
     if pd.kind == "algebra":
-        check_axioms(pd.algebra, deadline)
+        check_axioms(pd.algebra)
         _emit(
             args,
             [f"algebra {pd.name}: order {pd.algebra.order}", "axioms: 5/5"],
@@ -189,12 +190,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    deadline = Deadline.from_env()
-    pd = load_document(args.file, deadline)
+    pd = load_document(args.file)
     lines: list[str] = []
     blocks: list[dict[str, Any]] = []
     for label, M in _declared_algebras(pd):
-        block_lines, payload = _series_block(label, M, deadline)
+        block_lines, payload = _series_block(label, M)
         lines.extend(block_lines)
         blocks.append(payload)
     _emit(args, lines, {"command": "series", "kind": pd.kind, "name": pd.name, "algebras": blocks})
@@ -202,13 +202,12 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_action_check(args: argparse.Namespace) -> int:
-    deadline = Deadline.from_env()
-    pd = load_document(args.file, deadline)
+    pd = load_document(args.file)
     if pd.pair is None:
         raise InputError("action-check needs a pair or tensor document, got an algebra")
     pair = pd.pair
-    laws = check_action_laws(pair, deadline)
-    conds = check_pair_conditions(pair, deadline)
+    laws = check_action_laws(pair)
+    conds = check_pair_conditions(pair)
     _emit(
         args,
         [
@@ -238,32 +237,30 @@ def _caps(args: argparse.Namespace, pd: ParsedDocument) -> tuple[int, int]:
     return max_cosets, max_rounds
 
 
-def _build_tensor(args: argparse.Namespace, pd: ParsedDocument, deadline: Deadline) -> TensorAlgebra:
+def _build_tensor(args: argparse.Namespace, pd: ParsedDocument) -> TensorAlgebra:
     max_cosets, max_rounds = _caps(args, pd)
     return build_tensor_algebra(
         pd.pair,
         max_cosets=max_cosets,
         max_rounds=max_rounds,
         seed_order=args.seed_order,
-        deadline=deadline,
     )
 
 
 def cmd_tensor(args: argparse.Namespace) -> int:
-    deadline = Deadline.from_env()
-    pd = load_document(args.file, deadline)
+    pd = load_document(args.file)
     if pd.pair is None:
         raise InputError("tensor needs a pair or tensor document, got an algebra")
-    t = _build_tensor(args, pd, deadline)
+    t = _build_tensor(args, pd)
     pair = t.pair
     G, H = pair.G.group, pair.H.group
 
     I = mixed_lie_ideal(pair, side="h-on-g").carrier
     J = bracket_ideal(pair, side="g-on-h").subgroup
-    big = tensor_ideal(t, I, J, deadline)
+    big = tensor_ideal(t, I, J)
 
-    ledger = run_suite(Instance.from_tensor(t, pd.name), "tensor", deadline)
-    series_lines, series_payload = _series_block(f"{pd.name} tensor", t.algebra, deadline)
+    ledger = run_suite(Instance.from_tensor(t, pd.name), "tensor")
+    series_lines, series_payload = _series_block(f"{pd.name} tensor", t.algebra)
     stats = t.result.stats
 
     lines = [
@@ -316,13 +313,13 @@ def cmd_tensor(args: argparse.Namespace) -> int:
     return 0 if ledger.ok else 1
 
 
-def _verify_instance(args: argparse.Namespace, pd: ParsedDocument, deadline: Deadline) -> Instance:
+def _verify_instance(args: argparse.Namespace, pd: ParsedDocument) -> Instance:
     if pd.kind == "algebra":
         return Instance.from_algebra(pd.algebra, pd.name)
     if pd.kind == "pair":
         return Instance.from_pair(pd.pair, pd.name)
     try:
-        return Instance.from_tensor(_build_tensor(args, pd, deadline), pd.name)
+        return Instance.from_tensor(_build_tensor(args, pd), pd.name)
     except ResourceError as ex:
         return Instance.from_failed_tensor(pd.pair, str(ex), pd.name)
 
@@ -336,11 +333,10 @@ def _ledger_exit(ledger: VerdictLedger) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    deadline = Deadline.from_env()
-    pd = load_document(args.file, deadline)
-    inst = _verify_instance(args, pd, deadline)
+    pd = load_document(args.file)
+    inst = _verify_instance(args, pd)
     selection: str | list[str] = [args.statement] if args.statement else args.suite
-    ledger = run_suite(inst, selection, deadline)
+    ledger = run_suite(inst, selection)
 
     counts = ledger.counts()
     lines = [
@@ -374,7 +370,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        with run_budget():
+            return _DISPATCH[args.command](args)
     except MlaError as ex:
         code = 2 if isinstance(ex, InputError) else 3 if isinstance(ex, ResourceError) else 1
         if getattr(args, "json", False):

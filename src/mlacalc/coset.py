@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CosetCapExceeded, InputError
 from .groups import FiniteGroup, check_order_cap, validate_cayley
-from .util import Deadline
+from .util import check_budget
 
 DEFAULT_MAX_COSETS = 200_000
 
@@ -89,11 +89,10 @@ def _rotation_buckets(relators, nletters: int) -> list[list[tuple[int, ...]]]:
 
 
 class _Enumerator:
-    def __init__(self, pres: Presentation, max_cosets: int, deadline: Deadline | None):
+    def __init__(self, pres: Presentation, max_cosets: int):
         self.nletters = 2 * pres.generator_count
         self.buckets = _rotation_buckets(pres.relators, self.nletters)
         self.max_cosets = max_cosets
-        self.deadline = deadline
         self.table: list[list[int]] = [[-1] * self.nletters]
         self.p: list[int] = [0]
         self.deductions: list[tuple[int, int]] = []
@@ -177,8 +176,7 @@ class _Enumerator:
 
     def _drain(self) -> None:
         while self.deductions:
-            if self.deadline:
-                self.deadline.check("coset enumeration")
+            check_budget("coset enumeration")
             a, l = self.deductions.pop()
             if not self.alive(a) or self.table[a][l] < 0:
                 continue
@@ -208,8 +206,7 @@ class _Enumerator:
             changed = False
             alpha = 0
             while alpha < len(self.table):
-                if self.deadline:
-                    self.deadline.check("coset enumeration")
+                check_budget("coset enumeration")
                 if not self.alive(alpha):
                     alpha += 1
                     continue
@@ -225,7 +222,6 @@ class _Enumerator:
 def coset_enumerate(
     pres: Presentation,
     max_cosets: int = DEFAULT_MAX_COSETS,
-    deadline: Deadline | None = None,
     identity_label: str = "1",
 ) -> EnumerationResult:
     """Realize the presented group; raises CosetCapExceeded when it cannot."""
@@ -237,7 +233,7 @@ def coset_enumerate(
         group = validate_cayley([identity_label], [[0]])
         return EnumerationResult(pres, group, np.zeros(0, dtype=np.int64), EnumerationStats(1, 0, 1))
 
-    eng = _Enumerator(pres, max_cosets, deadline)
+    eng = _Enumerator(pres, max_cosets)
     eng.run()
 
     live = [a for a in range(len(eng.table)) if eng.alive(a)]

@@ -40,7 +40,6 @@ from .actions import CompatiblePair, MlaAction, check_compatibility, validate_ac
 from .errors import InputError
 from .groups import FiniteGroup, validate_cayley
 from .mla import MultLieAlg, make_algebra
-from .util import Deadline
 
 KINDS = ("algebra", "pair", "tensor")
 
@@ -68,16 +67,16 @@ class ParsedDocument:
     job: TensorJob | None = None
 
 
-def load_document(path: str, deadline: Deadline | None = None) -> ParsedDocument:
+def load_document(path: str) -> ParsedDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as ex:
         raise InputError(f"cannot read {path}: {ex}", path=path) from ex
-    return parse_document(text, deadline=deadline)
+    return parse_document(text)
 
 
-def parse_document(data: str | Mapping[str, Any], deadline: Deadline | None = None) -> ParsedDocument:
+def parse_document(data: str | Mapping[str, Any]) -> ParsedDocument:
     if isinstance(data, str):
         try:
             data = json.loads(data)
@@ -92,14 +91,14 @@ def parse_document(data: str | Mapping[str, Any], deadline: Deadline | None = No
     name = _get_name(data, kind)
 
     if kind == "algebra":
-        return ParsedDocument(kind, name, algebra=_parse_algebra(data, "algebra", deadline))
+        return ParsedDocument(kind, name, algebra=_parse_algebra(data, "algebra"))
     if kind == "pair":
-        return ParsedDocument(kind, name, pair=_parse_pair(data, "pair", deadline))
+        return ParsedDocument(kind, name, pair=_parse_pair(data, "pair"))
 
     node = data.get("pair")
     if not isinstance(node, Mapping):
         raise InputError("tensor document needs a 'pair' object")
-    pair = _parse_pair(node, "tensor.pair", deadline)
+    pair = _parse_pair(node, "tensor.pair")
     job = TensorJob(
         pair,
         name,
@@ -153,12 +152,7 @@ def _name_table(node: Any, rows: Mapping[str, int], cols: Mapping[str, int], whe
     return out
 
 
-def _parse_algebra(
-    node: Mapping[str, Any],
-    where: str,
-    deadline: Deadline | None,
-    check: bool = False,
-) -> MultLieAlg:
+def _parse_algebra(node: Mapping[str, Any], where: str, check: bool = False) -> MultLieAlg:
     elements = node.get("elements")
     if not isinstance(elements, list) or not all(isinstance(s, str) for s in elements):
         raise InputError(f"{where}.elements must be a list of strings")
@@ -180,7 +174,7 @@ def _parse_algebra(
     else:
         star = _name_table(star_node, index, index, f"{where}.star")
     if check:
-        return make_algebra(group, star, deadline)
+        return make_algebra(group, star)
     return MultLieAlg(group, star)
 
 
@@ -220,8 +214,7 @@ def _expand_bracket(node: Any, actor: MultLieAlg, acted: MultLieAlg, selfpair: b
 
 
 def _parse_action(
-    node: Any, actor: MultLieAlg, acted: MultLieAlg, selfpair: bool, where: str,
-    deadline: Deadline | None,
+    node: Any, actor: MultLieAlg, acted: MultLieAlg, selfpair: bool, where: str
 ) -> MlaAction:
     if not isinstance(node, Mapping):
         raise InputError(f"{where} must be an object with 'phi' and 'bracket'")
@@ -229,10 +222,10 @@ def _parse_action(
         raise InputError(f"{where} needs both 'phi' and 'bracket'")
     phi = _expand_phi(node["phi"], actor, acted, selfpair, f"{where}.phi")
     bracket = _expand_bracket(node["bracket"], actor, acted, selfpair, f"{where}.bracket")
-    return validate_action(actor, acted, phi, bracket, deadline=deadline)
+    return validate_action(actor, acted, phi, bracket)
 
 
-def _parse_pair(node: Mapping[str, Any], where: str, deadline: Deadline | None) -> CompatiblePair:
+def _parse_pair(node: Mapping[str, Any], where: str) -> CompatiblePair:
     for key in ("g", "h", "g_on_h", "h_on_g"):
         if key not in node:
             raise InputError(f"{where} needs a '{key}' field")
@@ -240,11 +233,11 @@ def _parse_pair(node: Mapping[str, Any], where: str, deadline: Deadline | None) 
     if not isinstance(gnode, Mapping) or not isinstance(hnode, Mapping):
         raise InputError(f"{where}.g and {where}.h must be algebra objects")
     selfpair = _algebra_key(gnode) == _algebra_key(hnode)
-    G = _parse_algebra(gnode, f"{where}.g", deadline, check=True)
-    H = G if selfpair else _parse_algebra(hnode, f"{where}.h", deadline, check=True)
-    g_on_h = _parse_action(node["g_on_h"], G, H, selfpair, f"{where}.g_on_h", deadline)
-    h_on_g = _parse_action(node["h_on_g"], H, G, selfpair, f"{where}.h_on_g", deadline)
-    return check_compatibility(g_on_h, h_on_g, deadline)
+    G = _parse_algebra(gnode, f"{where}.g", check=True)
+    H = G if selfpair else _parse_algebra(hnode, f"{where}.h", check=True)
+    g_on_h = _parse_action(node["g_on_h"], G, H, selfpair, f"{where}.g_on_h")
+    h_on_g = _parse_action(node["h_on_g"], H, G, selfpair, f"{where}.h_on_g")
+    return check_compatibility(g_on_h, h_on_g)
 
 
 # --- serialization -----------------------------------------------------------

@@ -58,7 +58,7 @@ from .tensor import (
     self_pair_quotient_check,
     tensor_ideal,
 )
-from .util import CheckReport, Deadline
+from .util import CheckReport, check_budget, run_budget
 
 SUITES = ("axioms", "identities", "compat", "tensor", "all")
 
@@ -177,7 +177,7 @@ class Statement:
     kind: str  # minimum instance kind able to run it
     suite: str
     summary: str
-    runner: Callable[[Instance, Deadline | None], CheckReport] = field(repr=False)
+    runner: Callable[[Instance], CheckReport] = field(repr=False)
 
 
 # --- runners ----------------------------------------------------------------
@@ -185,11 +185,11 @@ class Statement:
 _IDENTITY_ARITY = {1: 1, 2: 2, 3: 3, 4: 3, 5: 3, 6: 2, 7: 4}
 
 
-def _run_axioms(inst: Instance, deadline: Deadline | None) -> CheckReport:
+def _run_axioms(inst: Instance) -> CheckReport:
     total = 0
     for label, M in inst.algebras:
         try:
-            check_axioms(M, deadline)
+            check_axioms(M)
         except MathViolation as exc:
             exc.payload.setdefault("algebra", label)
             raise
@@ -199,10 +199,10 @@ def _run_axioms(inst: Instance, deadline: Deadline | None) -> CheckReport:
 
 
 def _identity_runner(num: int):
-    def run(inst: Instance, deadline: Deadline | None) -> CheckReport:
+    def run(inst: Instance) -> CheckReport:
         total = 0
         for label, M in inst.algebras:
-            wit = check_lie_identities(M, only=(num,), deadline=deadline).get(num)
+            wit = check_lie_identities(M, only=(num,)).get(num)
             if wit is not None:
                 names = ", ".join(M.group.labels[i] for i in wit)
                 raise IdentityViolation(
@@ -219,26 +219,25 @@ def _identity_runner(num: int):
 
 
 def _on_pair(fn):
-    def run(inst: Instance, deadline: Deadline | None) -> CheckReport:
-        return fn(inst.pair, deadline)
+    def run(inst: Instance) -> CheckReport:
+        return fn(inst.pair)
 
     return run
 
 
 def _level_runner(level: int):
-    def run(inst: Instance, deadline: Deadline | None) -> CheckReport:
-        return check_star_to_bracket_level(inst.pair, level, deadline)
+    def run(inst: Instance) -> CheckReport:
+        return check_star_to_bracket_level(inst.pair, level)
 
     return run
 
 
 def _ideal_family_runner(name: str, build, carrier_of):
-    def run(inst: Instance, deadline: Deadline | None) -> CheckReport:
+    def run(inst: Instance) -> CheckReport:
         total = 0
         notes = []
         for side in SIDES:
-            if deadline:
-                deadline.check("ideal construction")
+            check_budget("ideal construction")
             sub = carrier_of(build(inst.pair, side))
             total += 3 * sub.parent.order * sub.order
             notes.append(f"{side}: order {sub.order}")
@@ -248,24 +247,24 @@ def _ideal_family_runner(name: str, build, carrier_of):
 
 
 def _on_tensor(fn):
-    def run(inst: Instance, deadline: Deadline | None) -> CheckReport:
-        return fn(inst.tensor, deadline)
+    def run(inst: Instance) -> CheckReport:
+        return fn(inst.tensor)
 
     return run
 
 
 def _tensor_identity_runner(num: int):
-    def run(inst: Instance, deadline: Deadline | None) -> CheckReport:
-        return check_tensor_identities(inst.tensor, only=num, deadline=deadline)[num]
+    def run(inst: Instance) -> CheckReport:
+        return check_tensor_identities(inst.tensor, only=num)[num]
 
     return run
 
 
-def _run_canonical_tensor_ideal(inst: Instance, deadline: Deadline | None) -> CheckReport:
+def _run_canonical_tensor_ideal(inst: Instance) -> CheckReport:
     t = inst.tensor
     I = mixed_lie_ideal(t.pair, side="h-on-g").carrier
     J = bracket_ideal(t.pair, side="g-on-h").subgroup
-    ideal = tensor_ideal(t, I, J, deadline)
+    ideal = tensor_ideal(t, I, J)
     m = len(ideal.members)
     return CheckReport(
         "tensor-ideal",
@@ -495,10 +494,10 @@ def _ms(t0: float) -> int:
     return int((time.perf_counter() - t0) * 1000)
 
 
-def _evaluate(st: Statement, inst: Instance, deadline: Deadline) -> Verdict:
+def _evaluate(st: Statement, inst: Instance) -> Verdict:
     t0 = time.perf_counter()
     try:
-        report = st.runner(inst, deadline)
+        report = st.runner(inst)
     except Inapplicable as ex:
         return Verdict(st.ident, INAPPLICABLE, detail=str(ex), wall_ms=_ms(t0))
     except ResourceError as ex:
@@ -524,20 +523,15 @@ def _evaluate(st: Statement, inst: Instance, deadline: Deadline) -> Verdict:
     )
 
 
-def run_suite(
-    inst: Instance,
-    selection: str | Iterable[str] = "all",
-    deadline: Deadline | None = None,
-) -> VerdictLedger:
+def run_suite(inst: Instance, selection: str | Iterable[str] = "all") -> VerdictLedger:
     """One verdict per catalogue id.
 
     ``selection`` is a suite name or an iterable of statement ids.  Unselected
     statements report skipped("not selected").  A suite statement the instance
     cannot host reports inapplicable; an explicitly selected one raises
-    SelectionMismatch.  One budget covers the whole call: the caller's
-    ``deadline`` (the CLI passes the one armed for its whole run), else a fresh
-    MLACALC_BUDGET_SECS budget.  A statement that finds it spent reports
-    skipped("resource: ...").
+    SelectionMismatch.  One MLACALC_BUDGET_SECS budget covers the whole call,
+    or the rest of the enclosing run's (util.run_budget).  A statement that
+    finds it spent reports skipped("resource: ...").
     """
     explicit: set[str] | None = None
     if isinstance(selection, str):
@@ -554,38 +548,37 @@ def run_suite(
                 f"unknown statement id(s): {', '.join(unknown)}", statements=unknown
             )
 
-    if deadline is None:
-        deadline = Deadline.from_env()
     verdicts: list[Verdict] = []
-    for st in CATALOGUE:
-        if explicit is not None:
-            selected = st.ident in explicit
-        else:
-            selected = selection == "all" or st.suite == selection
-        if not selected:
-            verdicts.append(Verdict(st.ident, SKIPPED, detail="not selected"))
-            continue
-        if st.kind not in inst.capabilities:
+    with run_budget():
+        for st in CATALOGUE:
             if explicit is not None:
-                raise SelectionMismatch(
-                    f"statement {st.ident} requires a {st.kind} instance, "
-                    f"got {inst.kind}",
-                    statement=st.ident,
-                    requires=st.kind,
-                    got=inst.kind,
+                selected = st.ident in explicit
+            else:
+                selected = selection == "all" or st.suite == selection
+            if not selected:
+                verdicts.append(Verdict(st.ident, SKIPPED, detail="not selected"))
+                continue
+            if st.kind not in inst.capabilities:
+                if explicit is not None:
+                    raise SelectionMismatch(
+                        f"statement {st.ident} requires a {st.kind} instance, "
+                        f"got {inst.kind}",
+                        statement=st.ident,
+                        requires=st.kind,
+                        got=inst.kind,
+                    )
+                verdicts.append(
+                    Verdict(st.ident, INAPPLICABLE, detail=f"requires a {st.kind} instance")
                 )
-            verdicts.append(
-                Verdict(st.ident, INAPPLICABLE, detail=f"requires a {st.kind} instance")
-            )
-            continue
-        if st.kind == "tensor" and inst.tensor is None:
-            verdicts.append(
-                Verdict(
-                    st.ident,
-                    SKIPPED,
-                    detail=f"resource: {inst.tensor_error or 'tensor was not built'}",
+                continue
+            if st.kind == "tensor" and inst.tensor is None:
+                verdicts.append(
+                    Verdict(
+                        st.ident,
+                        SKIPPED,
+                        detail=f"resource: {inst.tensor_error or 'tensor was not built'}",
+                    )
                 )
-            )
-            continue
-        verdicts.append(_evaluate(st, inst, deadline))
+                continue
+            verdicts.append(_evaluate(st, inst))
     return VerdictLedger(inst.name, inst.kind, tuple(verdicts))

@@ -53,7 +53,7 @@ from .errors import (
     QuotientStarIllDefined,
 )
 from .groups import FiniteGroup, GroupMap, Subgroup, _closure, _freeze, quotient, validate_cayley
-from .util import Deadline, first_true
+from .util import check_budget, first_true
 
 AXIOM_NAMES = {
     1: "alternating (x*x = 1)",
@@ -144,7 +144,6 @@ def _axiom_laws(G: FiniteGroup, S: np.ndarray) -> dict[int, Callable]:
 def broken_axioms(
     G: FiniteGroup,
     S: np.ndarray,
-    deadline: Deadline | None = None,
     stage: str = "axiom scan",
 ) -> Iterator[int]:
     """The axioms that fail on S, in increasing order, each decided on the
@@ -163,8 +162,7 @@ def broken_axioms(
         yield 1
     for num, tuples in reduced.items():
         for xyz in tuples:
-            if deadline:
-                deadline.check(stage)
+            check_budget(stage)
             lhs, rhs = laws[num](*xyz)
             if (lhs != rhs).any():
                 yield num
@@ -175,7 +173,6 @@ def axiom_sides(
     G: FiniteGroup,
     S: np.ndarray,
     axioms: Iterable[int],
-    deadline: Deadline | None = None,
     stage: str = "axiom scan",
 ) -> Iterator[tuple[int, tuple[int, ...], np.ndarray, np.ndarray | int]]:
     """The exhaustive evaluation of the given axioms on a star table S over G.
@@ -195,12 +192,11 @@ def axiom_sides(
     for num in sorted(wanted - {1}):
         yz = (row, col) if num == 5 else (col, row)
         for x in range(G.order):
-            if deadline:
-                deadline.check(stage)
+            check_budget(stage)
             yield num, (x,), *laws[num](x, *yz)
 
 
-def check_axioms(M: MultLieAlg, deadline: Deadline | None = None) -> None:
+def check_axioms(M: MultLieAlg) -> None:
     """Raise AxiomViolation on the first failing axiom (least witness).
 
     The reduced checks of broken_axioms run in axiom order, so the first one
@@ -210,10 +206,10 @@ def check_axioms(M: MultLieAlg, deadline: Deadline | None = None) -> None:
     """
     if M._verified:
         return
-    num = next(broken_axioms(M.group, M.star, deadline), None)
+    num = next(broken_axioms(M.group, M.star), None)
     if num is None:
         return
-    for _, prefix, lhs, rhs in axiom_sides(M.group, M.star, (num,), deadline):
+    for _, prefix, lhs, rhs in axiom_sides(M.group, M.star, (num,)):
         at = first_true(lhs != rhs)
         if at is not None:
             witness = [*prefix, *at]
@@ -231,10 +227,10 @@ def _record_verified(M: MultLieAlg) -> MultLieAlg:
     return M
 
 
-def make_algebra(G: FiniteGroup, star, deadline: Deadline | None = None) -> MultLieAlg:
+def make_algebra(G: FiniteGroup, star) -> MultLieAlg:
     """The validating constructor: a clean axiom check records the algebra as verified."""
     M = MultLieAlg(G, make_star_table(G, star))
-    check_axioms(M, deadline)
+    check_axioms(M)
     return _record_verified(M)
 
 
@@ -252,7 +248,6 @@ IDENTITY_NAMES = {
 def check_lie_identities(
     M: MultLieAlg,
     only: Iterable[int] | None = None,
-    deadline: Deadline | None = None,
 ) -> dict[int, list[int] | None]:
     """Test the seven defect-operator identities.
 
@@ -293,8 +288,7 @@ def check_lie_identities(
     if 3 in wanted:
         def rows3(over):
             for a in over:
-                if deadline:
-                    deadline.check("identity scan")
+                check_budget("identity scan")
                 lhs = L[T[a]]  # entry [b, c] = L[a·b, c]
                 # ^(^c a) L[b, c]: conjugate L[b, c] by C[c, a]
                 rhs = T[L[a][None, :], C[C[:, a][None, :], L]]
@@ -305,8 +299,7 @@ def check_lie_identities(
     if 4 in wanted:
         def rows4():
             for a in range(n):
-                if deadline:
-                    deadline.check("identity scan")
+                check_budget("identity scan")
                 lhs = L[a][T]  # L[a, b·c] at [b, c]
                 left = C[:, L[a]]  # ^b L[a, c] at [b, c]
                 tw = G.comm_table[C, C[:, a][:, None]]  # [^b c, ^b a] at [b, c]
@@ -318,8 +311,7 @@ def check_lie_identities(
     if 5 in wanted:
         def rows5(over):
             for a in over:
-                if deadline:
-                    deadline.check("identity scan")
+                check_budget("identity scan")
                 lhs = C[a][L]  # ^a L[b, c]
                 rhs = L[C[a][:, None], C[a][None, :]]  # L[^a b, ^a c]
                 yield int(a), lhs != rhs
@@ -338,8 +330,7 @@ def check_lie_identities(
         ls = np.unique(L)
         bad7: list[int] | None = None
         for li in ls:
-            if deadline:
-                deadline.check("identity scan")
+            check_budget("identity scan")
             wrong = first_true(G.comm_table[li, stars] != e)
             if wrong is not None:
                 si = int(stars[wrong[0]])
@@ -427,13 +418,11 @@ def _run_series(
     M: MultLieAlg,
     step: Callable[[tuple[int, ...]], Ideal],
     kind: str,
-    deadline: Deadline | None,
 ) -> SeriesReport:
     G = M.group
     terms: list[tuple[int, ...]] = [tuple(range(G.order))]
     while True:
-        if deadline:
-            deadline.check(f"{kind} series")
+        check_budget(f"{kind} series")
         nxt = step(terms[-1])
         ms = tuple(sorted(nxt.members))
         if ms == terms[-1]:
@@ -446,25 +435,21 @@ def _run_series(
             return SeriesReport(kind, tuple(terms), "terminated-at-trivial", len(terms) - 1, len(terms) - 1)
 
 
-def derived_series(M: MultLieAlg, deadline: Deadline | None = None) -> SeriesReport:
-    return _run_series(
-        M, lambda cur: lie_commutator_ideal(M, cur, cur), "derived", deadline
-    )
+def derived_series(M: MultLieAlg) -> SeriesReport:
+    return _run_series(M, lambda cur: lie_commutator_ideal(M, cur, cur), "derived")
 
 
-def lower_central_series(M: MultLieAlg, deadline: Deadline | None = None) -> SeriesReport:
+def lower_central_series(M: MultLieAlg) -> SeriesReport:
     full = tuple(range(M.order))
-    return _run_series(
-        M, lambda cur: lie_commutator_ideal(M, full, cur), "lower-central", deadline
-    )
+    return _run_series(M, lambda cur: lie_commutator_ideal(M, full, cur), "lower-central")
 
 
-def nilpotency_class(M: MultLieAlg, deadline: Deadline | None = None) -> int | None:
-    return lower_central_series(M, deadline).class_or_length
+def nilpotency_class(M: MultLieAlg) -> int | None:
+    return lower_central_series(M).class_or_length
 
 
-def solvable_length(M: MultLieAlg, deadline: Deadline | None = None) -> int | None:
-    return derived_series(M, deadline).class_or_length
+def solvable_length(M: MultLieAlg) -> int | None:
+    return derived_series(M).class_or_length
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from .mla import (
     solvable_length,
     validate_ideal,
 )
-from .util import CheckReport, Deadline, first_true
+from .util import CheckReport, check_budget, first_true
 
 DEFAULT_MAX_ROUNDS = 8
 SEED_ORDERS = ("default", "alt")
@@ -225,7 +225,6 @@ def _offending_values(
     S: np.ndarray,
     images: np.ndarray,
     seed_elem: np.ndarray,
-    deadline: Deadline | None,
 ) -> np.ndarray:
     """Elements that the axioms or the generator seed force to be trivial:
     lhs·rhs⁻¹ wherever a side of the seed or of an axiom_sides row differs.
@@ -234,9 +233,9 @@ def _offending_values(
     T, inv = K.table, K.inverses
     stage = "tensor star validation"
     seed = (0, (), S[images[:, None], images[None, :]], seed_elem)
-    broken = list(broken_axioms(K, S, deadline, stage))
+    broken = list(broken_axioms(K, S, stage))
     out: list[np.ndarray] = []
-    for _, _, lhs, rhs in chain([seed], axiom_sides(K, S, broken, deadline, stage)):
+    for _, _, lhs, rhs in chain([seed], axiom_sides(K, S, broken, stage)):
         bad = lhs != rhs
         if bad.any():
             out.append(T[lhs[bad], inv[np.broadcast_to(rhs, lhs.shape)[bad]]])
@@ -260,7 +259,6 @@ def induce_star(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     max_cosets: int = DEFAULT_MAX_COSETS,
     seed_order: str = "default",
-    deadline: Deadline | None = None,
 ) -> TensorAlgebra:
     """Extend the generator star seed to the whole group, rerunning enumeration
     with any relators the axioms force, until the construction stabilizes."""
@@ -272,13 +270,12 @@ def induce_star(
     base_count = len(result.presentation.relators)
     res = result
     for round_no in range(1, max_rounds + 1):
-        if deadline:
-            deadline.check("tensor star fixpoint")
+        check_budget("tensor star fixpoint")
         K = res.group
         images = res.gen_image
         seed_elem = images[seed_idx]
         star = _extend_star(K, images, seed_elem, seed_order)
-        bad = _offending_values(K, star, images, seed_elem, deadline)
+        bad = _offending_values(K, star, images, seed_elem)
         if bad.size == 0:
             # the checks that found nothing to collect proved all five axioms
             alg = _record_verified(MultLieAlg(K, make_star_table(K, star)))
@@ -301,25 +298,27 @@ def induce_star(
         pres = make_presentation(
             res.presentation.generator_labels, res.presentation.relators + tuple(new_rels)
         )
-        res = coset_enumerate(pres, max_cosets, deadline)
+        res = coset_enumerate(pres, max_cosets)
     raise AssertionError("unreachable")
 
 
 def _extend_hom(
-    K: FiniteGroup,
+    target: FiniteGroup,
     gen_targets: np.ndarray,
     parent: np.ndarray,
     letter: np.ndarray,
     order: list[int],
 ) -> np.ndarray:
-    row = np.empty(K.order, dtype=np.int64)
-    row[K.identity] = K.identity
+    """The map into ``target`` sending the normal-form word of each element
+    (see _normal_forms) to the same word over ``gen_targets``."""
+    row = np.empty(len(order), dtype=np.int64)
+    row[order[0]] = target.identity
     for v in order[1:]:
-        row[v] = K.table[row[parent[v]], gen_targets[letter[v]]]
+        row[v] = target.table[row[parent[v]], gen_targets[letter[v]]]
     return row
 
 
-def induce_actions(t: TensorAlgebra, deadline: Deadline | None = None) -> TensorAlgebra:
+def induce_actions(t: TensorAlgebra) -> TensorAlgebra:
     """Install the factor actions ^g(x⊗y) = (^g x ⊗ ^g y), ^h(x⊗y) = (^h x ⊗ ^h y)."""
     pair = t.pair
     act, co = pair.g_on_h, pair.h_on_g
@@ -332,8 +331,7 @@ def induce_actions(t: TensorAlgebra, deadline: Deadline | None = None) -> Tensor
     def build(side: str, m: int, targets_of) -> np.ndarray:
         rows = np.empty((m, K.order), dtype=np.int64)
         for a in range(m):
-            if deadline:
-                deadline.check("induced actions")
+            check_budget("induced actions")
             row = _extend_hom(K, targets_of(a), parent, letter, order)
             if (np.sort(row) != np.arange(K.order)).any():
                 raise InducedActionIllDefined(
@@ -380,7 +378,7 @@ def induce_actions(t: TensorAlgebra, deadline: Deadline | None = None) -> Tensor
     return replace(t, act_g=act_g, act_h=act_h)
 
 
-def check_defining_relations(t: TensorAlgebra, deadline: Deadline | None = None) -> CheckReport:
+def check_defining_relations(t: TensorAlgebra) -> CheckReport:
     """All four defining relations, re-evaluated directly on the symbol table."""
     pair = t.pair
     act, co = pair.g_on_h, pair.h_on_g
@@ -437,7 +435,7 @@ def check_defining_relations(t: TensorAlgebra, deadline: Deadline | None = None)
     return CheckReport("tensor-defining-relations", True, checked)
 
 
-def check_induced_action_formulas(t: TensorAlgebra, deadline: Deadline | None = None) -> CheckReport:
+def check_induced_action_formulas(t: TensorAlgebra) -> CheckReport:
     """Induced actions restricted to symbols match the coordinatewise formulas."""
     act_g, act_h = t._require_actions()
     pair = t.pair
@@ -459,11 +457,7 @@ def check_induced_action_formulas(t: TensorAlgebra, deadline: Deadline | None = 
     return CheckReport("induced-action-formulas", True, checked)
 
 
-def check_tensor_identities(
-    t: TensorAlgebra,
-    only: int | None = None,
-    deadline: Deadline | None = None,
-) -> dict[int, CheckReport]:
+def check_tensor_identities(t: TensorAlgebra, only: int | None = None) -> dict[int, CheckReport]:
     """The six symbol identities; conjugation superscripts act through the
     induced actions, mixed commutators read [x,y] = ^x y·y⁻¹."""
     act_g, act_h = t._require_actions()
@@ -502,8 +496,7 @@ def check_tensor_identities(
         elif k == 3:
             checked = ng * nh * K.order
             for g in range(ng):
-                if deadline:
-                    deadline.check(name)
+                check_budget(name)
                 lhs = K.conj_table[tm[g]]
                 rhs = act_h[hslot[g]]
                 at = first_true(lhs != rhs)
@@ -513,8 +506,7 @@ def check_tensor_identities(
         elif k == 4:
             checked = ng * nh * nh
             for g in range(ng):
-                if deadline:
-                    deadline.check(name)
+                check_budget(name)
                 tt = tm[g]
                 lhs = tm[gslot[g]]  # (h, h') via broadcast below
                 rhs = T[tt[:, None], act_h[:, inv[tt]].T]
@@ -525,8 +517,7 @@ def check_tensor_identities(
         elif k == 5:
             checked = ng * nh * ng
             for g in range(ng):
-                if deadline:
-                    deadline.check(name)
+                check_budget(name)
                 tt = tm[g]
                 lhs = tm[:, hslot[g]]  # (g', h)
                 rhs = T[act_g[:, tt], inv[tt][None, :]]
@@ -538,8 +529,7 @@ def check_tensor_identities(
         elif k == 6:
             checked = (ng * nh) ** 2
             for g in range(ng):
-                if deadline:
-                    deadline.check(name)
+                check_budget(name)
                 for h in range(nh):
                     lhs = K.comm_table[tm[g, h]][tm]
                     rhs = tm[gslot[g, h]][hslot]
@@ -553,7 +543,7 @@ def check_tensor_identities(
     return out
 
 
-def check_tensor_lie_commutator(t: TensorAlgebra, deadline: Deadline | None = None) -> CheckReport:
+def check_tensor_lie_commutator(t: TensorAlgebra) -> CheckReport:
     """Closed form of the star defect between two symbols: a conjugated
     bracket-defect symbol times two defect-slot symbols."""
     act_g, act_h = t._require_actions()
@@ -569,8 +559,7 @@ def check_tensor_lie_commutator(t: TensorAlgebra, deadline: Deadline | None = No
     bh = act.bracket
     checked = 0
     for g in range(ng):
-        if deadline:
-            deadline.check("tensor-lie-commutator")
+        check_budget("tensor-lie-commutator")
         for h in range(nh):
             dg = int(co.mixed_defect_table[h, g])  # ^L[h, g]
             bg = int(co.bracket[h, g])
@@ -587,12 +576,7 @@ def check_tensor_lie_commutator(t: TensorAlgebra, deadline: Deadline | None = No
     return CheckReport("tensor-lie-commutator", True, checked)
 
 
-def tensor_ideal(
-    t: TensorAlgebra,
-    I: Subgroup,
-    J: Subgroup,
-    deadline: Deadline | None = None,
-) -> Ideal:
+def tensor_ideal(t: TensorAlgebra, I: Subgroup, J: Subgroup) -> Ideal:
     """Ideal generated by the symbols over I×J; the factor subgroups must be
     ideals, each invariant under the other factor's group action."""
     pair = t.pair
@@ -642,22 +626,22 @@ def _is_self_star_pair(pair: CompatiblePair) -> bool:
     return True
 
 
-def _nilpotency_quotient(t: TensorAlgebra, deadline: Deadline | None) -> tuple[MultLieAlg, Ideal]:
+def _nilpotency_quotient(t: TensorAlgebra) -> tuple[MultLieAlg, Ideal]:
     I = mixed_lie_ideal(t.pair, side="h-on-g").carrier
     J = bracket_ideal(t.pair, side="g-on-h").subgroup
-    ideal = tensor_ideal(t, I, J, deadline)
+    ideal = tensor_ideal(t, I, J)
     Q, _ = quotient_algebra(t.algebra, ideal)
     return Q, ideal
 
 
-def quotient_nilpotency_bound(t: TensorAlgebra, deadline: Deadline | None = None) -> CheckReport:
+def quotient_nilpotency_bound(t: TensorAlgebra) -> CheckReport:
     """Quotient by (defect ideal of the right-on-left action) ⊗ (bracket ideal):
     its class exceeds the right factor's class by at most one."""
-    n = nilpotency_class(t.pair.H, deadline)
+    n = nilpotency_class(t.pair.H)
     if n is None:
         raise Inapplicable("the right factor is not Lie nilpotent")
-    Q, ideal = _nilpotency_quotient(t, deadline)
-    q = nilpotency_class(Q, deadline)
+    Q, ideal = _nilpotency_quotient(t)
+    q = nilpotency_class(Q)
     if q is None or q > n + 1:
         raise BoundViolation(
             "tensor quotient exceeds the nilpotency bound",
@@ -670,12 +654,12 @@ def quotient_nilpotency_bound(t: TensorAlgebra, deadline: Deadline | None = None
     )
 
 
-def quotient_solvability_bound(t: TensorAlgebra, deadline: Deadline | None = None) -> CheckReport:
-    n = solvable_length(t.pair.H, deadline)
+def quotient_solvability_bound(t: TensorAlgebra) -> CheckReport:
+    n = solvable_length(t.pair.H)
     if n is None:
         raise Inapplicable("the right factor is not Lie solvable")
-    Q, ideal = _nilpotency_quotient(t, deadline)
-    q = solvable_length(Q, deadline)
+    Q, ideal = _nilpotency_quotient(t)
+    q = solvable_length(Q)
     if q is None or q > n + 1:
         raise BoundViolation(
             "tensor quotient exceeds the solvability bound",
@@ -688,26 +672,26 @@ def quotient_solvability_bound(t: TensorAlgebra, deadline: Deadline | None = Non
     )
 
 
-def self_pair_quotient_check(t: TensorAlgebra, deadline: Deadline | None = None) -> CheckReport:
+def self_pair_quotient_check(t: TensorAlgebra) -> CheckReport:
     """Square of a self-paired algebra whose bracket is its star: the standard
     quotient inherits nilpotency and solvability outright."""
     if not _is_self_star_pair(t.pair):
         raise Inapplicable("requires a self pair whose bracket is the star")
-    n_cl = nilpotency_class(t.pair.G, deadline)
-    n_sl = solvable_length(t.pair.G, deadline)
+    n_cl = nilpotency_class(t.pair.G)
+    n_sl = solvable_length(t.pair.G)
     if n_cl is None and n_sl is None:
         raise Inapplicable("the factor is neither Lie nilpotent nor Lie solvable")
-    Q, _ = _nilpotency_quotient(t, deadline)
+    Q, _ = _nilpotency_quotient(t)
     notes = []
     if n_cl is not None:
-        q = nilpotency_class(Q, deadline)
+        q = nilpotency_class(Q)
         if q is None:
             raise BoundViolation(
                 "square quotient lost nilpotency", claimed="nilpotent", computed=None
             )
         notes.append(f"class {q}")
     if n_sl is not None:
-        q = solvable_length(Q, deadline)
+        q = solvable_length(Q)
         if q is None:
             raise BoundViolation(
                 "square quotient lost solvability", claimed="solvable", computed=None
@@ -716,23 +700,23 @@ def self_pair_quotient_check(t: TensorAlgebra, deadline: Deadline | None = None)
     return CheckReport("tensor-square-closure", True, Q.order, None, ", ".join(notes))
 
 
-def defect_square_bound(t: TensorAlgebra, deadline: Deadline | None = None) -> CheckReport:
+def defect_square_bound(t: TensorAlgebra) -> CheckReport:
     """Square of a self-paired algebra, quotient by (defect ideal ⊗ defect ideal):
     the class does not grow at all."""
     if not _is_self_star_pair(t.pair):
         raise Inapplicable("requires a self pair whose bracket is the star")
     M = t.pair.G
-    n_cl = nilpotency_class(M, deadline)
-    n_sl = solvable_length(M, deadline)
+    n_cl = nilpotency_class(M)
+    n_sl = solvable_length(M)
     if n_cl is None and n_sl is None:
         raise Inapplicable("the factor is neither Lie nilpotent nor Lie solvable")
     everything = range(M.order)
     D = lie_commutator_ideal(M, everything, everything).subgroup
-    ideal = tensor_ideal(t, D, D, deadline)
+    ideal = tensor_ideal(t, D, D)
     Q, _ = quotient_algebra(t.algebra, ideal)
     notes = []
     if n_cl is not None:
-        q = nilpotency_class(Q, deadline)
+        q = nilpotency_class(Q)
         if q is None or q > n_cl:
             raise BoundViolation(
                 "defect-square quotient exceeds the class of the factor",
@@ -741,7 +725,7 @@ def defect_square_bound(t: TensorAlgebra, deadline: Deadline | None = None) -> C
             )
         notes.append(f"class {q} <= {n_cl}")
     if n_sl is not None:
-        q = solvable_length(Q, deadline)
+        q = solvable_length(Q)
         if q is None:
             raise BoundViolation(
                 "defect-square quotient lost solvability", claimed="solvable", computed=None
@@ -758,11 +742,11 @@ MAIN_THEOREM_CHECKS = (
 )
 
 
-def main_theorem_check(t: TensorAlgebra, deadline: Deadline | None = None) -> dict[str, CheckReport]:
+def main_theorem_check(t: TensorAlgebra) -> dict[str, CheckReport]:
     out: dict[str, CheckReport] = {}
     for name, fn in MAIN_THEOREM_CHECKS:
         try:
-            out[name] = fn(t, deadline)
+            out[name] = fn(t)
         except Inapplicable as ex:
             out[name] = CheckReport(name, True, 0, None, f"inapplicable: {ex}")
     return out
@@ -795,27 +779,25 @@ def build_tensor_algebra(
     max_cosets: int = DEFAULT_MAX_COSETS,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     seed_order: str = "default",
-    deadline: Deadline | None = None,
 ) -> TensorAlgebra:
     """Full pipeline: presentation, enumeration, star fixpoint, induced actions."""
     if pair.G.order == 1 or pair.H.order == 1:
         return _trivial_tensor(pair, seed_order)
     pres = build_tensor_presentation(pair)
-    res = coset_enumerate(pres, max_cosets, deadline)
-    t = induce_star(res, pair, max_rounds, max_cosets, seed_order, deadline)
-    return induce_actions(t, deadline)
+    res = coset_enumerate(pres, max_cosets)
+    t = induce_star(res, pair, max_rounds, max_cosets, seed_order)
+    return induce_actions(t)
 
 
 def compare_seed_orders(
     pair: CompatiblePair,
     max_cosets: int = DEFAULT_MAX_COSETS,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-    deadline: Deadline | None = None,
 ) -> CheckReport:
     """The star table must not depend on the normal-form letter order: the
     generator-word identification of the two runs is a star isomorphism."""
-    td = build_tensor_algebra(pair, max_cosets, max_rounds, "default", deadline)
-    ta = build_tensor_algebra(pair, max_cosets, max_rounds, "alt", deadline)
+    td = build_tensor_algebra(pair, max_cosets, max_rounds, "default")
+    ta = build_tensor_algebra(pair, max_cosets, max_rounds, "alt")
     if td.order != ta.order:
         return CheckReport(
             "seed-order-independence", False, 0, (td.order, ta.order), "orders differ"
@@ -824,11 +806,7 @@ def compare_seed_orders(
     if td.order == 1:
         return CheckReport("seed-order-independence", True, 1)
     parent, letter, order = _normal_forms(Kd, td.result.gen_image, "default")
-    psi = np.empty(Kd.order, dtype=np.int64)
-    psi[Kd.identity] = Ka.identity
-    img_a = ta.result.gen_image
-    for v in order[1:]:
-        psi[v] = Ka.table[psi[parent[v]], img_a[letter[v]]]
+    psi = _extend_hom(Ka, ta.result.gen_image, parent, letter, order)
     checked = 0
     if (np.sort(psi) != np.arange(Kd.order)).any():
         return CheckReport("seed-order-independence", False, checked, None, "not a bijection")

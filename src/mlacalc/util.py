@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -12,32 +15,35 @@ from .errors import BudgetExceeded
 
 BUDGET_ENV = "MLACALC_BUDGET_SECS"
 
-
-@dataclass(frozen=True)
-class Deadline:
-    """Cooperative wall-clock cap; ``at`` is a time.monotonic() instant or None."""
-
-    at: float | None = None
-
-    def check(self, what: str = "operation") -> None:
-        if self.at is not None and time.monotonic() > self.at:
-            raise BudgetExceeded(f"time budget exhausted during {what}", stage=what)
-
-    @staticmethod
-    def from_seconds(secs: float | None) -> "Deadline":
-        if secs is None:
-            return Deadline(None)
-        return Deadline(time.monotonic() + float(secs))
-
-    @staticmethod
-    def from_env() -> "Deadline":
-        raw = os.environ.get(BUDGET_ENV)
-        return Deadline.from_seconds(float(raw)) if raw else Deadline(None)
+_deadline: ContextVar[float | None] = ContextVar("_deadline", default=None)
 
 
-def budget_from_env() -> float | None:
+@contextmanager
+def run_budget() -> Iterator[None]:
+    """Arm one MLACALC_BUDGET_SECS time budget for the enclosed run.
+
+    Inside an enclosing run the budget it armed stays in force, so one
+    budget covers a whole command however many layers open a run.
+    """
     raw = os.environ.get(BUDGET_ENV)
-    return float(raw) if raw else None
+    if _deadline.get() is not None or not raw:
+        yield
+        return
+    token = _deadline.set(time.monotonic() + float(raw))
+    try:
+        yield
+    finally:
+        _deadline.reset(token)
+
+
+def check_budget(stage: str) -> None:
+    """Raise BudgetExceeded, naming ``stage``, once the run's budget is spent.
+
+    Outside a run nothing is armed and no clock is read.
+    """
+    at = _deadline.get()
+    if at is not None and time.monotonic() > at:
+        raise BudgetExceeded(f"time budget exhausted during {stage}", stage=stage)
 
 
 def first_true(mask: np.ndarray) -> tuple[int, ...] | None:

@@ -14,7 +14,7 @@ from mlacalc.cli import main
 from mlacalc.coset import Presentation, coset_enumerate, make_presentation
 from mlacalc.errors import BudgetExceeded, CosetCapExceeded, InputError, ResourceError
 from mlacalc.groups import subgroup_closure
-from mlacalc.util import Deadline
+from mlacalc.util import run_budget
 
 
 def _compose(p, q):
@@ -141,10 +141,11 @@ def test_free_group_exceeds_cap():
         coset_enumerate(make_presentation(("a", "b"), ()), max_cosets=64)
 
 
-def test_expired_deadline_stops_enumeration():
+def test_expired_deadline_stops_enumeration(monkeypatch):
     pres = make_presentation(("a", "b"), [(1,) * 6, (2,) * 6])
-    with pytest.raises(BudgetExceeded):
-        coset_enumerate(pres, deadline=Deadline(at=0.0))
+    monkeypatch.setenv("MLACALC_BUDGET_SECS", "-1")
+    with pytest.raises(BudgetExceeded), run_budget():
+        coset_enumerate(pres)
 
 
 def test_presentation_input_errors():

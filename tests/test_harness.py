@@ -10,7 +10,7 @@ import pytest
 
 from mlacalc import cli, util
 from mlacalc.corpus import get_group
-from mlacalc.errors import AxiomViolation, InputError, SelectionMismatch
+from mlacalc.errors import AxiomViolation, BudgetExceeded, InputError, SelectionMismatch
 from mlacalc.harness import (
     CATALOGUE,
     CATALOGUE_IDS,
@@ -23,7 +23,16 @@ from mlacalc.harness import (
     run_suite,
     statement,
 )
-from mlacalc.mla import MultLieAlg, check_axioms, make_improper_star
+from mlacalc.mla import (
+    MultLieAlg,
+    check_axioms,
+    check_lie_identities,
+    lie_commutator_ideal,
+    make_improper_star,
+    make_trivial_star,
+    quotient_algebra,
+)
+from mlacalc.tensor import build_tensor_algebra
 
 
 SUITE_SIZES = {"axioms": 1, "identities": 7, "compat": 16, "tensor": 13}
@@ -243,6 +252,40 @@ def test_budget_covers_the_whole_ledger(corpus_algebras, monkeypatch):
     for v in skipped:
         assert v.detail.startswith("resource:")
     assert ledger.counts()[FAIL] == 0
+
+
+class _NoClock:
+    """Stands in for the time module: any reading fails the test."""
+
+    def monotonic(self):
+        raise AssertionError("the clock was read outside a run")
+
+
+def _hand_built_d4_and_ideal():
+    G = get_group("D4")
+    M = MultLieAlg(G, make_trivial_star(G).star)
+    everything = range(G.order)
+    return M, lie_commutator_ideal(M, everything, everything)
+
+
+def test_library_calls_outside_a_run_read_no_clock(pairs, monkeypatch):
+    monkeypatch.setattr(util, "time", _NoClock())
+    monkeypatch.setenv("MLACALC_BUDGET_SECS", "-1")  # set, but no run has armed it
+    t = build_tensor_algebra(pairs["s3-improper-star"])
+    assert all(w is None for w in check_lie_identities(t.algebra).values())
+    M, ideal = _hand_built_d4_and_ideal()
+    Q, _ = quotient_algebra(M, ideal)
+    assert Q.order == 4  # D4 over its derived subgroup
+
+
+def test_expired_run_budget_reaches_the_quotient_scan(monkeypatch):
+    # a quotient of an unverified algebra scans its axioms; the budget of the
+    # enclosing run reaches that scan with no argument passed down to it
+    M, ideal = _hand_built_d4_and_ideal()
+    monkeypatch.setenv("MLACALC_BUDGET_SECS", "-1")
+    with pytest.raises(BudgetExceeded) as exc, util.run_budget():
+        quotient_algebra(M, ideal)
+    assert str(exc.value) == "time budget exhausted during axiom scan"
 
 
 @pytest.mark.parametrize("command", ["verify", "tensor"])

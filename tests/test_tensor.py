@@ -307,7 +307,7 @@ def test_star_fixpoint_collects_every_offending_value(data):
     S[i, j] = data.draw(st.integers(0, n - 1).filter(lambda v: v != base[i, j]))
     images = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
     seed_elem = base[images[:, None], images[None, :]]
-    got = _offending_values(K, S, images, seed_elem, None)
+    got = _offending_values(K, S, images, seed_elem)
     want = _brute_force_offending(K, S, images, seed_elem)
     assert want, "a single changed cell always breaks an axiom"
     assert [int(v) for v in got] == want
@@ -339,5 +339,5 @@ def test_offending_values_scan_only_broken_axioms_and_lose_nothing(data):
         S[i, j] = data.draw(st.integers(0, n - 1).filter(lambda v: v != base[i, j]))
     images = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
     seed_elem = base[images[:, None], images[None, :]]
-    got = _offending_values(K, S, images, seed_elem, None)
+    got = _offending_values(K, S, images, seed_elem)
     assert [int(v) for v in got] == _full_collection(K, S, images, seed_elem)
