@@ -83,14 +83,6 @@ class MlaAction:
         arr.flags.writeable = False
         return arr
 
-    @property
-    def is_trivial_phi(self) -> bool:
-        return bool((self.phi == np.arange(self.acted.order)[None, :]).all())
-
-    @property
-    def is_trivial_bracket(self) -> bool:
-        return bool((self.bracket == self.acted.group.identity).all())
-
 
 def conjugation_self_action(M: MultLieAlg, bracket) -> MlaAction:
     """Self-action by conjugation with an explicit bracket table."""

@@ -80,9 +80,6 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return bool((self.table == self.table.T).all())
 
-    def same_table(self, other: "FiniteGroup") -> bool:
-        return self.labels == other.labels and bool((self.table == other.table).all())
-
 
 def check_order_cap(n: int) -> None:
     """ResourceError when a group of order n would exceed ORDER_CAP; callers
@@ -200,32 +197,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def contains(self, x: int) -> bool:
-        return x in self.members
-
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.members) == 1
-
-    @property
-    def is_whole(self) -> bool:
-        return len(self.members) == self.parent.order
-
-
-def make_subgroup(G: FiniteGroup, members: Iterable[int]) -> Subgroup:
-    """Validate closure/identity/inverses of a member set and wrap it."""
-    ms = {int(x) for x in members}
-    if any(x < 0 or x >= G.order for x in ms):
-        raise InputError("subgroup members out of range")
-    if G.identity not in ms:
-        raise InputError("subgroup does not contain the identity")
-    arr = np.fromiter(sorted(ms), dtype=np.int64)
-    if not np.isin(G.table[np.ix_(arr, arr)], arr).all():
-        raise InputError("member set is not closed under the product")
-    if not np.isin(G.inverses[arr], arr).all():
-        raise InputError("member set is not closed under inverses")
-    return Subgroup(G, frozenset(ms))
-
 
 def _closure(
     G: FiniteGroup, seed: Iterable[int], conjugate: bool, star: np.ndarray | None = None
@@ -268,19 +239,11 @@ def normal_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     return Subgroup(G, _closure(G, seed, conjugate=True))
 
 
-def is_normal(G: FiniteGroup, S: Subgroup) -> bool:
-    mem = np.fromiter(S.sorted_members, dtype=np.int64)
-    return bool(np.isin(G.conj_table[:, mem], mem).all())
-
-
 @dataclass(frozen=True, eq=False)
 class GroupMap:
     source: FiniteGroup
     target: FiniteGroup
     image: np.ndarray
-
-    def apply(self, x: int) -> int:
-        return int(self.image[x])
 
 
 def make_group_map(source: FiniteGroup, target: FiniteGroup, image) -> GroupMap:

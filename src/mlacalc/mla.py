@@ -9,8 +9,9 @@ The star table S is an order x order matrix over element indices.  Axioms
   4  ((x*y) * ^y z) · ((y*z) * ^z x) · ((z*x) * ^x y) = 1
   5  ^z(x*y)   = ^z x * ^z y
 
-with ^z x = z x z^-1, written once in _axiom_laws.  broken_axioms decides
-each axiom on a reduced set of tuples:
+with ^z x = z x z^-1, written once in _axiom_laws as flat gathers from the
+raveled tables (_gather), for the reduced and the exhaustive checks alike.
+broken_axioms decides each axiom on a reduced set of tuples:
 
   Axioms 2, 3 and 5 are closed under products in one variable (y, x and z
   respectively), so they hold on all of G once they hold with that variable
@@ -28,7 +29,9 @@ each axiom on a reduced set of tuples:
   Axiom 4 has no such reduction.  Write J(x,y,z) = P1 P2 P3 for its left
   side; its rotation is J(y,z,x) = P2 P3 P1 = P1^-1 J(x,y,z) P1, so J is
   trivial on a whole cyclic orbit of (x,y,z) as soon as it is trivial at one
-  rotation, and only triples with x = min(x,y,z) are checked (about n^3/3).
+  rotation, and only triples with x = min(x,y,z) are checked.  These about
+  n^3/3 tuples are the one cubic pass left in deciding an algebra: the
+  defect identities are decided on generators too (check_lie_identities).
 
 Only an axiom whose reduced check fails is scanned exhaustively, by
 axiom_sides, for its least witness (check_axioms) or its offending values
@@ -115,17 +118,30 @@ def make_improper_star(G: FiniteGroup) -> MultLieAlg:
     return MultLieAlg(G, make_star_table(G, G.comm_table))
 
 
-def _least_witness(mask_rows: Iterable[tuple[int, np.ndarray]]) -> list[int] | None:
-    for x, bad in mask_rows:
-        at = first_true(bad)
-        if at is not None:
-            return [x, *at]
-    return None
+class _FlatTable:
+    """An n x n table read as A[i, j] at broadcastable index arrays i, j by
+    one gather from its raveled form, about half the cost of 2-D fancy
+    indexing."""
+
+    __slots__ = ("flat", "n")
+
+    def __init__(self, A: np.ndarray) -> None:
+        self.flat, self.n = A.ravel(), A.shape[1]
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.flat.take(i * self.n + j)
+
+
+def _gather(A: np.ndarray) -> np.ndarray | _FlatTable:
+    """A for the scans' laws: below 32 columns the flat index arithmetic
+    costs more than it saves, and the table is indexed directly."""
+    return A if A.shape[1] < 32 else _FlatTable(A)
 
 
 def _axiom_laws(G: FiniteGroup, S: np.ndarray) -> dict[int, Callable]:
     """Both sides (lhs, rhs) of axioms 2-5 at broadcastable index arrays x, y, z."""
-    T, C, e = G.table, G.conj_table, G.identity
+    T, C, S, e = _gather(G.table), _gather(G.conj_table), _gather(S), G.identity
 
     def jacobi(x, y, z):
         P1 = S[S[x, y], C[y, z]]  # (x*y) * ^y z
@@ -245,6 +261,28 @@ IDENTITY_NAMES = {
 }
 
 
+def _identity_laws(M: MultLieAlg) -> dict[int, Callable]:
+    """Failure masks of identities 3-5 at broadcastable index arrays a, b, c."""
+    G = M.group
+    T, C, K, L = (_gather(A) for A in (G.table, G.conj_table, G.comm_table, M.lie_defect_table))
+    return {
+        3: lambda a, b, c: L[T[a, b], c] != T[L[a, c], C[C[c, a], L[b, c]]],
+        4: lambda a, b, c: L[a, T[b, c]] != T[C[b, L[a, c]], C[K[C[b, c], C[b, a]], L[a, b]]],
+        5: lambda a, b, c: C[a, L[b, c]] != L[C[a, b], C[a, c]],
+    }
+
+
+def _least_witness(law: Callable, n: int) -> list[int] | None:
+    """Least (a, b, c) where the failure mask law(a, b, c) is set, by rows in a."""
+    r = np.arange(n)
+    for a in range(n):
+        check_budget("identity scan")
+        at = first_true(law(a, r[:, None], r[None, :]))
+        if at is not None:
+            return [a, *at]
+    return None
+
+
 def check_lie_identities(
     M: MultLieAlg,
     only: Iterable[int] | None = None,
@@ -254,16 +292,26 @@ def check_lie_identities(
     Returns {identity number: least witness or None}; raises nothing.  The
     harness turns non-None entries into failures.
 
-    Identities 3 and 5 are closed under products in a, so they are proven by
-    checking a over G.generators (as for the axioms, see the module
-    docstring), and scanned over every a only to find the least witness.  If
-    3 holds at a1 and at a2, then, as ^c(a1 a2) = ^c a1 · ^c a2,
+    Identities 3 and 5 are closed under products in a, and identity 4 under
+    products in b, so each is proven by checking that variable over
+    G.generators and the other two over all of G (as for the axioms, see the
+    module docstring); only a failing identity is scanned over every tuple,
+    for its least witness.  If 3 holds at a1 and at a2, then, as
+    ^c(a1 a2) = ^c a1 · ^c a2,
         L[a1 a2 b, c] = L[a1,c] · ^(^c a1)L[a2 b, c]
                       = L[a1,c] · ^(^c a1)L[a2,c] · ^(^c a1 ^c a2)L[b,c]
                       = L[a1 a2, c] · ^(^c(a1 a2))L[b,c];
-    and ^(a1 a2) is ^a1 after ^a2, so 5 holds at a1 a2.  Identity 4 has no
-    proven reduction and is scanned over every a.  The other identities are
-    quadratic or smaller.
+    and ^(a1 a2) is ^a1 after ^a2, so 5 holds at a1 a2.  If 4 holds at b1
+    and at b2, write u = ^b1 b2, v = ^b1 a, w = ^b1 c, so that
+    ^b1(b2 c) = u w, ^(b1 b2)c = ^u w and ^(b1 b2)a = ^u v.  Then 4 at b1
+    (with b2 c, and with b2, in the place of c) and at b2 give
+        L[a, b1 b2 c] = ^(b1 b2)L[a,c] · ^(b1 [^b2 c, ^b2 a])L[a,b2] · ^[u w, v]L[a,b1]
+        L[a, b1 b2]   = ^b1 L[a,b2] · ^[u, v]L[a,b1].
+    With X = [^u w, ^u v], the group identities b1 [p,q] = [^b1 p, ^b1 q] b1
+    and [u w, v] = ^u[w,v] · [u,v] = X [u,v] turn the first line into
+        L[a, b1 b2 c] = ^(b1 b2)L[a,c] · ^X(^b1 L[a,b2] · ^[u,v]L[a,b1])
+                      = ^(b1 b2)L[a,c] · ^X L[a, b1 b2],
+    which is 4 at b1 b2.  The other identities are quadratic or smaller.
     """
     G, S = M.group, M.star
     T, C, inv, e = G.table, G.conj_table, G.inverses, G.identity
@@ -271,11 +319,6 @@ def check_lie_identities(
     n = G.order
     wanted = set(only) if only is not None else set(IDENTITY_NAMES)
     results: dict[int, list[int] | None] = {}
-
-    def on_generators_then_all(rows) -> list[int] | None:
-        if _least_witness(rows(G.generators)) is None:
-            return None
-        return _least_witness(rows(range(n)))
 
     if 1 in wanted:
         at = first_true(np.diagonal(L) != e)
@@ -285,38 +328,21 @@ def check_lie_identities(
         at = first_true(T[L, L.T] != e)
         results[2] = list(at) if at else None
 
-    if 3 in wanted:
-        def rows3(over):
-            for a in over:
-                check_budget("identity scan")
-                lhs = L[T[a]]  # entry [b, c] = L[a·b, c]
-                # ^(^c a) L[b, c]: conjugate L[b, c] by C[c, a]
-                rhs = T[L[a][None, :], C[C[:, a][None, :], L]]
-                yield int(a), lhs != rhs
-
-        results[3] = on_generators_then_all(rows3)
-
-    if 4 in wanted:
-        def rows4():
-            for a in range(n):
-                check_budget("identity scan")
-                lhs = L[a][T]  # L[a, b·c] at [b, c]
-                left = C[:, L[a]]  # ^b L[a, c] at [b, c]
-                tw = G.comm_table[C, C[:, a][:, None]]  # [^b c, ^b a] at [b, c]
-                right = C[tw, L[a][:, None]]  # ^tw L[a, b]
-                yield a, lhs != T[left, right]
-
-        results[4] = _least_witness(rows4())
-
-    if 5 in wanted:
-        def rows5(over):
-            for a in over:
-                check_budget("identity scan")
-                lhs = C[a][L]  # ^a L[b, c]
-                rhs = L[C[a][:, None], C[a][None, :]]  # L[^a b, ^a c]
-                yield int(a), lhs != rhs
-
-        results[5] = on_generators_then_all(rows5)
+    laws = _identity_laws(M)
+    r = np.arange(n)
+    col, row = r[:, None], r[None, :]
+    on_generator = {  # the variable closed under products set to g
+        3: lambda g: (g, col, row),
+        4: lambda g: (col, g, row),
+        5: lambda g: (g, col, row),
+    }
+    for num in sorted(wanted & set(laws)):
+        results[num] = None
+        for g in G.generators:
+            check_budget("identity scan")
+            if laws[num](*on_generator[num](g)).any():
+                results[num] = _least_witness(laws[num], n)
+                break
 
     if 6 in wanted:
         m1 = L[inv, :] != C[inv[:, None], L.T]  # L[a^-1, b] vs ^(a^-1) L[b, a]
@@ -408,10 +434,6 @@ class SeriesReport:
     verdict: str  # "terminated-at-trivial" or "stabilized-nontrivial"
     at: int  # index of the final distinct term
     class_or_length: int | None  # None when the series stabilizes above 1
-
-    @property
-    def reached_trivial(self) -> bool:
-        return self.verdict == "terminated-at-trivial"
 
 
 def _run_series(

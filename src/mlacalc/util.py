@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -11,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InputError
 
 BUDGET_ENV = "MLACALC_BUDGET_SECS"
 
@@ -23,13 +24,21 @@ def run_budget() -> Iterator[None]:
     """Arm one MLACALC_BUDGET_SECS time budget for the enclosed run.
 
     Inside an enclosing run the budget it armed stays in force, so one
-    budget covers a whole command however many layers open a run.
+    budget covers a whole command however many layers open a run.  A value
+    that is not a number of seconds raises InputError; a negative one is
+    spent at once.
     """
     raw = os.environ.get(BUDGET_ENV)
     if _deadline.get() is not None or not raw:
         yield
         return
-    token = _deadline.set(time.monotonic() + float(raw))
+    try:
+        secs = float(raw)
+        if math.isnan(secs):
+            raise ValueError(raw)
+    except ValueError:
+        raise InputError(f"{BUDGET_ENV} must be a number of seconds, got {raw!r}", value=raw) from None
+    token = _deadline.set(time.monotonic() + secs)
     try:
         yield
     finally:

@@ -100,6 +100,20 @@ def test_json_error_envelope(fixtures_dir):
     assert "witness" in payload["error"]
 
 
+@pytest.mark.parametrize("value", ["abc", "nan"])
+def test_malformed_budget_is_an_input_error(fixtures_dir, monkeypatch, value):
+    monkeypatch.setenv("MLACALC_BUDGET_SECS", value)
+    rc, out, err = run_cli(["validate", fixtures_dir / "bad/star-perturbed-c4.json", "--json"])
+    assert rc == 2 and err == ""
+    payload = json.loads(out)
+    assert payload["ok"] is False and payload["exit"] == 2
+    assert payload["error"] == {
+        "error": "InputError",
+        "message": f"MLACALC_BUDGET_SECS must be a number of seconds, got {value!r}",
+        "value": value,
+    }
+
+
 def test_verify_failure_exit_code(fixtures_dir):
     rc, out, _ = run_cli(["verify", fixtures_dir / "bad/star-perturbed-s3.json", "--json"])
     assert rc == 1

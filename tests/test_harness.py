@@ -216,6 +216,14 @@ def test_zero_budget_skips_scanning_statements(pairs, monkeypatch):
     assert ledger.counts()[FAIL] == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "nan", "1e9s"])
+def test_malformed_budget_raises_input_error(corpus_algebras, monkeypatch, value):
+    monkeypatch.setenv("MLACALC_BUDGET_SECS", value)
+    with pytest.raises(InputError) as exc:
+        run_suite(Instance.from_algebra(corpus_algebras["S3-improper"]))
+    assert exc.value.payload == {"value": value}
+
+
 class _TickingClock:
     """Stands in for the time module: every monotonic() reading is a second later."""
 

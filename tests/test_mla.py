@@ -99,13 +99,17 @@ def oracle_least_failure(G, S):
 
 
 def oracle_identity_witness(G, S, num):
-    """Least (a, b, c) breaking defect identity 3 or 5, by loops."""
+    """Least (a, b, c) breaking defect identity 3, 4 or 5, by loops over the
+    formula in IDENTITY_NAMES."""
     T, inv = G.table, G.inverses
     conj = lambda z, x: T[T[z, x], inv[z]]
+    comm = lambda x, y: T[T[T[x, y], inv[x]], inv[y]]
     M = MultLieAlg(G, S)
     L = lambda a, b: oracle_defect(M, a, b)
     holds = {
         3: lambda a, b, c: L(T[a, b], c) == T[L(a, c), conj(conj(c, a), L(b, c))],
+        4: lambda a, b, c: L(a, T[b, c])
+        == T[conj(b, L(a, c)), conj(comm(conj(b, c), conj(b, a)), L(a, b))],
         5: lambda a, b, c: conj(a, L(b, c)) == L(conj(a, b), conj(a, c)),
     }[num]
     for w in product(range(G.order), repeat=3):
@@ -235,8 +239,8 @@ def test_reduced_checks_agree_with_exhaustive_scans(data):
         assert exc.value.payload == {"axiom": num, "witness": witness}
         assert str(exc.value) == f"axiom {num} ({AXIOM_NAMES[num]}) fails at ({labels})"
 
-    got = check_lie_identities(MultLieAlg(G, S), only=(3, 5))
-    assert got == {num: oracle_identity_witness(G, S, num) for num in (3, 5)}
+    got = check_lie_identities(MultLieAlg(G, S), only=(3, 4, 5))
+    assert got == {num: oracle_identity_witness(G, S, num) for num in (3, 4, 5)}
 
 
 def test_make_algebra_is_the_validating_constructor():
