@@ -31,7 +31,7 @@ from .errors import (
     NotInTerm,
     WitnessRequired,
 )
-from .groups import FiniteGroup, Subgroup, subgroup_closure
+from .groups import FiniteGroup, Subgroup, spanning_tree, subgroup_closure
 from .mla import Ideal, MultLieAlg, nilpotency_class, solvable_length, sub_algebra, validate_ideal
 from .util import CheckReport, check_budget
 
@@ -531,17 +531,10 @@ def _eval_word(pair: CompatiblePair, side: str, word: Word, partner: bool) -> in
 
 
 def _bfs_words(K: FiniteGroup, letters: list[Letter], values: list[int]) -> dict[int, Word]:
+    parent, col, order = spanning_tree(K.table[:, values], K.identity)
     words: dict[int, Word] = {K.identity: ()}
-    queue = [K.identity]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for letter, val in zip(letters, values):
-            nx = K.mul(x, val)
-            if nx not in words:
-                words[nx] = words[x] + (letter,)
-                queue.append(nx)
+    for x in order[1:]:
+        words[x] = words[int(parent[x])] + (letters[col[x]],)
     return words
 
 

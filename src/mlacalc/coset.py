@@ -1,10 +1,26 @@
 """Coset enumeration over the trivial subgroup of a finite presentation.
 
-Definition-order (Felsch-style) enumeration: the least undefined table
-entry is filled with a fresh coset, every new edge is scanned against all
-cyclic rotations of the relators and their inverses, and coincidences are
-merged through a union-find with a processing queue.  Output is the regular
-representation as a validated Cayley table plus the generator images.
+Definition-order (Felsch-style): the least undefined entry gets a fresh
+coset, whose consequences are closed before the next definition.  Scanning
+a rotation of a relator or its inverse from a coset deduces its one missing
+edge, or a coincidence when it completes away from its start; coincidences
+merge through a union-find into the smaller coset.  Output: the regular
+representation as a validated Cayley table, plus the generator images.
+
+The order of the scans does not matter.  Deductions and merges only add
+information, and a class is always named by its least coset, so the
+closure after a definition is the least fixed point above it, whatever
+order the forced steps ran in.  A scan turns informative only through an
+edge set or a coset merged since it last ran, and both push the edges they
+set as deductions; scanning the rotations that start at pending deductions
+thus reaches that fixed point, and definitions, stats and tables do not
+depend on how the deductions are processed.  So _drain takes all pending
+deductions as one wave and scans their length-3 rotations (all base tensor
+relators) on a snapshot of the table by numpy gathers.  Only informative
+scans, one per edge they would fill (the first fill pushes that edge,
+rescanning every cycle through it), are replayed by the scalar _scan, the
+only code that changes the table; their new edges form the next wave.
+Longer words go to _scan directly.
 
 Letters encode generators as 2i (forward) and 2i+1 (inverse); a relator is
 stored as signed 1-based generator numbers.
@@ -14,11 +30,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import CosetCapExceeded, InputError
-from .groups import FiniteGroup, check_order_cap, validate_cayley
+from .groups import FiniteGroup, check_order_cap, spanning_tree, validate_cayley
 from .util import check_budget
 
 DEFAULT_MAX_COSETS = 200_000
@@ -35,21 +52,21 @@ class Presentation:
 
 
 def make_presentation(generator_labels, relators) -> Presentation:
+    """Relators are words (or rows of a 2-D int array) of signed 1-based
+    generator numbers; empty words and repeats after the first are dropped."""
     labels = tuple(str(s) for s in generator_labels)
     if len(set(labels)) != len(labels):
         raise InputError("generator labels are not distinct")
     n = len(labels)
-    rels = []
-    seen = set()
-    for rel in relators:
-        word = tuple(int(e) for e in rel)
-        for e in word:
-            if e == 0 or abs(e) > n:
-                raise InputError(f"relator entry {e} references no generator", relator=list(word))
-        if word and word not in seen:
-            seen.add(word)
-            rels.append(word)
-    return Presentation(labels, tuple(rels))
+    rows = relators.tolist() if isinstance(relators, np.ndarray) else relators
+    rels = [tuple(map(int, w)) for w in rows]
+    flat = np.fromiter(chain.from_iterable(rels), dtype=np.int64)
+    bad = (flat == 0) | (np.abs(flat) > n)
+    if bad.any():
+        e = int(flat[bad.argmax()])
+        rel = next(w for w in rels if e in w)  # the first bad entry's relator
+        raise InputError(f"relator entry {e} references no generator", relator=list(rel))
+    return Presentation(labels, tuple(w for w in dict.fromkeys(rels) if w))
 
 
 @dataclass(frozen=True)
@@ -67,33 +84,52 @@ class EnumerationResult:
     stats: EnumerationStats
 
 
-def _letters_of(rel: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(2 * (e - 1) if e > 0 else 2 * (-e - 1) + 1 for e in rel)
+def _relator_letters(relators) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Relators grouped by length: length -> (their positions, their letters)."""
+    lens = np.fromiter(map(len, relators), dtype=np.int64, count=len(relators))
+    flat = np.fromiter(chain.from_iterable(relators), dtype=np.int64, count=int(lens.sum()))
+    lets = np.where(flat > 0, 2 * flat - 2, -2 * flat - 1)
+    starts = np.cumsum(lens) - lens
+    out = {}
+    for n in np.unique(lens).tolist():
+        idx = np.flatnonzero(lens == n)
+        out[n] = (idx, lets[starts[idx, None] + np.arange(n)])
+    return out
 
 
-def _invert(word: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(l ^ 1 for l in reversed(word))
+def _rotations(lets: np.ndarray, n: int) -> np.ndarray:
+    """Every cyclic rotation of the length-n words and of their inverses."""
+    return np.concatenate([np.roll(w, -k, 1) for w in (lets, lets[:, ::-1] ^ 1) for k in range(n)])
 
 
-def _rotation_buckets(relators, nletters: int) -> list[list[tuple[int, ...]]]:
+def _rotation_words(by_length, nletters: int):
+    """Distinct cyclic rotations of the relators and their inverses, by first letter.
+
+    Length-3 words come as CSR arrays (X, Y, start): the words starting
+    with letter l are (l, X[k], Y[k]) for start[l] <= k < start[l + 1].
+    Words of every other length are listed per first letter, as tuples.
+    """
+    words = _rotations(by_length[3][1] if 3 in by_length else np.empty((0, 3), dtype=np.int64), 3)
+    key = (words[:, 0] * nletters + words[:, 1]) * nletters + words[:, 2]
+    first = np.sort(np.unique(key, return_index=True)[1])
+    words = words[first[np.argsort(words[first, 0], kind="stable")]]
+    start = np.searchsorted(words[:, 0], np.arange(nletters + 1))
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(nletters)]
-    seen = set()
-    for rel in relators:
-        for base in (_letters_of(rel), _invert(_letters_of(rel))):
-            for k in range(len(base)):
-                rot = base[k:] + base[:k]
-                if rot not in seen:
-                    seen.add(rot)
-                    buckets[rot[0]].append(rot)
-    return buckets
+    longer = (_rotations(lets, n).tolist() for n, (_, lets) in by_length.items() if n != 3)
+    for rot in dict.fromkeys(map(tuple, chain.from_iterable(longer))):
+        buckets[rot[0]].append(rot)
+    return words[:, 1].copy(), words[:, 2].copy(), start, buckets
 
 
 class _Enumerator:
     def __init__(self, pres: Presentation, max_cosets: int):
         self.nletters = 2 * pres.generator_count
-        self.buckets = _rotation_buckets(pres.relators, self.nletters)
+        self.by_length = _relator_letters(pres.relators)
+        self.X, self.Y, self.start, self.buckets = _rotation_words(self.by_length, self.nletters)
         self.max_cosets = max_cosets
-        self.table: list[list[int]] = [[-1] * self.nletters]
+        # rows below `size` are cosets; the rest is room to grow
+        self.table = np.full((16, self.nletters), -1, dtype=np.int64)
+        self.size = 1
         self.p: list[int] = [0]
         self.deductions: list[tuple[int, int]] = []
         self.cqueue: deque[int] = deque()
@@ -108,9 +144,6 @@ class _Enumerator:
             self.p[a], a = r, self.p[a]
         return r
 
-    def alive(self, a: int) -> bool:
-        return self.p[a] == a
-
     def _merge(self, a: int, b: int) -> None:
         a, b = self.rep(a), self.rep(b)
         if a == b:
@@ -122,35 +155,36 @@ class _Enumerator:
         self.cqueue.append(b)
 
     def _coincide(self, a: int, b: int) -> None:
+        T = self.table
         self._merge(a, b)
         while self.cqueue:
             d = self.cqueue.popleft()
-            row = self.table[d]
-            for l in range(self.nletters):
-                delta = row[l]
-                if delta < 0:
+            for l in np.flatnonzero(T[d] >= 0).tolist():
+                delta = int(T[d, l])
+                if delta < 0:  # cleared above as the inverse of a loop at d
                     continue
-                row[l] = -1
-                if self.table[delta][l ^ 1] == d:
-                    self.table[delta][l ^ 1] = -1
+                T[d, l] = -1
+                if T[delta, l ^ 1] == d:
+                    T[delta, l ^ 1] = -1
                 u, v = self.rep(d), self.rep(delta)
-                ex = self.table[u][l]
+                ex = int(T[u, l])
                 if ex >= 0:
                     self._merge(ex, v)
                 else:
-                    exb = self.table[v][l ^ 1]
+                    exb = int(T[v, l ^ 1])
                     if exb >= 0:
                         self._merge(u, exb)
                     else:
-                        self.table[u][l] = v
-                        self.table[v][l ^ 1] = u
+                        T[u, l] = v
+                        T[v, l ^ 1] = u
                         self.deductions.append((u, l))
 
     def _scan(self, alpha: int, word: tuple[int, ...]) -> None:
+        T = self.table
         f, i = alpha, 0
         n = len(word)
         while i < n:
-            nxt = self.table[f][word[i]]
+            nxt = int(T[f, word[i]])
             if nxt < 0:
                 break
             f, i = nxt, i + 1
@@ -160,30 +194,53 @@ class _Enumerator:
             return
         b, j = alpha, n - 1
         while j > i:
-            prv = self.table[b][word[j] ^ 1]
+            prv = int(T[b, word[j] ^ 1])
             if prv < 0:
                 break
             b, j = prv, j - 1
         if j > i:
             return  # gap longer than one edge: no information yet
-        exb = self.table[b][word[i] ^ 1]
+        exb = int(T[b, word[i] ^ 1])
         if exb >= 0:
             self._coincide(f, exb)
         else:
-            self.table[f][word[i]] = b
-            self.table[b][word[i] ^ 1] = f
+            T[f, word[i]] = b
+            T[b, word[i] ^ 1] = f
             self.deductions.append((f, word[i]))
 
+    def _wave(self, a: np.ndarray, l: np.ndarray) -> np.ndarray:
+        """Rows (a, l, x, y): the scans (l, x, y) from deductions (a, l) that are
+        informative now, one per edge they would fill; coincidences all kept."""
+        T, nl = self.table, self.nletters
+        Tf = T.ravel()  # flat gathers: T[i, j] is Tf[i * nl + j]
+        cnt = self.start[l + 1] - self.start[l]
+        k = np.arange(cnt.sum()) + np.repeat(self.start[l] - (np.cumsum(cnt) - cnt), cnt)
+        r = np.repeat(np.arange(len(a)), cnt)  # the deduction of each scan
+        A, B, X, Y = a[r], T[a, l][r], self.X[k], self.Y[k]
+        C = Tf[B * nl + X]
+        D = Tf[C * nl + Y]  # read only where C >= 0
+        i = np.flatnonzero(np.where(C >= 0, D != A, Tf[A * nl + (Y ^ 1)] >= 0))
+        # a one-gap scan fills (C, Y) when it got two steps in, else (B, X)
+        key = np.where(C[i] >= 0, np.where(D[i] < 0, C[i] * nl + Y[i], -1 - i), B[i] * nl + X[i])
+        i = i[np.sort(np.unique(key, return_index=True)[1])]
+        return np.stack([A[i], l[r[i]], X[i], Y[i]], axis=1)
+
     def _drain(self) -> None:
+        T = self.table
         while self.deductions:
             check_budget("coset enumeration")
-            a, l = self.deductions.pop()
-            if not self.alive(a) or self.table[a][l] < 0:
-                continue
-            for word in self.buckets[l]:
-                self._scan(a, word)
-                if not self.alive(a) or self.table[a][l] < 0:
-                    break
+            a, l = np.array(self.deductions, dtype=np.int64).reshape(-1, 2).T
+            self.deductions = []
+            held = T[a, l] >= 0  # a merged coset's row is cleared
+            a, l = a[held], l[held]
+            for ai, li, x, y in self._wave(a, l).tolist():
+                if T[ai, li] >= 0:  # else a merge in this wave moved the edge
+                    self._scan(ai, (li, x, y))
+            for ai, li in zip(a.tolist(), l.tolist()):
+                for word in self.buckets[li]:
+                    if T[ai, li] < 0:
+                        break
+                    self._scan(ai, word)
 
     def _define(self, alpha: int, l: int) -> None:
         if self.defined >= self.max_cosets:
@@ -191,32 +248,44 @@ class _Enumerator:
                 f"coset table would exceed {self.max_cosets} rows",
                 max_cosets=self.max_cosets,
             )
-        new = len(self.table)
-        self.table.append([-1] * self.nletters)
+        new = self.size
+        if new == len(self.table):
+            self.table = np.concatenate([self.table, np.full_like(self.table, -1)])
+        self.size += 1
         self.p.append(new)
         self.defined += 1
-        self.table[alpha][l] = new
-        self.table[new][l ^ 1] = alpha
+        self.table[alpha, l] = new
+        self.table[new, l ^ 1] = alpha
         self.deductions.append((alpha, l))
         self._drain()
 
     def run(self) -> None:
         changed = True
         while changed:
-            changed = False
-            alpha = 0
-            while alpha < len(self.table):
+            changed, alpha = False, 0
+            while alpha < self.size:
                 check_budget("coset enumeration")
-                if not self.alive(alpha):
+                gaps = np.flatnonzero(self.table[alpha] < 0) if self.p[alpha] == alpha else ()
+                if len(gaps):
+                    self._define(alpha, int(gaps[0]))
+                    changed = True
+                else:
                     alpha += 1
-                    continue
-                for l in range(self.nletters):
-                    while self.alive(alpha) and self.table[alpha][l] < 0:
-                        self._define(alpha, l)
-                        changed = True
-                    if not self.alive(alpha):
-                        break
-                alpha += 1
+
+
+def _check_relators_close(relators, by_length, tbl: np.ndarray) -> None:
+    """Defensive: every relator must close at every coset of the finished table."""
+    ident = np.arange(len(tbl))
+    bad = []
+    step = max(1, (1 << 16) // len(tbl))  # bounds the transient (step, m) arrays
+    for n, (idx, lets) in by_length.items():
+        for s in range(0, len(idx), step):
+            cur, w = ident, lets[s : s + step]
+            for j in range(n):
+                cur = tbl[cur, w[:, j, None]]
+            bad += idx[s : s + step][(cur != ident).any(axis=1)].tolist()
+    if bad:
+        raise InputError("relator fails to close after enumeration", relator=[*relators[min(bad)]])
 
 
 def coset_enumerate(
@@ -236,56 +305,31 @@ def coset_enumerate(
     eng = _Enumerator(pres, max_cosets)
     eng.run()
 
-    live = [a for a in range(len(eng.table)) if eng.alive(a)]
+    p = np.array(eng.p, dtype=np.int64)
+    live = np.flatnonzero(p == np.arange(len(p)))
     m = len(live)
     check_order_cap(m)  # before the m x m Cayley table exists
-    index = {a: i for i, a in enumerate(live)}
-    nl = eng.nletters
-    tbl = np.empty((m, nl), dtype=np.int64)
-    for i, a in enumerate(live):
-        for l in range(nl):
-            t = eng.table[a][l]
-            if t < 0:
-                raise InputError("enumeration finished with an incomplete row")
-            tbl[i, l] = index[eng.rep(t)]
+    raw = eng.table[live]
+    if (raw < 0).any():
+        raise InputError("enumeration finished with an incomplete row")
+    while (p[p] != p).any():
+        p = p[p]  # every coset to the live coset of its class
+    tbl = (np.cumsum(p == np.arange(len(p))) - 1)[p[raw]]
+    _check_relators_close(pres.relators, eng.by_length, tbl)
 
-    # defensive pass: every relator must close at every coset
-    for rel in pres.relators:
-        word = np.asarray(_letters_of(rel), dtype=np.int64)
-        cur = np.arange(m)
-        for l in word:
-            cur = tbl[cur, l]
-        if (cur != np.arange(m)).any():
-            raise InputError("relator fails to close after enumeration", relator=list(rel))
-
-    # normal forms: BFS over forward letters, then the Cayley table by tracing
-    words: list[tuple[int, ...] | None] = [None] * m
-    words[0] = ()
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        c = queue[qi]
-        qi += 1
-        for g in range(pres.generator_count):
-            nx = int(tbl[c, 2 * g])
-            if words[nx] is None:
-                words[nx] = words[c] + (g,)  # type: ignore[operator]
-                queue.append(nx)
-    if any(w is None for w in words):
+    # normal forms: BFS over forward letters; then right multiplication by
+    # each element, one gather from its parent's column
+    parent, letter, order = spanning_tree(tbl[:, 0::2], 0)
+    if len(order) != m:
         raise InputError("generator images do not generate the enumerated group")
-
-    cayley = np.empty((m, m), dtype=np.int64)
-    for b in range(m):
-        cur = np.arange(m)
-        for g in words[b]:  # type: ignore[union-attr]
-            cur = tbl[cur, 2 * g]
-        cayley[:, b] = cur
-
-    labels = [
-        identity_label if not w else "·".join(pres.generator_labels[g] for g in w)
-        for w in words
-    ]
-    group = validate_cayley(labels, cayley)
-    gen_image = np.asarray([int(tbl[0, 2 * g]) for g in range(pres.generator_count)], dtype=np.int64)
+    parent, letter, gl = parent.tolist(), letter.tolist(), pres.generator_labels
+    cols = np.empty((m, m), dtype=np.int64)  # cols[b] = (x -> x·b)
+    cols[0] = np.arange(m)
+    labels = [identity_label] * m
+    for b in order[1:]:
+        q, g = parent[b], letter[b]
+        cols[b] = tbl[cols[q], 2 * g]
+        labels[b] = gl[g] if q == 0 else f"{labels[q]}·{gl[g]}"
+    group = validate_cayley(labels, cols.T)
     stats = EnumerationStats(eng.defined, eng.collapsed, m)
-    return EnumerationResult(pres, group, gen_image, stats)
+    return EnumerationResult(pres, group, tbl[0, 0::2].copy(), stats)

@@ -114,6 +114,29 @@ def least_generators(table: np.ndarray, identity: int) -> np.ndarray:
     return np.asarray(gens, dtype=np.int64)
 
 
+def spanning_tree(succ: np.ndarray, root: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Breadth-first tree of the graph x -> succ[x, j] from ``root``: the
+    normal-form (shortlex-least) words in the letter order j.
+
+    Returns (parent, letter, order): x = succ[parent[x], letter[x]] for each
+    reached x but the root (whose parent is itself and letter -1; unreached
+    nodes keep -1), and ``order`` lists reached nodes parents first."""
+    n, k = succ.shape
+    parent, letter = np.full((2, n), -1, dtype=np.int64)
+    parent[root] = root
+    level = np.array([root], dtype=np.int64)
+    order = [level]
+    while level.size:
+        cand = succ[level].ravel()  # a level's edges in queue order
+        first = np.unique(cand, return_index=True)[1]
+        first = np.sort(first[parent[cand[first]] < 0])
+        parent[cand[first]] = level[first // k]
+        letter[cand[first]] = first % k
+        level = cand[first]
+        order.append(level)
+    return parent, letter, np.concatenate(order).tolist()
+
+
 def validate_cayley(labels: Sequence[str], table) -> FiniteGroup:
     """Check the group axioms and return a frozen FiniteGroup.
 

@@ -34,7 +34,7 @@ from .errors import (
     PreconditionFailed,
     StarInconsistent,
 )
-from .groups import FiniteGroup, Subgroup, subgroup_closure, validate_cayley
+from .groups import FiniteGroup, Subgroup, spanning_tree, subgroup_closure, validate_cayley
 from .mla import (
     Ideal,
     MultLieAlg,
@@ -141,8 +141,7 @@ def build_tensor_presentation(pair: CompatiblePair) -> Presentation:
     c = idx(cbrk.T[:, None, :], aphi[:, :, None])
     rows.append(np.stack([a + 1, -(b + 1), -(c + 1)], axis=-1).reshape(-1, 3))
 
-    relators = [tuple(int(e) for e in row) for row in np.concatenate(rows)]
-    return make_presentation(_pair_labels(pair), relators)
+    return make_presentation(_pair_labels(pair), np.concatenate(rows))
 
 
 def star_seed_indices(pair: CompatiblePair) -> np.ndarray:
@@ -169,25 +168,11 @@ def _normal_forms(K: FiniteGroup, images: np.ndarray, seed_order: str):
     i = parent[i] · images[letter[i]], and `order` lists elements with every
     parent before its children.
     """
-    n = K.order
-    parent = np.full(n, -1, dtype=np.int64)
-    letter = np.full(n, -1, dtype=np.int64)
-    order = [int(K.identity)]
-    parent[K.identity] = K.identity
-    qi = 0
-    letters = list(_letter_order(len(images), seed_order))
-    while qi < len(order):
-        cur = order[qi]
-        qi += 1
-        for a in letters:
-            nx = int(K.table[cur, images[a]])
-            if parent[nx] < 0:
-                parent[nx] = cur
-                letter[nx] = a
-                order.append(nx)
-    if len(order) != n:
+    letters = np.asarray(_letter_order(len(images), seed_order), dtype=np.int64)
+    parent, col, order = spanning_tree(K.table[:, images[letters]], int(K.identity))
+    if len(order) != K.order:
         raise InputError("generator images do not generate the enumerated group")
-    return parent, letter, order
+    return parent, np.where(col < 0, -1, letters[col]), order
 
 
 def _extend_star(

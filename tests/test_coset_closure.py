@@ -1,0 +1,299 @@
+"""The wave closure of coset.py against the scalar Felsch enumerator it replaced.
+
+The reference below is the per-deduction enumerator and Cayley assembly
+as they stood before deductions were drained in waves: every deduction
+scans every rotation word in its letter's bucket, one Python scan at a
+time.  Both must define the same cosets in the same order, collapse the
+same ones and leave the same table, so that labels, Cayley tables and
+generator images are byte-identical.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mlacalc import coset
+from mlacalc.actions import check_compatibility, conjugation_self_action
+from mlacalc.corpus import get_group, group_names
+from mlacalc.coset import coset_enumerate, make_presentation
+from mlacalc.errors import CosetCapExceeded
+from mlacalc.mla import make_improper_star, make_trivial_star
+from mlacalc.tensor import build_tensor_presentation
+
+# --- the scalar reference ------------------------------------------------------------
+
+
+def _letters_of(rel):
+    return tuple(2 * (e - 1) if e > 0 else 2 * (-e - 1) + 1 for e in rel)
+
+
+def _invert(word):
+    return tuple(l ^ 1 for l in reversed(word))
+
+
+def _rotation_buckets(relators, nletters):
+    buckets = [[] for _ in range(nletters)]
+    seen = set()
+    for rel in relators:
+        for base in (_letters_of(rel), _invert(_letters_of(rel))):
+            for k in range(len(base)):
+                rot = base[k:] + base[:k]
+                if rot not in seen:
+                    seen.add(rot)
+                    buckets[rot[0]].append(rot)
+    return buckets
+
+
+class _ScalarEnumerator:
+    def __init__(self, pres, max_cosets):
+        self.nletters = 2 * pres.generator_count
+        self.buckets = _rotation_buckets(pres.relators, self.nletters)
+        self.max_cosets = max_cosets
+        self.table = [[-1] * self.nletters]
+        self.p = [0]
+        self.deductions = []
+        self.cqueue = deque()
+        self.defined = 1
+        self.collapsed = 0
+
+    def rep(self, a):
+        r = a
+        while self.p[r] != r:
+            r = self.p[r]
+        while self.p[a] != r:
+            self.p[a], a = r, self.p[a]
+        return r
+
+    def alive(self, a):
+        return self.p[a] == a
+
+    def _merge(self, a, b):
+        a, b = self.rep(a), self.rep(b)
+        if a == b:
+            return
+        if a > b:
+            a, b = b, a
+        self.p[b] = a
+        self.collapsed += 1
+        self.cqueue.append(b)
+
+    def _coincide(self, a, b):
+        self._merge(a, b)
+        while self.cqueue:
+            d = self.cqueue.popleft()
+            row = self.table[d]
+            for l in range(self.nletters):
+                delta = row[l]
+                if delta < 0:
+                    continue
+                row[l] = -1
+                if self.table[delta][l ^ 1] == d:
+                    self.table[delta][l ^ 1] = -1
+                u, v = self.rep(d), self.rep(delta)
+                ex = self.table[u][l]
+                if ex >= 0:
+                    self._merge(ex, v)
+                else:
+                    exb = self.table[v][l ^ 1]
+                    if exb >= 0:
+                        self._merge(u, exb)
+                    else:
+                        self.table[u][l] = v
+                        self.table[v][l ^ 1] = u
+                        self.deductions.append((u, l))
+
+    def _scan(self, alpha, word):
+        f, i = alpha, 0
+        n = len(word)
+        while i < n:
+            nxt = self.table[f][word[i]]
+            if nxt < 0:
+                break
+            f, i = nxt, i + 1
+        if i == n:
+            if f != alpha:
+                self._coincide(f, alpha)
+            return
+        b, j = alpha, n - 1
+        while j > i:
+            prv = self.table[b][word[j] ^ 1]
+            if prv < 0:
+                break
+            b, j = prv, j - 1
+        if j > i:
+            return
+        exb = self.table[b][word[i] ^ 1]
+        if exb >= 0:
+            self._coincide(f, exb)
+        else:
+            self.table[f][word[i]] = b
+            self.table[b][word[i] ^ 1] = f
+            self.deductions.append((f, word[i]))
+
+    def _drain(self):
+        while self.deductions:
+            a, l = self.deductions.pop()
+            if not self.alive(a) or self.table[a][l] < 0:
+                continue
+            for word in self.buckets[l]:
+                self._scan(a, word)
+                if not self.alive(a) or self.table[a][l] < 0:
+                    break
+
+    def _define(self, alpha, l):
+        if self.defined >= self.max_cosets:
+            raise CosetCapExceeded("cap", max_cosets=self.max_cosets)
+        new = len(self.table)
+        self.table.append([-1] * self.nletters)
+        self.p.append(new)
+        self.defined += 1
+        self.table[alpha][l] = new
+        self.table[new][l ^ 1] = alpha
+        self.deductions.append((alpha, l))
+        self._drain()
+
+    def run(self):
+        changed = True
+        while changed:
+            changed = False
+            alpha = 0
+            while alpha < len(self.table):
+                if not self.alive(alpha):
+                    alpha += 1
+                    continue
+                for l in range(self.nletters):
+                    while self.alive(alpha) and self.table[alpha][l] < 0:
+                        self._define(alpha, l)
+                        changed = True
+                    if not self.alive(alpha):
+                        break
+                alpha += 1
+
+
+def _scalar_cayley(pres, eng):
+    """Labels, Cayley table and generator images, assembled letter by letter."""
+    live = [a for a in range(len(eng.table)) if eng.alive(a)]
+    m = len(live)
+    index = {a: i for i, a in enumerate(live)}
+    tbl = np.array([[index[eng.rep(t)] for t in eng.table[a]] for a in live], dtype=np.int64)
+    words = [None] * m
+    words[0] = ()
+    queue = [0]
+    for c in queue:
+        for g in range(pres.generator_count):
+            nx = int(tbl[c, 2 * g])
+            if words[nx] is None:
+                words[nx] = words[c] + (g,)
+                queue.append(nx)
+    cayley = np.empty((m, m), dtype=np.int64)
+    for b in range(m):
+        cur = np.arange(m)
+        for g in words[b]:
+            cur = tbl[cur, 2 * g]
+        cayley[:, b] = cur
+    labels = tuple("1" if not w else "·".join(pres.generator_labels[g] for g in w) for w in words)
+    return labels, cayley, tbl[0, 0::2]
+
+
+# --- comparison ------------------------------------------------------------------------
+
+
+def _run(cls, pres, max_cosets):
+    eng = cls(pres, max_cosets)
+    try:
+        eng.run()
+    except CosetCapExceeded:
+        return eng, True
+    return eng, False
+
+
+def _assert_same_closure(pres, max_cosets=coset.DEFAULT_MAX_COSETS):
+    ref, ref_capped = _run(_ScalarEnumerator, pres, max_cosets)
+    new, new_capped = _run(coset._Enumerator, pres, max_cosets)
+    assert new_capped == ref_capped
+    assert (new.defined, new.collapsed) == (ref.defined, ref.collapsed)
+    # the partition; the raw union-find differs wherever paths were compressed
+    assert [new.rep(a) for a in range(new.size)] == [ref.rep(a) for a in range(len(ref.p))]
+    assert np.array_equal(new.table[: new.size], np.array(ref.table, dtype=np.int64))
+    if ref_capped:
+        return
+    labels, cayley, gen_image = _scalar_cayley(pres, ref)
+    res = coset_enumerate(pres, max_cosets)
+    assert (res.stats.cosets_defined, res.stats.cosets_collapsed) == (ref.defined, ref.collapsed)
+    assert res.stats.live == len(labels)
+    assert res.group.labels == labels
+    assert np.array_equal(res.group.table, cayley)
+    assert np.array_equal(res.gen_image, gen_image)
+
+
+def _self_pair(name, star):
+    G = get_group(name)
+    if star == "trivial":
+        M, bracket = make_trivial_star(G), np.full((G.order, G.order), G.identity)
+    else:
+        M = make_improper_star(G)
+        bracket = M.star
+    act = conjugation_self_action(M, bracket)
+    return check_compatibility(act, act)
+
+
+# C2xC2xC2 is the order-512 benchmark rung: seconds under the scalar reference
+CORPUS_PAIRS = [(n, s) for n in group_names() if n != "C2xC2xC2" for s in ("trivial", "improper")]
+
+
+@pytest.mark.parametrize("name,star", CORPUS_PAIRS, ids=[f"{n}-{s}" for n, s in CORPUS_PAIRS])
+def test_corpus_pairs_match_the_scalar_closure(name, star):
+    _assert_same_closure(build_tensor_presentation(_self_pair(name, star)))
+
+
+def test_reference_pairs_match_the_scalar_closure(pairs):
+    for pair in pairs.values():
+        _assert_same_closure(build_tensor_presentation(pair))
+
+
+def test_longer_relators_match_the_scalar_closure():
+    # fixpoint rounds append words longer than 3; these take the scalar path
+    base = build_tensor_presentation(_self_pair("S3", "improper"))
+    rng = np.random.default_rng(7)
+    n = base.generator_count
+    extra = [
+        tuple(int(e) for e in rng.choice([-1, 1], size=k) * rng.integers(1, n + 1, size=k))
+        for k in rng.integers(4, 7, size=24)
+    ]
+    pres = make_presentation(base.generator_labels, base.relators + tuple(extra))
+    assert {len(r) for r in pres.relators} >= {3, 4, 5, 6}
+    _assert_same_closure(pres)
+
+
+@st.composite
+def _presentations(draw):
+    ngen = draw(st.integers(1, 3))
+    letter = st.integers(1, ngen).flatmap(lambda g: st.sampled_from((g, -g)))
+    rels = draw(st.lists(st.lists(letter, min_size=1, max_size=6), min_size=1, max_size=5))
+    return make_presentation([f"g{i}" for i in range(ngen)], rels)
+
+
+def _pres(*rels):
+    return make_presentation([f"g{i}" for i in range(max(abs(e) for r in rels for e in r))], rels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pres=_presentations(), max_cosets=st.integers(1, 60))
+# each of these loses a deduction if two one-gap scans that fill different
+# edges share a dedupe key
+@example(pres=_pres((-1, -1, -3), (2, 3, 3), (-2, -3, 1), (-3, 2, -3)), max_cosets=224)
+@example(
+    pres=_pres(
+        (-2,), (-2, -1, 1, 2, -1), (1, 2, -1, -1, -3, 1), (-1, 2, 1), (1, -1, -3),
+        (2, -2, -2, 1, 1, -1),
+    ),
+    max_cosets=37,
+)
+def test_small_presentations_match_the_scalar_closure(pres, max_cosets):
+    # infinite or large groups hit the cap, which must fall at the same definition
+    _assert_same_closure(pres, max_cosets)

@@ -1,9 +1,10 @@
 """Tensor construction, its check battery, and the quotient bounds.
 
-Two independent oracles anchor this module: the classical gcd formula for
-tensor products of finite abelian groups (trivial pairs build exactly
-those), and frozen reference orders for the three bundled pairs that were
-first obtained from the enumeration itself and then pinned.
+Three oracles anchor this module: the classical gcd formula for tensor
+products of finite abelian groups (trivial pairs build exactly those), the
+published orders of non-abelian tensor squares, and frozen reference
+orders for the three bundled pairs that were first obtained from the
+enumeration itself and then pinned.
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlacalc.actions import check_compatibility, trivial_action, validate_action
+from mlacalc.actions import (
+    check_compatibility,
+    conjugation_self_action,
+    trivial_action,
+    validate_action,
+)
 from mlacalc.corpus import get_group, group_names
 from mlacalc.errors import (
     CosetCapExceeded,
@@ -138,6 +144,23 @@ def test_abelian_tensor_matches_gcd_oracle(a, b):
     assert t.order == want
     assert t.group.is_abelian
     assert t.algebra.star_is_trivial
+    assert check_defining_relations(t).passed
+
+
+# G ⊗ G for the conjugation action with the trivial star and bracket, i.e. the
+# non-abelian tensor square (Brown, Johnson and Robertson, J. Algebra 111, 1987)
+TENSOR_SQUARE_ORDERS = {
+    "S3": 6, "C4": 4, "V4": 16, "Q8": 64, "D4": 32,
+    "D5": 10, "D6": 48, "Dic3": 12, "A4": 24, "C6xC2": 48,
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_SQUARE_ORDERS))
+def test_tensor_squares_match_known_orders(name):
+    G = get_group(name)
+    act = conjugation_self_action(make_trivial_star(G), np.full((G.order, G.order), G.identity))
+    t = build_tensor_algebra(check_compatibility(act, act))
+    assert t.order == TENSOR_SQUARE_ORDERS[name]
     assert check_defining_relations(t).passed
 
 
