@@ -9,12 +9,15 @@ re-checks everything with both actions in hand.
 The mixed defect ^L[g,h] = <g,h>^-1 (^g h · h^-1) generates an ideal of H
 whose elements carry witness words; the partner machinery maps those words
 to elements of the mirrored ideal of G that act identically on both groups.
+A compatible pair builds each of its ideals (mixed defect, derived terms,
+bracket, derived action) once, the first time a statement asks for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -33,7 +36,7 @@ from .errors import (
 )
 from .groups import FiniteGroup, Subgroup, spanning_tree, subgroup_closure
 from .mla import Ideal, MultLieAlg, nilpotency_class, solvable_length, sub_algebra, validate_ideal
-from .util import CheckReport, check_budget
+from .util import CheckReport, check_budget, first_true, memoized
 
 SIDES = ("g-on-h", "h-on-g")
 
@@ -236,6 +239,8 @@ class CompatiblePair:
     g_on_h: MlaAction
     h_on_g: MlaAction
     flags: tuple[str, ...]  # names of the pair conditions that were verified
+    # ideals derived from this pair, built on first use (see memoized)
+    _ideals: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def G(self) -> MultLieAlg:
@@ -325,115 +330,61 @@ def check_pair_conditions(pair: CompatiblePair) -> CheckReport:
 def _pair_condition_witness(
     gh: MlaAction, hg: MlaAction, cond: int
 ) -> tuple[str, list[int]] | None:
-    """Check one pair condition, both displays; witness is (g, h, primed)."""
+    """Check one pair condition on both displays, in this order; the least
+    failure comes back as (display, [a, b, primed]).
+
+    Each display scans a outer-major, one (b, primed) failure slab per a.
+    (a, b) is (g, h) or (h, g), and primed runs over the display's group:
+
+        condition   first display       second display
+        1           G  (g, h, g')       H  (h, g, h')
+        2           H  (g, h, h')       G  (h, g, g')
+        3           H  (g, h, h')       G  (g, h, g')
+        4           G  (g, h, g')       H  (h, g, h')
+        5           H  (g, h, h')       G  (h, g, g')
+    """
     G, H = gh.actor.group, gh.acted.group
     Gs, Hs = gh.actor.star, gh.acted.star
-
-    def scan(n_a: int, n_b: int, fail_row) -> list[int] | None:
-        for a in range(n_a):
-            check_budget("pair conditions")
-            for b in range(n_b):
-                bad = fail_row(a, b)
-                if bad.any():
-                    return [a, b, int(np.flatnonzero(bad)[0])]
-        return None
-
-    if cond == 1:
+    CG, CH = G.conj_table, H.conj_table
+    displays = {
         # ^(^g h) g' must equal acting with the word g·h·g^-1
-        def on_g(g, h):
-            lhs = hg.phi[gh.phi[g, h]]
-            rhs = G.conj_table[g][hg.phi[h][G.conj_table[G.inv(g)]]]
-            return lhs != rhs
-
-        w = scan(G.order, H.order, on_g)
-        if w:
-            return "G", w
-
-        def on_h(h, g):
-            lhs = gh.phi[hg.phi[h, g]]
-            rhs = H.conj_table[h][gh.phi[g][H.conj_table[H.inv(h)]]]
-            return lhs != rhs
-
-        w = scan(H.order, G.order, on_h)
-        if w:
-            return "H", w
-
-    elif cond == 2:
+        1: (
+            ("G", G.order, lambda g: hg.phi[gh.phi[g]] != CG[g][hg.phi[:, CG[G.inverses[g]]]]),
+            ("H", H.order, lambda h: gh.phi[hg.phi[h]] != CH[h][gh.phi[:, CH[H.inverses[h]]]]),
+        ),
         # <<h,g>^-1, h'> = <g,h> * h'
-        def on_h(g, h):
-            return gh.bracket[G.inv(hg.brk(h, g))] != Hs[gh.brk(g, h)]
-
-        w = scan(G.order, H.order, on_h)
-        if w:
-            return "H", w
-
-        def on_g(h, g):
-            return hg.bracket[H.inv(gh.brk(g, h))] != Gs[hg.brk(h, g)]
-
-        w = scan(H.order, G.order, on_g)
-        if w:
-            return "G", w
-
-    elif cond == 3:
+        2: (
+            ("H", G.order, lambda g: gh.bracket[G.inverses[hg.bracket[:, g]]] != Hs[gh.bracket[g]]),
+            ("G", H.order, lambda h: hg.bracket[H.inverses[gh.bracket[:, h]]] != Gs[hg.bracket[h]]),
+        ),
         # acting by <g,h> then <h,g> fixes everything
-        def on_h(g, h):
-            inner = gh.phi[hg.brk(h, g)]
-            return H.conj_table[gh.brk(g, h)][inner] != np.arange(H.order)
-
-        w = scan(G.order, H.order, on_h)
-        if w:
-            return "H", w
-
-        def on_g(g, h):
-            inner = G.conj_table[hg.brk(h, g)]
-            return hg.phi[gh.brk(g, h)][inner] != np.arange(G.order)
-
-        w = scan(G.order, H.order, on_g)
-        if w:
-            return "G", w
-
-    elif cond == 4:
+        3: (
+            ("H", G.order, lambda g: CH[gh.bracket[g][:, None], gh.phi[hg.bracket[:, g]]]
+             != np.arange(H.order)),
+            ("G", G.order, lambda g: hg.phi[gh.bracket[g][:, None], CG[hg.bracket[:, g]]]
+             != np.arange(G.order)),
+        ),
         # ^g <h,g'> = <^g h, ^g g'>
-        def on_g(g, h):
-            lhs = G.conj_table[g][hg.bracket[h]]
-            rhs = hg.bracket[gh.phi[g, h]][G.conj_table[g]]
-            return lhs != rhs
-
-        w = scan(G.order, H.order, on_g)
-        if w:
-            return "G", w
-
-        def on_h(h, g):
-            lhs = H.conj_table[h][gh.bracket[g]]
-            rhs = gh.bracket[hg.phi[h, g]][H.conj_table[h]]
-            return lhs != rhs
-
-        w = scan(H.order, G.order, on_h)
-        if w:
-            return "H", w
-
-    elif cond == 5:
+        4: (
+            ("G", G.order, lambda g: CG[g][hg.bracket] != hg.bracket[gh.phi[g][:, None], CG[g]]),
+            ("H", H.order, lambda h: CH[h][gh.bracket] != gh.bracket[hg.phi[h][:, None], CH[h]]),
+        ),
         # <g·^h g^-1, h'> = (^g h·h^-1) * h'
-        def on_h(g, h):
-            lhs = gh.bracket[G.mul(g, hg.phi[h, G.inv(g)])]
-            rhs = Hs[gh.mixed_comm_table[g, h]]
-            return lhs != rhs
-
-        w = scan(G.order, H.order, on_h)
-        if w:
-            return "H", w
-
-        def on_g(h, g):
-            lhs = hg.bracket[H.mul(h, gh.phi[g, H.inv(h)])]
-            rhs = Gs[hg.mixed_comm_table[h, g]]
-            return lhs != rhs
-
-        w = scan(H.order, G.order, on_g)
-        if w:
-            return "G", w
-
-    else:
+        5: (
+            ("H", G.order, lambda g: gh.bracket[G.table[g, hg.phi[:, G.inverses[g]]]]
+             != Hs[gh.mixed_comm_table[g]]),
+            ("G", H.order, lambda h: hg.bracket[H.table[h, gh.phi[:, H.inverses[h]]]]
+             != Gs[hg.mixed_comm_table[h]]),
+        ),
+    }
+    if cond not in displays:
         raise InputError(f"no pair condition {cond}")
+    for side, n, fails in displays[cond]:
+        for a in range(n):
+            check_budget("pair conditions")
+            at = first_true(fails(a))
+            if at is not None:
+                return side, [a, *at]
     return None
 
 
@@ -456,15 +407,25 @@ def _ideal_from_generators(M: MultLieAlg, gens: Iterable[int], what: str) -> Ide
 def derived_action_ideal(pair: CompatiblePair, side: str = "g-on-h") -> Ideal:
     """Ideal of the acted algebra generated by all ^g h · h^-1."""
     act = pair.action(side)
-    gens = (int(v) for v in np.unique(act.mixed_comm_table))
-    return _ideal_from_generators(act.acted, gens, f"derived-action ideal ({side})")
+    return memoized(
+        pair._ideals,
+        ("derived-action", side),
+        lambda: _ideal_from_generators(
+            act.acted, np.unique(act.mixed_comm_table).tolist(), f"derived-action ideal ({side})"
+        ),
+    )
 
 
 def bracket_ideal(pair: CompatiblePair, side: str = "g-on-h") -> Ideal:
     """Ideal of the acted algebra generated by all <g, h>."""
     act = pair.action(side)
-    gens = (int(v) for v in np.unique(act.bracket))
-    return _ideal_from_generators(act.acted, gens, f"bracket ideal ({side})")
+    return memoized(
+        pair._ideals,
+        ("bracket", side),
+        lambda: _ideal_from_generators(
+            act.acted, np.unique(act.bracket).tolist(), f"bracket ideal ({side})"
+        ),
+    )
 
 
 # witness words: letters are ("gen", g, h, sgn) at level 0 and
@@ -481,6 +442,10 @@ class WitnessedIdeal:
     level: int
     ideal: Ideal
     words: Mapping[int, Word]  # carrier element -> word over the level's letters
+
+    def __post_init__(self) -> None:
+        # memoized terms are shared between statements, so no caller may edit them
+        object.__setattr__(self, "words", MappingProxyType(dict(self.words)))
 
     @property
     def carrier(self) -> Subgroup:
@@ -506,8 +471,7 @@ def _eval_letter(pair: CompatiblePair, side: str, letter: Letter, partner: bool)
     if kind == "gen":
         _, g, h, sgn = letter
         if partner:
-            # <h,g> · (g · ^h g^-1)
-            val = K.mul(co.brk(h, g), K.mul(g, co.act(h, K.inv(g))))
+            val = int(_partner_defect(co, g, h))
         else:
             val = int(act.mixed_defect_table[g, h])
     elif kind == "lie":
@@ -519,6 +483,13 @@ def _eval_letter(pair: CompatiblePair, side: str, letter: Letter, partner: bool)
     else:
         raise InputError(f"unknown witness letter kind {kind!r}")
     return K.inv(val) if sgn < 0 else val
+
+
+def _partner_defect(co: MlaAction, g, h):
+    """<h,g> · (g · ^h g^-1) in the actor group G of the forward action, the
+    partner of the defect ^L[g,h]; co is the reverse action, h may be an array."""
+    G = co.acted.group
+    return G.table[co.bracket[h, g], G.table[g, co.phi[h, G.inverses[g]]]]
 
 
 def _eval_word(pair: CompatiblePair, side: str, word: Word, partner: bool) -> int:
@@ -541,6 +512,10 @@ def _bfs_words(K: FiniteGroup, letters: list[Letter], values: list[int]) -> dict
 def mixed_lie_ideal(pair: CompatiblePair, side: str = "g-on-h") -> WitnessedIdeal:
     """Ideal of the acted algebra generated by the defects ^L[g,h], with a
     shortest witness word stored for every carrier element."""
+    return memoized(pair._ideals, ("mixed", side), lambda: _mixed_lie_ideal(pair, side))
+
+
+def _mixed_lie_ideal(pair: CompatiblePair, side: str) -> WitnessedIdeal:
     act = pair.action(side)
     G, H = act.actor.group, act.acted.group
     letters: list[Letter] = []
@@ -569,12 +544,12 @@ def mixed_lie_ideal(pair: CompatiblePair, side: str = "g-on-h") -> WitnessedIdea
 
 def witnessed_derived_terms(pair: CompatiblePair, side: str, depth: int) -> list[WitnessedIdeal]:
     """Terms 0..depth of the derived series of the mixed defect ideal, each
-    carried with witness words over that level's defect letters."""
-    terms = [mixed_lie_ideal(pair, side)]
-    act = pair.action(side)
-    alg = act.acted
+    carried with witness words over that level's defect letters.  The pair
+    keeps the terms built so far and grows them to the deepest level asked."""
+    terms = memoized(pair._ideals, ("derived", side), lambda: [mixed_lie_ideal(pair, side)])
+    alg = pair.action(side).acted
     H = alg.group
-    for level in range(1, depth + 1):
+    for level in range(len(terms), depth + 1):
         check_budget("derived terms")
         prev = terms[-1]
         members = sorted(prev.carrier.members)
@@ -589,7 +564,7 @@ def witnessed_derived_terms(pair: CompatiblePair, side: str, depth: int) -> list
         words = _bfs_words(H, letters, values)
         sub = subgroup_closure(H, words.keys())
         terms.append(WitnessedIdeal(pair, side, level, Ideal(alg, sub), words))
-    return terms
+    return terms[: max(depth, 0) + 1]
 
 
 def partner_element(pair: CompatiblePair, side: str, word: Word) -> tuple[int, int]:
@@ -602,17 +577,19 @@ def _agreement_witness(
 ) -> tuple[str, int] | None:
     """x (acted group) and y (actor group) must act identically on both
     groups: x via the reverse action / conjugation, y via conjugation / the
-    forward action."""
+    forward action.  The first disagreement, on the actor group's elements
+    before the acted group's, comes back as (where, index); for arrays x, y
+    of one shape, as (*position, where, index), the least position first."""
     act = pair.action(side)
     co = pair.companion(side)
     G, H = act.actor.group, act.acted.group
-    on_actor = co.phi[x] != G.conj_table[y]
-    if on_actor.any():
-        return "actor", int(np.flatnonzero(on_actor)[0])
-    on_acted = H.conj_table[x] != act.phi[y]
-    if on_acted.any():
-        return "acted", int(np.flatnonzero(on_acted)[0])
-    return None
+    at = first_true(
+        np.concatenate([co.phi[x] != G.conj_table[y], H.conj_table[x] != act.phi[y]], axis=-1)
+    )
+    if at is None:
+        return None
+    *pos, i = at
+    return (*pos, "actor", i) if i < G.order else (*pos, "acted", i - G.order)
 
 
 def action_partner(pair: CompatiblePair, word: Word, side: str = "g-on-h") -> tuple[int, int, Word]:
@@ -643,22 +620,22 @@ def check_partner_generators(pair: CompatiblePair) -> CheckReport:
     """Single-defect partners act identically on both groups (both sides)."""
     checked = 0
     for side in SIDES:
-        act = pair.action(side)
+        act, co = pair.action(side), pair.companion(side)
         G, H = act.actor.group, act.acted.group
         for g in range(G.order):
             check_budget("partner generators")
-            for h in range(H.order):
-                x, y = partner_element(pair, side, (("gen", g, h, 1),))
-                bad = _agreement_witness(pair, side, x, y)
-                checked += G.order + H.order
-                if bad:
-                    where, idx = bad
-                    raise IdentityViolation(
-                        "generator partner does not act identically",
-                        side=side,
-                        witness=[g, h, idx],
-                        on=where,
-                    )
+            # the one-letter words (("gen", g, h, 1),) and their partners, over h
+            x, y = act.mixed_defect_table[g], _partner_defect(co, g, np.arange(H.order))
+            bad = _agreement_witness(pair, side, x, y)
+            checked += H.order * (G.order + H.order)
+            if bad:
+                h, where, idx = bad
+                raise IdentityViolation(
+                    "generator partner does not act identically",
+                    side=side,
+                    witness=[g, h, idx],
+                    on=where,
+                )
     return CheckReport("partner-generators", True, checked)
 
 
@@ -856,19 +833,17 @@ def check_lemma_commutator_bracket(pair: CompatiblePair) -> CheckReport:
         G, H = act.actor.group, act.acted.group
         for g in range(G.order):
             check_budget("commutator bracket")
-            for h in range(H.order):
-                left = H.comm_table[act.brk(g, h)]  # [<g,h>, h'] over h'
-                mid = act.bracket[G.mul(g, co.act(h, G.inv(g)))]
-                right = act.acted.star[int(act.mixed_comm_table[g, h])]
-                checked += H.order
-                neq = (left != mid) | (mid != right)
-                if neq.any():
-                    hp = int(np.flatnonzero(neq)[0])
-                    raise IdentityViolation(
-                        "commutator/bracket/star chain breaks",
-                        side=side,
-                        witness=[g, h, hp],
-                    )
+            left = H.comm_table[act.bracket[g]]  # [<g,h>, h'] over (h, h')
+            mid = act.bracket[G.table[g, co.phi[:, G.inverses[g]]]]
+            right = act.acted.star[act.mixed_comm_table[g]]
+            checked += H.order * H.order
+            at = first_true((left != mid) | (mid != right))
+            if at is not None:
+                raise IdentityViolation(
+                    "commutator/bracket/star chain breaks",
+                    side=side,
+                    witness=[g, *at],
+                )
     return CheckReport("commutator-bracket-chain", True, checked)
 
 

@@ -21,7 +21,7 @@ import json
 import sys
 from typing import Any
 
-from .actions import bracket_ideal, check_action_laws, check_pair_conditions, mixed_lie_ideal
+from .actions import check_action_laws, check_pair_conditions
 from .coset import DEFAULT_MAX_COSETS
 from .docs import ParsedDocument, algebra_document, load_document
 from .errors import InputError, MathViolation, MlaError, ResourceError
@@ -32,7 +32,7 @@ from .tensor import (
     SEED_ORDERS,
     TensorAlgebra,
     build_tensor_algebra,
-    tensor_ideal,
+    canonical_tensor_ideal,
 )
 from .util import run_budget
 
@@ -255,9 +255,7 @@ def cmd_tensor(args: argparse.Namespace) -> int:
     pair = t.pair
     G, H = pair.G.group, pair.H.group
 
-    I = mixed_lie_ideal(pair, side="h-on-g").carrier
-    J = bracket_ideal(pair, side="g-on-h").subgroup
-    big = tensor_ideal(t, I, J)
+    I, J, big = canonical_tensor_ideal(t)
 
     ledger = run_suite(Instance.from_tensor(t, pd.name), "tensor")
     series_lines, series_payload = _series_block(f"{pd.name} tensor", t.algebra)

@@ -58,15 +58,19 @@ def make_presentation(generator_labels, relators) -> Presentation:
     if len(set(labels)) != len(labels):
         raise InputError("generator labels are not distinct")
     n = len(labels)
-    rows = relators.tolist() if isinstance(relators, np.ndarray) else relators
-    rels = [tuple(map(int, w)) for w in rows]
-    flat = np.fromiter(chain.from_iterable(rels), dtype=np.int64)
+    if isinstance(relators, np.ndarray) and relators.dtype.kind == "i":
+        # entries checked on the array; one tolist makes every row's tuple
+        flat, words = relators.ravel(), map(tuple, relators.tolist())
+    else:
+        words = [tuple(map(int, w)) for w in relators]
+        flat = np.fromiter(chain.from_iterable(words), dtype=np.int64)
+    rels = list(dict.fromkeys(words))
     bad = (flat == 0) | (np.abs(flat) > n)
     if bad.any():
         e = int(flat[bad.argmax()])
         rel = next(w for w in rels if e in w)  # the first bad entry's relator
         raise InputError(f"relator entry {e} references no generator", relator=list(rel))
-    return Presentation(labels, tuple(w for w in dict.fromkeys(rels) if w))
+    return Presentation(labels, tuple(w for w in rels if w))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,12 @@ pair, or a built tensor) and exposes the pieces each statement needs.
 Statements requiring a richer instance than the one supplied come back
 ``inapplicable`` under suite selection and raise SelectionMismatch when
 selected explicitly by id.
+
+Many statements reason about the same few ideals of a pair.  The pair
+builds each of them once, when a statement first asks for it, and the
+tensor does the same with its canonical ideal and quotient (thm-3.11,
+thm-3.13, rem-3.15.1 and rem-3.15.2), so a ledger pays for each
+construction once.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .mla import IDENTITY_NAMES, MultLieAlg, check_axioms, check_lie_identities
 from .tensor import (
     TENSOR_IDENTITY_NAMES,
     TensorAlgebra,
+    canonical_tensor_ideal,
     check_induced_action_formulas,
     check_tensor_identities,
     check_tensor_lie_commutator,
@@ -56,7 +63,6 @@ from .tensor import (
     quotient_nilpotency_bound,
     quotient_solvability_bound,
     self_pair_quotient_check,
-    tensor_ideal,
 )
 from .util import CheckReport, check_budget, run_budget
 
@@ -262,9 +268,7 @@ def _tensor_identity_runner(num: int):
 
 def _run_canonical_tensor_ideal(inst: Instance) -> CheckReport:
     t = inst.tensor
-    I = mixed_lie_ideal(t.pair, side="h-on-g").carrier
-    J = bracket_ideal(t.pair, side="g-on-h").subgroup
-    ideal = tensor_ideal(t, I, J)
+    I, J, ideal = canonical_tensor_ideal(t)
     m = len(ideal.members)
     return CheckReport(
         "tensor-ideal",

@@ -12,7 +12,7 @@ suites, and the quotient bounds live here as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -49,7 +49,7 @@ from .mla import (
     solvable_length,
     validate_ideal,
 )
-from .util import CheckReport, check_budget, first_true
+from .util import CheckReport, check_budget, first_true, memoized
 
 DEFAULT_MAX_ROUNDS = 8
 SEED_ORDERS = ("default", "alt")
@@ -78,6 +78,8 @@ class TensorAlgebra:
     extra_relators: tuple[tuple[int, ...], ...]
     act_g: np.ndarray | None = None  # (|G|, |K|) permutation rows
     act_h: np.ndarray | None = None
+    # the canonical ideal and quotient, built on first use
+    _canonical: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def group(self) -> FiniteGroup:
@@ -611,12 +613,27 @@ def _is_self_star_pair(pair: CompatiblePair) -> bool:
     return True
 
 
+def canonical_tensor_ideal(t: TensorAlgebra) -> tuple[Subgroup, Subgroup, Ideal]:
+    """I = the defect ideal of the right-on-left action, J = the bracket ideal
+    of the left-on-right action, and the ideal of the tensor their symbols
+    generate; built once per tensor."""
+
+    def build() -> tuple[Subgroup, Subgroup, Ideal]:
+        I = mixed_lie_ideal(t.pair, side="h-on-g").carrier
+        J = bracket_ideal(t.pair, side="g-on-h").subgroup
+        return I, J, tensor_ideal(t, I, J)
+
+    return memoized(t._canonical, "ideal", build)
+
+
 def _nilpotency_quotient(t: TensorAlgebra) -> tuple[MultLieAlg, Ideal]:
-    I = mixed_lie_ideal(t.pair, side="h-on-g").carrier
-    J = bracket_ideal(t.pair, side="g-on-h").subgroup
-    ideal = tensor_ideal(t, I, J)
-    Q, _ = quotient_algebra(t.algebra, ideal)
-    return Q, ideal
+    """The tensor modulo its canonical ideal, and that ideal; built once per tensor."""
+
+    def build() -> tuple[MultLieAlg, Ideal]:
+        ideal = canonical_tensor_ideal(t)[2]
+        return quotient_algebra(t.algebra, ideal)[0], ideal
+
+    return memoized(t._canonical, "quotient", build)
 
 
 def quotient_nilpotency_bound(t: TensorAlgebra) -> CheckReport:

@@ -8,7 +8,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Hashable, Iterator, TypeVar
 
 import numpy as np
 
@@ -53,6 +53,19 @@ def check_budget(stage: str) -> None:
     at = _deadline.get()
     if at is not None and time.monotonic() > at:
         raise BudgetExceeded(f"time budget exhausted during {stage}", stage=stage)
+
+
+T = TypeVar("T")
+
+
+def memoized(memo: dict, key: Hashable, build: Callable[[], T]) -> T:
+    """``memo[key]``, built by ``build()`` the first time it is asked for.
+
+    A build that raises stores nothing, so it raises again on the next call.
+    """
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 def first_true(mask: np.ndarray) -> tuple[int, ...] | None:

@@ -10,11 +10,15 @@ commutator subgroup {1, -1}.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mlacalc.actions import (
     SIDES,
+    CompatiblePair,
+    MlaAction,
     action_partner,
     bracket_ideal,
     check_action_laws,
@@ -42,6 +46,7 @@ from mlacalc.corpus import get_group
 from mlacalc.errors import (
     ActionViolation,
     CompatibilityViolation,
+    IdealityFailure,
     InputError,
     MathViolation,
     NotAutomorphism,
@@ -298,6 +303,55 @@ def test_witnessed_derived_terms_shrink(pairs):
         assert orders == [2, 1, 1]
         for term in terms:
             assert set(term.words) == set(term.carrier.members)
+
+
+def test_witness_words_are_read_only(pairs):
+    term = mixed_lie_ideal(pairs["q8-trivial"], "g-on-h")
+    with pytest.raises(TypeError):
+        term.words[0] = ()
+
+
+# --- one construction per pair ---------------------------------------------------------
+
+
+def test_pair_builds_each_ideal_once(pairs):
+    pair = pairs["q8-trivial"]
+    for side in SIDES:
+        for build in (mixed_lie_ideal, bracket_ideal, derived_action_ideal):
+            assert build(pair, side) is build(pair, side)
+        shallow = witnessed_derived_terms(pair, side, 1)
+        deep = witnessed_derived_terms(pair, side, 2)
+        assert shallow[0] is mixed_lie_ideal(pair, side)
+        assert all(a is b for a, b in zip(shallow, deep)) and len(deep) == 3
+        assert witnessed_derived_terms(pair, side, 2)[2] is deep[2]
+
+
+def test_new_pairs_derive_their_own_ideals(pairs):
+    pair = pairs["s3-improper-star"]
+    for other in (pair.swapped(), replace(pair)):
+        for side in SIDES:
+            assert mixed_lie_ideal(other, side) is not mixed_lie_ideal(pair, side)
+            assert mixed_lie_ideal(other, side).pair is other
+            assert bracket_ideal(other, side) is not bracket_ideal(pair, side)
+
+
+def test_failing_ideal_construction_raises_every_time():
+    # a hand-built S3 pair whose only bracket value is a reflection, which
+    # generates a subgroup that is not normal
+    G = get_group("S3")
+    M = make_trivial_star(G)
+    s = G.labels.index("s")
+    bracket = np.full((6, 6), G.identity)
+    bracket[s, s] = s
+    act = MlaAction(M, M, G.conj_table, bracket)
+    pair = CompatiblePair(act, act, ())
+    for _ in range(3):
+        with pytest.raises(IdealityFailure, match="not normal"):
+            bracket_ideal(pair)
+    # the pair's other ideals are built and kept as usual
+    assert derived_action_ideal(pair) is derived_action_ideal(pair)
+    with pytest.raises(IdealityFailure):
+        bracket_ideal(pair)
 
 
 # --- star-to-bracket rewriting ---------------------------------------------------------

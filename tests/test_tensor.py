@@ -9,6 +9,7 @@ enumeration itself and then pinned.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import gcd, prod
 
 import numpy as np
@@ -39,8 +40,10 @@ from mlacalc.mla import (
 )
 from mlacalc.tensor import (
     RELATOR_BATCH,
+    _nilpotency_quotient,
     _offending_values,
     build_tensor_algebra,
+    canonical_tensor_ideal,
     build_tensor_presentation,
     check_defining_relations,
     check_induced_action_formulas,
@@ -272,6 +275,18 @@ def test_quotient_bounds_on_references(tensors):
         assert rep.passed and "class" in rep.detail
         rep = quotient_solvability_bound(t)
         assert rep.passed and "length" in rep.detail
+
+
+def test_tensor_builds_its_canonical_quotient_once(tensors):
+    t = tensors["q8-trivial"]
+    Q, ideal = _nilpotency_quotient(t)
+    assert _nilpotency_quotient(t)[0] is Q and canonical_tensor_ideal(t)[2] is ideal
+    assert quotient_nilpotency_bound(t).passed and self_pair_quotient_check(t).passed
+    assert _nilpotency_quotient(t)[0] is Q
+    # a copy is a new tensor with its own, equal, quotient
+    Q2, ideal2 = _nilpotency_quotient(replace(t))
+    assert Q2 is not Q and ideal2.members == ideal.members
+    assert (Q2.star == Q.star).all()
 
 
 def test_self_pair_checks_applicability(tensors):
