@@ -1,10 +1,13 @@
 """Mutual actions between two multiplicative Lie algebras.
 
 An action of G on H is a table phi (star-preserving automorphisms of H,
-multiplicative in g) plus a bracket table <g,h> into H.  Two of the four
-bracket laws and several pair laws mention the reverse action, so a lone
-action defers those until a companion is available; check_compatibility
-re-checks everything with both actions in hand.
+multiplicative in g) plus a bracket table <g,h> into H.  validate_action
+proves phi and bracket law 2; the other three bracket laws and the pair
+laws mention the reverse action, so check_compatibility proves them with
+both actions in hand.  Each records what it proved on the action or pair,
+as make_algebra does on an algebra, and the statements that restate those
+laws (check_action_laws, check_pair_conditions) rescan only an unproven
+pair, such as a hand-built or dataclasses.replace'd one.
 
 The mixed defect ^L[g,h] = <g,h>^-1 (^g h · h^-1) generates an ideal of H
 whose elements carry witness words; the partner machinery maps those words
@@ -34,8 +37,18 @@ from .errors import (
     NotInTerm,
     WitnessRequired,
 )
-from .groups import FiniteGroup, Subgroup, spanning_tree, subgroup_closure
-from .mla import Ideal, MultLieAlg, nilpotency_class, solvable_length, sub_algebra, validate_ideal
+from .groups import FiniteGroup, Subgroup, _freeze, spanning_tree, subgroup_closure
+from .mla import (
+    Ideal,
+    MultLieAlg,
+    _record_verified,
+    compose_failure,
+    nilpotency_class,
+    solvable_length,
+    star_iso_failure,
+    sub_algebra,
+    validate_ideal,
+)
 from .util import CheckReport, check_budget, first_true, memoized
 
 SIDES = ("g-on-h", "h-on-g")
@@ -62,7 +75,8 @@ class MlaAction:
     acted: MultLieAlg
     phi: np.ndarray  # (|actor|, |acted|), phi[g] a permutation of acted
     bracket: np.ndarray  # (|actor|, |acted|) -> acted element
-    deferred: tuple[int, ...] = ()  # bracket conditions awaiting a companion
+    # phi and bracket law 2 are proven; set only by validate_action, never by a caller
+    _verified: bool = field(default=False, init=False, repr=False)
 
     def act(self, g: int, h: int) -> int:
         return int(self.phi[g, h])
@@ -74,17 +88,13 @@ class MlaAction:
     def mixed_comm_table(self) -> np.ndarray:
         # [g, h] = ^g h · h^-1, an element of the acted group
         H = self.acted.group
-        arr = H.table[self.phi, H.inverses[None, :]]
-        arr.flags.writeable = False
-        return arr
+        return _freeze(H.table[self.phi, H.inverses[None, :]])
 
     @cached_property
     def mixed_defect_table(self) -> np.ndarray:
         # ^L[g, h] = <g,h>^-1 · (^g h · h^-1)
         H = self.acted.group
-        arr = H.table[H.inverses[self.bracket], self.mixed_comm_table]
-        arr.flags.writeable = False
-        return arr
+        return _freeze(H.table[H.inverses[self.bracket], self.mixed_comm_table])
 
 
 def conjugation_self_action(M: MultLieAlg, bracket) -> MlaAction:
@@ -98,18 +108,18 @@ def trivial_action(actor: MultLieAlg, acted: MultLieAlg) -> MlaAction:
     return validate_action(actor, acted, phi, bracket)
 
 
-def validate_action(
-    actor: MultLieAlg,
-    acted: MultLieAlg,
-    phi,
-    bracket,
-    companion: MlaAction | None = None,
-) -> MlaAction:
-    """Check the action laws; defer companion-dependent ones if alone.
+_NOT_AUTOMORPHISM = {
+    "not-bijective": "is not a permutation",
+    "product": "does not preserve the product",
+    "star": "does not preserve the star",
+}
 
-    With no companion, only the bracket law whose symbols stay on one side
-    (condition 2) is checkable; conditions 1, 3, 4 are recorded as deferred.
-    """
+
+def validate_action(actor: MultLieAlg, acted: MultLieAlg, phi, bracket) -> MlaAction:
+    """Check that phi acts by star-preserving automorphisms, multiplicatively
+    in the actor, and bracket law 2, the one law whose symbols stay on one
+    side; laws 1, 3 and 4 need the reverse action (check_compatibility).
+    A clean check records the action as verified."""
     G, H = actor.group, acted.group
     phi = np.asarray(phi, dtype=np.int64)
     bracket = np.asarray(bracket, dtype=np.int64)
@@ -120,70 +130,48 @@ def validate_action(
         raise InputError(f"bracket table shape {bracket.shape} does not match {shape}")
     if ((phi < 0) | (phi >= H.order)).any() or ((bracket < 0) | (bracket >= H.order)).any():
         raise InputError("action table entry out of range")
-    phi = phi.copy()
-    bracket = bracket.copy()
-    phi.flags.writeable = False
-    bracket.flags.writeable = False
+    phi, bracket = _freeze(phi.copy()), _freeze(bracket.copy())
 
-    idx = np.arange(H.order)
     for g in range(G.order):
         check_budget("action validation")
-        p = phi[g]
-        if not (np.sort(p) == idx).all():
+        bad = star_iso_failure(acted, acted, phi[g])
+        if bad is not None:
+            reason, at = bad
             raise NotAutomorphism(
-                f"phi[{G.labels[g]}] is not a permutation", g=g, reason="not-bijective"
-            )
-        if (p[H.table] != H.table[p[:, None], p[None, :]]).any():
-            a, b = (int(v) for v in np.argwhere(p[H.table] != H.table[p[:, None], p[None, :]])[0])
-            raise NotAutomorphism(
-                f"phi[{G.labels[g]}] does not preserve the product",
+                f"phi[{G.labels[g]}] {_NOT_AUTOMORPHISM[reason]}",
                 g=g,
-                reason="product",
-                witness=[a, b],
+                reason=reason,
+                **({} if at is None else {"witness": list(at)}),
             )
-        if (p[acted.star] != acted.star[p[:, None], p[None, :]]).any():
-            a, b = (
-                int(v)
-                for v in np.argwhere(p[acted.star] != acted.star[p[:, None], p[None, :]])[0]
-            )
-            raise NotAutomorphism(
-                f"phi[{G.labels[g]}] does not preserve the star",
-                g=g,
-                reason="star",
-                witness=[a, b],
-            )
-
-    for g in range(G.order):
-        lhs = phi[G.table[g]]  # phi(g·g')
-        rhs = phi[g][phi]  # phi(g) after phi(g')
-        if (lhs != rhs).any():
-            gp, y = (int(v) for v in np.argwhere(lhs != rhs)[0])
-            raise ActionViolation(
-                "phi is not multiplicative in the actor",
-                condition="phi-homomorphism",
-                witness=[g, gp, y],
-            )
+    bad = compose_failure(G, phi, "action validation")
+    if bad is not None:
+        raise ActionViolation(
+            "phi is not multiplicative in the actor",
+            condition="phi-homomorphism",
+            witness=list(bad),
+        )
 
     action = MlaAction(actor, acted, phi, bracket)
-    hit = _bracket_condition_witness(action, None, which=(2,))
+    _require_bracket_laws(action, None, (2,))
+    return _record_verified(action)
+
+
+def _require_bracket_laws(
+    act: MlaAction, co: MlaAction | None, which: Iterable[int], side: str | None = None
+) -> None:
+    """Raise ActionViolation on the least witness of the given bracket laws;
+    the message and payload name the side when one is given."""
+    hit = _bracket_condition_witness(act, co, which)
     if hit:
         cond, witness = hit
+        on = {} if side is None else {"side": side}
         raise ActionViolation(
-            f"bracket law {cond} ({BRACKET_CONDITION_NAMES[cond]}) fails",
+            f"bracket law {cond} ({BRACKET_CONDITION_NAMES[cond]}) fails"
+            + ("" if side is None else f" on {side}"),
             condition=cond,
+            **on,
             witness=witness,
         )
-    if companion is None:
-        return MlaAction(actor, acted, phi, bracket, deferred=(1, 3, 4))
-    hit = _bracket_condition_witness(action, companion, which=(1, 3, 4))
-    if hit:
-        cond, witness = hit
-        raise ActionViolation(
-            f"bracket law {cond} ({BRACKET_CONDITION_NAMES[cond]}) fails",
-            condition=cond,
-            witness=witness,
-        )
-    return action
 
 
 def _bracket_condition_witness(
@@ -202,35 +190,35 @@ def _bracket_condition_witness(
         if 2 in wanted:
             lhs = B[G.table[x]]  # <x·x', y> at [x', y]
             rhs = H.table[B[np.ix_(G.conj_table[x], P[x])], B[x][None, :]]
-            if (lhs != rhs).any():
-                xp, y = (int(v) for v in np.argwhere(lhs != rhs)[0])
-                return 2, [x, xp, y]
+            at = first_true(lhs != rhs)
+            if at is not None:
+                return 2, [x, *at]
         if 1 in wanted:
             assert co is not None
             lhs = B[x][H.table]  # <x, y·y'> at [y, y']
             t = B[co.phi[:, x][:, None], H.conj_table]  # <^y x, ^y y'>
             rhs = H.table[B[x][:, None], t]
-            if (lhs != rhs).any():
-                y, yp = (int(v) for v in np.argwhere(lhs != rhs)[0])
-                return 1, [x, y, yp]
+            at = first_true(lhs != rhs)
+            if at is not None:
+                return 1, [x, *at]
         if 3 in wanted:
             assert co is not None
             t1 = B[Gs[x][:, None], P]  # <x*x', ^{x'}y> at [x', y]
             t2 = B[co.phi[:, x][None, :], B]  # <^y x, <x', y>>
             t3 = B[G.conj_table[x][:, None], H.inverses[B[x]][None, :]]
             prod = H.table[H.table[t1, H.inverses[t2]], H.inverses[t3]]
-            if (prod != H.identity).any():
-                xp, y = (int(v) for v in np.argwhere(prod != H.identity)[0])
-                return 3, [x, xp, y]
+            at = first_true(prod != H.identity)
+            if at is not None:
+                return 3, [x, *at]
         if 4 in wanted:
             assert co is not None
             u1 = B[co.phi[:, x][None, :], Hs]  # <^{y'}x, y*y'> at [y, y']
             u2 = B[G.inverses[co.bracket[:, x]][:, None], H.conj_table]
             u3 = B[co.bracket[:, x][None, :], P[x][:, None]]
             prod = H.table[H.table[u1, H.inverses[u2]], H.inverses[u3]]
-            if (prod != H.identity).any():
-                y, yp = (int(v) for v in np.argwhere(prod != H.identity)[0])
-                return 4, [x, y, yp]
+            at = first_true(prod != H.identity)
+            if at is not None:
+                return 4, [x, *at]
     return None
 
 
@@ -238,7 +226,8 @@ def _bracket_condition_witness(
 class CompatiblePair:
     g_on_h: MlaAction
     h_on_g: MlaAction
-    flags: tuple[str, ...]  # names of the pair conditions that were verified
+    # both actions and all pair laws are proven; set only by check_compatibility
+    _verified: bool = field(default=False, init=False, repr=False)
     # ideals derived from this pair, built on first use (see memoized)
     _ideals: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -265,56 +254,46 @@ class CompatiblePair:
 
 
 def check_compatibility(g_on_h: MlaAction, h_on_g: MlaAction) -> CompatiblePair:
-    """Verify the five pair conditions plus any deferred action laws."""
+    """Verify bracket laws 1-4 on both actions (law 2 only where
+    validate_action has not proven it) and the five pair conditions.  The
+    pair is recorded as verified when both of its actions are."""
     if g_on_h.actor is not h_on_g.acted or g_on_h.acted is not h_on_g.actor:
         raise InputError("actions are not over the same pair of algebras")
-    flags: list[str] = []
-
     for side, act, co in (("g-on-h", g_on_h, h_on_g), ("h-on-g", h_on_g, g_on_h)):
-        hit = _bracket_condition_witness(act, co, which=(1, 2, 3, 4))
-        if hit:
-            cond, witness = hit
-            raise ActionViolation(
-                f"bracket law {cond} ({BRACKET_CONDITION_NAMES[cond]}) fails on {side}",
-                condition=cond,
-                side=side,
-                witness=witness,
-            )
-        flags.append(f"action-laws:{side}")
-
-    for cond in (1, 2, 3, 4, 5):
-        hit = _pair_condition_witness(g_on_h, h_on_g, cond)
-        if hit:
-            side, witness = hit
-            raise CompatibilityViolation(
-                f"pair condition {cond} ({PAIR_CONDITION_NAMES[cond]}) fails on the {side} display",
-                condition=cond,
-                side=side,
-                witness=witness,
-            )
-        flags.append(f"pair-condition:{cond}")
-
-    return CompatiblePair(g_on_h, h_on_g, tuple(flags))
+        _require_bracket_laws(act, co, (1, 3, 4) if act._verified else (1, 2, 3, 4), side)
+    _require_pair_conditions(g_on_h, h_on_g)
+    pair = CompatiblePair(g_on_h, h_on_g)
+    return _record_verified(pair) if g_on_h._verified and h_on_g._verified else pair
 
 
 def check_action_laws(pair: CompatiblePair) -> CheckReport:
-    """Re-verify both actions from their raw tables: phi structure plus all
-    four bracket laws, with nothing deferred."""
+    """Both actions: phi structure plus all four bracket laws.  A verified
+    pair carries the proof; any other pair is checked from its raw tables,
+    each action by validate_action and then against its companion."""
     tuples = 0
     for side in SIDES:
         act, co = pair.action(side), pair.companion(side)
-        validate_action(act.actor, act.acted, act.phi, act.bracket, companion=co)
+        if not pair._verified:
+            validate_action(act.actor, act.acted, act.phi, act.bracket)
+            _require_bracket_laws(act, co, (1, 3, 4))
         na, nb = act.actor.group.order, act.acted.group.order
         tuples += na * nb + 3 * na * nb * nb + 3 * na * na * nb
     return CheckReport("action-laws", True, tuples)
 
 
 def check_pair_conditions(pair: CompatiblePair) -> CheckReport:
-    """Re-verify the five mutual-compatibility laws on both displays."""
+    """The five mutual-compatibility laws on both displays; a verified pair
+    carries the proof."""
+    if not pair._verified:
+        _require_pair_conditions(pair.g_on_h, pair.h_on_g)
     ng, nh = pair.G.group.order, pair.H.group.order
-    tuples = 0
+    return CheckReport("pair-conditions", True, 5 * (ng * ng * nh + ng * nh * nh))
+
+
+def _require_pair_conditions(gh: MlaAction, hg: MlaAction) -> None:
+    """Raise CompatibilityViolation on the first failing pair condition."""
     for cond in (1, 2, 3, 4, 5):
-        hit = _pair_condition_witness(pair.g_on_h, pair.h_on_g, cond)
+        hit = _pair_condition_witness(gh, hg, cond)
         if hit:
             side, witness = hit
             raise CompatibilityViolation(
@@ -323,8 +302,6 @@ def check_pair_conditions(pair: CompatiblePair) -> CheckReport:
                 side=side,
                 witness=witness,
             )
-        tuples += ng * ng * nh + ng * nh * nh
-    return CheckReport("pair-conditions", True, tuples)
 
 
 def _pair_condition_witness(
@@ -572,24 +549,29 @@ def partner_element(pair: CompatiblePair, side: str, word: Word) -> tuple[int, i
     return _eval_word(pair, side, word, False), _eval_word(pair, side, word, True)
 
 
-def _agreement_witness(
-    pair: CompatiblePair, side: str, x: int, y: int
-) -> tuple[str, int] | None:
+def _require_agreement(
+    pair: CompatiblePair, side: str, x, y, message: str, prefix: list[int]
+) -> None:
     """x (acted group) and y (actor group) must act identically on both
     groups: x via the reverse action / conjugation, y via conjugation / the
     forward action.  The first disagreement, on the actor group's elements
-    before the acted group's, comes back as (where, index); for arrays x, y
-    of one shape, as (*position, where, index), the least position first."""
+    before the acted group's, raises IdentityViolation(message) with witness
+    [*prefix, index]; for arrays x, y of one shape, [*prefix, *position,
+    index] at the least position."""
     act = pair.action(side)
     co = pair.companion(side)
     G, H = act.actor.group, act.acted.group
     at = first_true(
         np.concatenate([co.phi[x] != G.conj_table[y], H.conj_table[x] != act.phi[y]], axis=-1)
     )
-    if at is None:
-        return None
-    *pos, i = at
-    return (*pos, "actor", i) if i < G.order else (*pos, "acted", i - G.order)
+    if at is not None:
+        *pos, i = at
+        raise IdentityViolation(
+            message,
+            side=side,
+            witness=[*prefix, *pos, i if i < G.order else i - G.order],
+            on="actor" if i < G.order else "acted",
+        )
 
 
 def action_partner(pair: CompatiblePair, word: Word, side: str = "g-on-h") -> tuple[int, int, Word]:
@@ -604,15 +586,7 @@ def action_partner(pair: CompatiblePair, word: Word, side: str = "g-on-h") -> tu
             element=y,
             side=mirror_side,
         )
-    bad = _agreement_witness(pair, side, x, y)
-    if bad:
-        where, idx = bad
-        raise IdentityViolation(
-            "partner does not act identically",
-            side=side,
-            witness=[x, y, idx],
-            on=where,
-        )
+    _require_agreement(pair, side, x, y, "partner does not act identically", [x, y])
     return x, y, mirror.words[y]
 
 
@@ -626,16 +600,8 @@ def check_partner_generators(pair: CompatiblePair) -> CheckReport:
             check_budget("partner generators")
             # the one-letter words (("gen", g, h, 1),) and their partners, over h
             x, y = act.mixed_defect_table[g], _partner_defect(co, g, np.arange(H.order))
-            bad = _agreement_witness(pair, side, x, y)
+            _require_agreement(pair, side, x, y, "generator partner does not act identically", [g])
             checked += H.order * (G.order + H.order)
-            if bad:
-                h, where, idx = bad
-                raise IdentityViolation(
-                    "generator partner does not act identically",
-                    side=side,
-                    witness=[g, h, idx],
-                    on=where,
-                )
     return CheckReport("partner-generators", True, checked)
 
 
@@ -654,16 +620,8 @@ def check_partner_words(pair: CompatiblePair) -> CheckReport:
                     side=side,
                     witness=[x, xe],
                 )
-            bad = _agreement_witness(pair, side, x, y)
+            _require_agreement(pair, side, x, y, "word partner does not act identically", [x, y])
             checked += pair.G.order + pair.H.order
-            if bad:
-                where, idx = bad
-                raise IdentityViolation(
-                    "word partner does not act identically",
-                    side=side,
-                    witness=[x, y, idx],
-                    on=where,
-                )
     return CheckReport("partner-words", True, checked)
 
 
@@ -677,29 +635,22 @@ def check_partner_closure_ops(pair: CompatiblePair) -> CheckReport:
         pairs = [partner_element(pair, side, term.words[x]) for x in sorted(term.carrier.members)]
         for x, y in pairs:
             check_budget("partner closure")
-            bad = _agreement_witness(pair, side, H.inv(x), G.inv(y))
+            _require_agreement(
+                pair, side, H.inv(x), G.inv(y), "inverse pair does not act identically", [x, y]
+            )
             checked += G.order + H.order
-            if bad:
-                where, idx = bad
-                raise IdentityViolation(
-                    "inverse pair does not act identically",
-                    side=side,
-                    witness=[x, y, idx],
-                    on=where,
-                )
         for x1, y1 in pairs:
             for x2, y2 in pairs:
                 check_budget("partner closure")
-                bad = _agreement_witness(pair, side, H.commutator(x1, x2), G.commutator(y1, y2))
+                _require_agreement(
+                    pair,
+                    side,
+                    H.commutator(x1, x2),
+                    G.commutator(y1, y2),
+                    "commutator pair does not act identically",
+                    [x1, x2, y1, y2],
+                )
                 checked += G.order + H.order
-                if bad:
-                    where, idx = bad
-                    raise IdentityViolation(
-                        "commutator pair does not act identically",
-                        side=side,
-                        witness=[x1, x2, y1, y2, idx],
-                        on=where,
-                    )
     return CheckReport("partner-closure-ops", True, checked)
 
 
@@ -774,53 +725,34 @@ def check_lie_conjugation_transfer(pair: CompatiblePair) -> CheckReport:
             for x2 in members:
                 dx = act.acted.lie_defect(x1, x2)
                 dy = act.actor.lie_defect(partners[x1], partners[x2])
-                bad = _agreement_witness(pair, side, dx, dy)
+                _require_agreement(
+                    pair, side, dx, dy, "defect pair does not act identically", [x1, x2]
+                )
                 checked += pair.G.order + pair.H.order
-                if bad:
-                    where, idx = bad
-                    raise IdentityViolation(
-                        "defect pair does not act identically",
-                        side=side,
-                        witness=[x1, x2, idx],
-                        on=where,
-                    )
     return CheckReport("lie-conjugation-transfer", True, checked)
 
 
 def check_bracket_conjugation(pair: CompatiblePair) -> CheckReport:
     """Conjugating one bracket value by another equals bracketing the
     mixed-commutator conjugates, on both sides."""
-    gh, hg = pair.g_on_h, pair.h_on_g
-    G, H = pair.G.group, pair.H.group
     checked = 0
-    for x in range(G.order):
-        check_budget("bracket conjugation")
-        for y in range(H.order):
-            c = int(gh.mixed_comm_table[x, y])  # ^x y · y^-1 in H
-            lhs = H.conj_table[gh.brk(x, y)][gh.bracket]  # over (g, h)
-            rhs = gh.bracket[np.ix_(hg.phi[c], H.conj_table[c])]
-            checked += lhs.size
-            if (lhs != rhs).any():
-                g, h = (int(v) for v in np.argwhere(lhs != rhs)[0])
-                raise IdentityViolation(
-                    "bracket conjugation fails on the H display",
-                    side="g-on-h",
-                    witness=[x, y, g, h],
-                )
-    for y in range(H.order):
-        check_budget("bracket conjugation")
+    for side, display in zip(SIDES, "HG"):  # each side's display is its acted group
+        act, co = pair.action(side), pair.companion(side)
+        G, H = act.actor.group, act.acted.group
         for x in range(G.order):
-            d = int(hg.mixed_comm_table[y, x])  # ^y x · x^-1 in G
-            lhs = G.conj_table[hg.brk(y, x)][hg.bracket]  # over (h, g)
-            rhs = hg.bracket[np.ix_(gh.phi[d], G.conj_table[d])]
-            checked += lhs.size
-            if (lhs != rhs).any():
-                h, g = (int(v) for v in np.argwhere(lhs != rhs)[0])
-                raise IdentityViolation(
-                    "bracket conjugation fails on the G display",
-                    side="h-on-g",
-                    witness=[y, x, h, g],
-                )
+            check_budget("bracket conjugation")
+            for y in range(H.order):
+                c = int(act.mixed_comm_table[x, y])  # ^x y · y^-1 in the acted group
+                lhs = H.conj_table[act.brk(x, y)][act.bracket]  # over (actor, acted)
+                rhs = act.bracket[np.ix_(co.phi[c], H.conj_table[c])]
+                checked += lhs.size
+                at = first_true(lhs != rhs)
+                if at is not None:
+                    raise IdentityViolation(
+                        f"bracket conjugation fails on the {display} display",
+                        side=side,
+                        witness=[x, y, *at],
+                    )
     return CheckReport("bracket-conjugation", True, checked)
 
 
@@ -857,14 +789,13 @@ def check_defect_centralizes_bracket_ideal(pair: CompatiblePair) -> CheckReport:
         brk = np.fromiter(sorted(bracket_ideal(pair, side).subgroup.members), dtype=np.int64)
         for a in defects:
             check_budget("defect centralizer")
-            bad = H.comm_table[a, brk] != H.identity
+            at = first_true(H.comm_table[a, brk] != H.identity)
             checked += brk.size
-            if bad.any():
-                b = int(brk[np.flatnonzero(bad)[0]])
+            if at is not None:
                 raise IdentityViolation(
                     "defect element fails to commute with a bracket element",
                     side=side,
-                    witness=[a, b],
+                    witness=[a, int(brk[at[0]])],
                 )
     return CheckReport("defect-centralizes-bracket-ideal", True, checked)
 
@@ -882,14 +813,13 @@ def check_defect_fixes_opposite_bracket_ideal(pair: CompatiblePair) -> CheckRepo
         )
         for a in defects:
             check_budget("defect fixes opposite")
-            bad = co.phi[a, opp] != opp
+            at = first_true(co.phi[a, opp] != opp)
             checked += opp.size
-            if bad.any():
-                b = int(opp[np.flatnonzero(bad)[0]])
+            if at is not None:
                 raise IdentityViolation(
                     "defect element moves an opposite bracket element",
                     side=side,
-                    witness=[a, b],
+                    witness=[a, int(opp[at[0]])],
                 )
     return CheckReport("defect-fixes-opposite-bracket-ideal", True, checked)
 

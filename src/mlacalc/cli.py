@@ -4,7 +4,7 @@ Five subcommands over JSON instance documents (see docs.py for the format):
 
   validate      structural and axiom checks for whatever the file declares
   series        derived and lower-central series of each declared algebra
-  action-check  re-verify the action laws and pair conditions of a pair
+  action-check  the action laws and pair conditions of a pair, proven as it loads
   tensor        build the tensor of a pair and report on it
   verify        run the statement catalogue and print the verdict ledger
 
@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("validate", "check the document's tables against the axioms")
     add("series", "derived and lower-central series of each declared algebra")
-    add("action-check", "re-verify action laws and pair conditions")
+    add("action-check", "check action laws and pair conditions")
     add("tensor", "build the tensor of a compatible pair and report", caps=True)
 
     verify = add("verify", "run the statement catalogue", caps=True)

@@ -168,9 +168,9 @@ def validate_cayley(labels: Sequence[str], table) -> FiniteGroup:
             f"table shape {arr.shape} does not match {n} labels", shape=list(arr.shape)
         )
 
-    bad = (arr < 0) | (arr >= n)
-    if bad.any():
-        i, j = (int(v) for v in np.argwhere(bad)[0])
+    at = first_true((arr < 0) | (arr >= n))
+    if at is not None:
+        i, j = at
         raise NotClosed(
             f"entry at ({labels[i]},{labels[j]}) is outside the element range",
             witness=[i, j],
@@ -275,11 +275,9 @@ def make_group_map(source: FiniteGroup, target: FiniteGroup, image) -> GroupMap:
         raise InputError("image vector has wrong length")
     if ((img < 0) | (img >= target.order)).any():
         raise InputError("image vector out of range")
-    lhs = img[source.table]
-    rhs = target.table[img[:, None], img[None, :]]
-    if (lhs != rhs).any():
-        s, t = (int(v) for v in np.argwhere(lhs != rhs)[0])
-        raise InputError("map is not a homomorphism", witness=[s, t])
+    at = first_true(img[source.table] != target.table[img[:, None], img[None, :]])
+    if at is not None:
+        raise InputError("map is not a homomorphism", witness=list(at))
     return GroupMap(source, target, _freeze(img.copy()))
 
 
@@ -288,9 +286,9 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupMap]:
     if N.parent is not G:
         raise InputError("subgroup does not belong to this group")
     mem = np.fromiter(N.sorted_members, dtype=np.int64)
-    outside = ~np.isin(G.conj_table[:, mem], mem)
-    if outside.any():
-        z, k = (int(v) for v in np.argwhere(outside)[0])
+    at = first_true(~np.isin(G.conj_table[:, mem], mem))
+    if at is not None:
+        z, k = at
         raise NotNormal(
             f"conjugating {G.labels[int(mem[k])]} by {G.labels[z]} leaves the subgroup",
             witness=[z, int(mem[k])],

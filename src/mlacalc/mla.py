@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -57,6 +57,8 @@ from .errors import (
 )
 from .groups import FiniteGroup, GroupMap, Subgroup, _closure, _freeze, quotient, validate_cayley
 from .util import check_budget, first_true
+
+V = TypeVar("V")
 
 AXIOM_NAMES = {
     1: "alternating (x*x = 1)",
@@ -238,9 +240,10 @@ def check_axioms(M: MultLieAlg) -> None:
     raise AssertionError(f"axiom {num} failed on a reduced tuple the full scan missed")
 
 
-def _record_verified(M: MultLieAlg) -> MultLieAlg:
-    object.__setattr__(M, "_verified", True)
-    return M
+def _record_verified(obj: V) -> V:
+    """Set the proof flag of an algebra, an action or a compatible pair."""
+    object.__setattr__(obj, "_verified", True)
+    return obj
 
 
 def make_algebra(G: FiniteGroup, star) -> MultLieAlg:
@@ -248,6 +251,33 @@ def make_algebra(G: FiniteGroup, star) -> MultLieAlg:
     M = MultLieAlg(G, make_star_table(G, star))
     check_axioms(M)
     return _record_verified(M)
+
+
+def star_iso_failure(
+    M: MultLieAlg, N: MultLieAlg, row: np.ndarray
+) -> tuple[str, tuple[int, ...] | None] | None:
+    """Why ``row`` (x -> row[x]) is not a bijection of M onto N preserving
+    the product and the star: None if it is, ("not-bijective", None), or
+    ("product" | "star", least (a, b) where row(a·b) != row(a)·row(b),
+    respectively row(a*b) != row(a)*row(b))."""
+    if (np.sort(row) != np.arange(N.order)).any():
+        return "not-bijective", None
+    for reason, A, B in (("product", M.group.table, N.group.table), ("star", M.star, N.star)):
+        at = first_true(row[A] != B[row[:, None], row[None, :]])
+        if at is not None:
+            return reason, at
+    return None
+
+
+def compose_failure(G: FiniteGroup, rows: np.ndarray, stage: str) -> tuple[int, ...] | None:
+    """Least (a, b, x) with rows[a·b][x] != rows[a][rows[b][x]], scanned one
+    slab per a; None when the rows compose as an action of G."""
+    for a in range(G.order):
+        check_budget(stage)
+        at = first_true(rows[G.table[a]] != rows[a][rows])
+        if at is not None:
+            return (a, *at)
+    return None
 
 
 IDENTITY_NAMES = {

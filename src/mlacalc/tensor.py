@@ -41,12 +41,14 @@ from .mla import (
     _record_verified,
     axiom_sides,
     broken_axioms,
+    compose_failure,
     lie_commutator_ideal,
     make_star_table,
     make_trivial_star,
     nilpotency_class,
     quotient_algebra,
     solvable_length,
+    star_iso_failure,
     validate_ideal,
 )
 from .util import CheckReport, check_budget, first_true, memoized
@@ -305,13 +307,19 @@ def _extend_hom(
     return row
 
 
+_ILL_DEFINED = {
+    "not-bijective": "is not a bijection",
+    "product": "breaks multiplication",
+    "star": "breaks the star",
+}
+
+
 def induce_actions(t: TensorAlgebra) -> TensorAlgebra:
     """Install the factor actions ^g(x⊗y) = (^g x ⊗ ^g y), ^h(x⊗y) = (^h x ⊗ ^h y)."""
     pair = t.pair
     act, co = pair.g_on_h, pair.h_on_g
     G, H = pair.G.group, pair.H.group
     K = t.group
-    S = t.algebra.star
     parent, letter, order = _normal_forms(K, t.result.gen_image, t.seed_order)
     tmap = t.tensor_map
 
@@ -319,28 +327,16 @@ def induce_actions(t: TensorAlgebra) -> TensorAlgebra:
         rows = np.empty((m, K.order), dtype=np.int64)
         for a in range(m):
             check_budget("induced actions")
-            row = _extend_hom(K, targets_of(a), parent, letter, order)
-            if (np.sort(row) != np.arange(K.order)).any():
-                raise InducedActionIllDefined(
-                    f"induced map of {side} element {a} is not a bijection", side=side, element=a
-                )
-            bad = first_true(row[K.table] != K.table[row[:, None], row[None, :]])
+            rows[a] = _extend_hom(K, targets_of(a), parent, letter, order)
+            bad = star_iso_failure(t.algebra, t.algebra, rows[a])
             if bad is not None:
+                reason, at = bad
                 raise InducedActionIllDefined(
-                    f"induced map of {side} element {a} breaks multiplication",
+                    f"induced map of {side} element {a} {_ILL_DEFINED[reason]}",
                     side=side,
                     element=a,
-                    witness=bad,
+                    **({} if at is None else {"witness": at}),
                 )
-            bad = first_true(row[S] != S[row[:, None], row[None, :]])
-            if bad is not None:
-                raise InducedActionIllDefined(
-                    f"induced map of {side} element {a} breaks the star",
-                    side=side,
-                    element=a,
-                    witness=bad,
-                )
-            rows[a] = row
         return rows
 
     act_g = build("left-factor", G.order, lambda g: tmap[G.conj_table[g]][
@@ -352,14 +348,12 @@ def induce_actions(t: TensorAlgebra) -> TensorAlgebra:
 
     for side, group, rows in (("left-factor", G, act_g), ("right-factor", H, act_h)):
         # the maps must compose as a group action: rows[a·b] == rows[a] ∘ rows[b]
-        lhs = rows[group.table]
-        rhs = rows[:, rows]
-        bad = first_true((lhs != rhs).any(axis=2))
+        bad = compose_failure(group, rows, "induced actions")
         if bad is not None:
             raise InducedActionIllDefined(
                 f"{side} images do not compose as a group action",
                 side=side,
-                witness=bad,
+                witness=bad[:2],
             )
 
     return replace(t, act_g=act_g, act_h=act_h)
@@ -602,17 +596,6 @@ def tensor_ideal(t: TensorAlgebra, I: Subgroup, J: Subgroup) -> Ideal:
     return validate_ideal(t.algebra, S)
 
 
-def _is_self_star_pair(pair: CompatiblePair) -> bool:
-    act, co = pair.g_on_h, pair.h_on_g
-    if act.actor is not act.acted:
-        return False
-    M = act.actor
-    for a in (act, co):
-        if (a.phi != M.group.conj_table).any() or (a.bracket != M.star).any():
-            return False
-    return True
-
-
 def canonical_tensor_ideal(t: TensorAlgebra) -> tuple[Subgroup, Subgroup, Ideal]:
     """I = the defect ideal of the right-on-left action, J = the bracket ideal
     of the left-on-right action, and the ideal of the tensor their symbols
@@ -636,53 +619,54 @@ def _nilpotency_quotient(t: TensorAlgebra) -> tuple[MultLieAlg, Ideal]:
     return memoized(t._canonical, "quotient", build)
 
 
+def _quotient_bound(t: TensorAlgebra, measure, adjective: str, noun: str, unit: str) -> CheckReport:
+    """The tensor modulo its canonical ideal: its measure (class or length)
+    exceeds the right factor's by at most one."""
+    n = measure(t.pair.H)
+    if n is None:
+        raise Inapplicable(f"the right factor is not Lie {adjective}")
+    Q, ideal = _nilpotency_quotient(t)
+    q = measure(Q)
+    if q is None or q > n + 1:
+        raise BoundViolation(
+            f"tensor quotient exceeds the {noun} bound",
+            claimed=n + 1,
+            computed=q,
+            ideal_order=len(ideal.members),
+        )
+    return CheckReport(f"tensor-quotient-{noun}", True, Q.order, None, f"{unit} {q} <= {n}+1")
+
+
 def quotient_nilpotency_bound(t: TensorAlgebra) -> CheckReport:
     """Quotient by (defect ideal of the right-on-left action) ⊗ (bracket ideal):
     its class exceeds the right factor's class by at most one."""
-    n = nilpotency_class(t.pair.H)
-    if n is None:
-        raise Inapplicable("the right factor is not Lie nilpotent")
-    Q, ideal = _nilpotency_quotient(t)
-    q = nilpotency_class(Q)
-    if q is None or q > n + 1:
-        raise BoundViolation(
-            "tensor quotient exceeds the nilpotency bound",
-            claimed=n + 1,
-            computed=q,
-            ideal_order=len(ideal.members),
-        )
-    return CheckReport(
-        "tensor-quotient-nilpotency", True, Q.order, None, f"class {q} <= {n}+1"
-    )
+    return _quotient_bound(t, nilpotency_class, "nilpotent", "nilpotency", "class")
 
 
 def quotient_solvability_bound(t: TensorAlgebra) -> CheckReport:
-    n = solvable_length(t.pair.H)
-    if n is None:
-        raise Inapplicable("the right factor is not Lie solvable")
-    Q, ideal = _nilpotency_quotient(t)
-    q = solvable_length(Q)
-    if q is None or q > n + 1:
-        raise BoundViolation(
-            "tensor quotient exceeds the solvability bound",
-            claimed=n + 1,
-            computed=q,
-            ideal_order=len(ideal.members),
-        )
-    return CheckReport(
-        "tensor-quotient-solvability", True, Q.order, None, f"length {q} <= {n}+1"
-    )
+    return _quotient_bound(t, solvable_length, "solvable", "solvability", "length")
+
+
+def _self_star_pair_measures(pair: CompatiblePair) -> tuple[int | None, int | None]:
+    """Class and length of the factor of a self pair whose two actions are
+    conjugation with the star as bracket; Inapplicable for any other pair or
+    when the factor has neither."""
+    M = pair.G
+    if pair.H is not M or any(
+        (a.phi != M.group.conj_table).any() or (a.bracket != M.star).any()
+        for a in (pair.g_on_h, pair.h_on_g)
+    ):
+        raise Inapplicable("requires a self pair whose bracket is the star")
+    n_cl, n_sl = nilpotency_class(M), solvable_length(M)
+    if n_cl is None and n_sl is None:
+        raise Inapplicable("the factor is neither Lie nilpotent nor Lie solvable")
+    return n_cl, n_sl
 
 
 def self_pair_quotient_check(t: TensorAlgebra) -> CheckReport:
     """Square of a self-paired algebra whose bracket is its star: the standard
     quotient inherits nilpotency and solvability outright."""
-    if not _is_self_star_pair(t.pair):
-        raise Inapplicable("requires a self pair whose bracket is the star")
-    n_cl = nilpotency_class(t.pair.G)
-    n_sl = solvable_length(t.pair.G)
-    if n_cl is None and n_sl is None:
-        raise Inapplicable("the factor is neither Lie nilpotent nor Lie solvable")
+    n_cl, n_sl = _self_star_pair_measures(t.pair)
     Q, _ = _nilpotency_quotient(t)
     notes = []
     if n_cl is not None:
@@ -705,13 +689,8 @@ def self_pair_quotient_check(t: TensorAlgebra) -> CheckReport:
 def defect_square_bound(t: TensorAlgebra) -> CheckReport:
     """Square of a self-paired algebra, quotient by (defect ideal ⊗ defect ideal):
     the class does not grow at all."""
-    if not _is_self_star_pair(t.pair):
-        raise Inapplicable("requires a self pair whose bracket is the star")
+    n_cl, n_sl = _self_star_pair_measures(t.pair)
     M = t.pair.G
-    n_cl = nilpotency_class(M)
-    n_sl = solvable_length(M)
-    if n_cl is None and n_sl is None:
-        raise Inapplicable("the factor is neither Lie nilpotent nor Lie solvable")
     everything = range(M.order)
     D = lie_commutator_ideal(M, everything, everything).subgroup
     ideal = tensor_ideal(t, D, D)
@@ -734,24 +713,6 @@ def defect_square_bound(t: TensorAlgebra) -> CheckReport:
             )
         notes.append(f"length {q}")
     return CheckReport("tensor-defect-square", True, Q.order, None, ", ".join(notes))
-
-
-MAIN_THEOREM_CHECKS = (
-    ("nilpotency-bound", quotient_nilpotency_bound),
-    ("solvability-bound", quotient_solvability_bound),
-    ("self-pair-closure", self_pair_quotient_check),
-    ("defect-square-bound", defect_square_bound),
-)
-
-
-def main_theorem_check(t: TensorAlgebra) -> dict[str, CheckReport]:
-    out: dict[str, CheckReport] = {}
-    for name, fn in MAIN_THEOREM_CHECKS:
-        try:
-            out[name] = fn(t)
-        except Inapplicable as ex:
-            out[name] = CheckReport(name, True, 0, None, f"inapplicable: {ex}")
-    return out
 
 
 def _trivial_tensor(pair: CompatiblePair, seed_order: str) -> TensorAlgebra:
@@ -809,18 +770,16 @@ def compare_seed_orders(
         return CheckReport("seed-order-independence", True, 1)
     parent, letter, order = _normal_forms(Kd, td.result.gen_image, "default")
     psi = _extend_hom(Ka, ta.result.gen_image, parent, letter, order)
-    checked = 0
-    if (np.sort(psi) != np.arange(Kd.order)).any():
-        return CheckReport("seed-order-independence", False, checked, None, "not a bijection")
-    checked += Kd.order ** 2
-    w = first_true(psi[Kd.table] != Ka.table[psi[:, None], psi[None, :]])
-    if w is not None:
-        return CheckReport("seed-order-independence", False, checked, w, "not multiplicative")
-    checked += Kd.order ** 2
-    w = first_true(psi[td.algebra.star] != ta.algebra.star[psi[:, None], psi[None, :]])
-    if w is not None:
-        return CheckReport("seed-order-independence", False, checked, w, "star differs")
-    checked += td.tensor_map.size
+    bad = star_iso_failure(td.algebra, ta.algebra, psi)
+    if bad is not None:
+        reason, w = bad
+        checked, detail = {
+            "not-bijective": (0, "not a bijection"),
+            "product": (Kd.order ** 2, "not multiplicative"),
+            "star": (2 * Kd.order ** 2, "star differs"),
+        }[reason]
+        return CheckReport("seed-order-independence", False, checked, w, detail)
+    checked = 2 * Kd.order ** 2 + td.tensor_map.size
     w = first_true(psi[td.tensor_map] != ta.tensor_map)
     if w is not None:
         return CheckReport("seed-order-independence", False, checked, w, "symbols differ")

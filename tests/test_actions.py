@@ -10,11 +10,14 @@ commutator subgroup {1, -1}.
 
 from __future__ import annotations
 
+import contextlib
+import io
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mlacalc import actions, cli
 from mlacalc.actions import (
     SIDES,
     CompatiblePair,
@@ -47,6 +50,7 @@ from mlacalc.errors import (
     ActionViolation,
     CompatibilityViolation,
     IdealityFailure,
+    IdentityViolation,
     InputError,
     MathViolation,
     NotAutomorphism,
@@ -54,7 +58,9 @@ from mlacalc.errors import (
     NotInTerm,
     WitnessRequired,
 )
-from mlacalc.mla import make_trivial_star
+from mlacalc.docs import load_document
+from mlacalc.harness import Instance, run_suite
+from mlacalc.mla import MultLieAlg, make_trivial_star
 
 
 # --- oracles -------------------------------------------------------------------
@@ -104,15 +110,30 @@ def oracle_ideal_members(M, gens):
 def test_reference_pairs_assemble(pairs):
     assert set(pairs) == {"z2-trivial", "s3-improper-star", "q8-trivial"}
     for pair in pairs.values():
-        assert len(pair.flags) == 7  # two action-law flags, five conditions
+        assert pair._verified and pair.g_on_h._verified and pair.h_on_g._verified
 
 
-def test_validate_action_defers_without_companion():
+def test_only_the_validators_record_a_proof():
     M = make_trivial_star(get_group("Q8"))
-    alone = validate_action(M, M, M.group.conj_table, np.full((8, 8), M.group.identity))
-    assert alone.deferred == (1, 3, 4)
-    mate = validate_action(M, M, alone.phi, alone.bracket, companion=alone)
-    assert mate.deferred == ()
+    act = validate_action(M, M, M.group.conj_table, np.full((8, 8), M.group.identity))
+    assert act._verified
+    pair = check_compatibility(act, act)
+    assert pair._verified and pair.swapped()._verified
+    # hand-built and replaced objects carry no proof, even with the same tables
+    hand = MlaAction(M, M, act.phi, act.bracket)
+    assert not hand._verified and not replace(act)._verified
+    assert not replace(pair)._verified and not CompatiblePair(act, act)._verified
+    # a pair is proven only when both of its actions are
+    assert not check_compatibility(hand, act)._verified
+    # and no caller can hand the proof to a constructor
+    with pytest.raises(TypeError):
+        MlaAction(M, M, act.phi, act.bracket, _verified=True)
+    with pytest.raises(TypeError):
+        CompatiblePair(act, act, _verified=True)
+    with pytest.raises(ValueError):
+        replace(act, _verified=True)
+    with pytest.raises(ValueError):
+        replace(pair, _verified=True)
 
 
 def test_mixed_tables_match_oracle(pairs):
@@ -169,6 +190,17 @@ def test_phi_perturbations_are_rejected():
         validate_action(M2, M4, phi, zero)
     assert exc.value.payload["reason"] == "product"
 
+    # conjugation by r preserves the product of S3 but not a star changed at (r, s)
+    G = get_group("S3")
+    r, s = G.labels.index("r"), G.labels.index("s")
+    trivial = np.full((6, 6), G.identity)
+    star = trivial.copy()
+    star[r, s] = r
+    with pytest.raises(NotAutomorphism) as exc:
+        validate_action(make_trivial_star(G), MultLieAlg(G, star), G.conj_table, trivial)
+    assert str(exc.value) == "phi[r] does not preserve the star"
+    assert exc.value.payload == {"g": r, "reason": "star", "witness": [r, s]}
+
 
 def test_phi_homomorphism_failure_detected():
     # rows are all automorphisms of C4 but the assignment g -> phi[g] is not
@@ -188,7 +220,7 @@ def test_bracket_perturbation_is_rejected(pairs):
     bad = act.bracket.copy()
     bad[1, 2] = (bad[1, 2] + 1) % 6
     with pytest.raises(MathViolation) as exc:
-        cand = validate_action(act.actor, act.acted, act.phi, bad, companion=co)
+        cand = validate_action(act.actor, act.acted, act.phi, bad)
         check_compatibility(cand, co)
     assert "condition" in exc.value.payload and "witness" in exc.value.payload
 
@@ -225,6 +257,131 @@ def test_wrapper_checks_pass_on_reference_pairs(pairs):
         ):
             rep = fn(pair)
             assert rep.passed and rep.tuples_checked > 0
+
+
+def test_verified_pairs_restate_their_laws_without_a_scan(
+    pairs, fixtures_dir, golden_dir, monkeypatch
+):
+    # the counts a scan of each unproven copy reports, before the scans are disabled
+    checks = (check_action_laws, check_pair_conditions)
+    want = {name: tuple(c(replace(p)).tuples_checked for c in checks) for name, p in pairs.items()}
+    # action-check builds its pair (and proves it) while loading the document
+    doc = load_document(fixtures_dir / "pairs" / "z2-trivial.json")
+    monkeypatch.setattr(cli, "load_document", lambda path: doc)
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a verified pair was scanned")
+
+    monkeypatch.setattr(actions, "_bracket_condition_witness", no_scan)
+    monkeypatch.setattr(actions, "_pair_condition_witness", no_scan)
+    for name, pair in pairs.items():
+        assert tuple(c(pair).tuples_checked for c in checks) == want[name]
+        led = run_suite(Instance.from_pair(pair), ["def-2.8", "def-3.1"])
+        assert [led.get(st).tuples for st in ("def-2.8", "def-3.1")] == list(want[name])
+        assert led.ok
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["action-check", "z2-trivial.json"]) == 0
+    assert out.getvalue() == (golden_dir / "action-check-z2.txt").read_text(encoding="utf-8")
+    # an unproven copy is still scanned
+    with pytest.raises(AssertionError, match="scanned"):
+        check_pair_conditions(replace(pairs["q8-trivial"]))
+
+
+LAW_2 = "bracket law 2 (<x x', y> expansion) fails"
+LAW_4 = "bracket law 4 (star/bracket exchange in the second slot) fails"
+COND_2 = "pair condition 2 (inverse bracket equals star against the opposite bracket) fails"
+COND_3 = "pair condition 3 (the two brackets act inversely to each other) fails"
+
+# (pair, perturbed action, bracket entry) -> the least failure of each check,
+# as (message, payload); check_compatibility is handed the perturbed actions
+PERTURBED_BRACKETS = [
+    (
+        ("s3-improper-star", "g_on_h", (1, 2)),
+        {
+            "compat": (
+                f"{LAW_2} on g-on-h", {"condition": 2, "side": "g-on-h", "witness": [1, 1, 2]}
+            ),
+            "def-2.8": (LAW_2, {"condition": 2, "witness": [1, 1, 2]}),
+            "def-3.1": (
+                f"{COND_2} on the H display", {"condition": 2, "side": "H", "witness": [1, 2, 3]}
+            ),
+        },
+    ),
+    (
+        ("q8-trivial", "h_on_g", (3, 5)),
+        {
+            "compat": (
+                f"{LAW_2} on h-on-g", {"condition": 2, "side": "h-on-g", "witness": [1, 2, 5]}
+            ),
+            "def-2.8": (LAW_2, {"condition": 2, "witness": [1, 2, 5]}),
+            "def-3.1": (
+                f"{COND_3} on the H display", {"condition": 3, "side": "H", "witness": [5, 3, 4]}
+            ),
+        },
+    ),
+    (
+        ("s3-improper-star", "h_on_g", (4, 1)),
+        {
+            "compat": (
+                f"{LAW_4} on g-on-h", {"condition": 4, "side": "g-on-h", "witness": [1, 3, 4]}
+            ),
+            "def-2.8": (LAW_4, {"condition": 4, "witness": [1, 3, 4]}),
+            "def-3.1": (
+                f"{COND_2} on the H display", {"condition": 2, "side": "H", "witness": [1, 4, 3]}
+            ),
+            "prop-2.10": (
+                "bracket conjugation fails on the G display",
+                {"side": "h-on-g", "witness": [1, 3, 4, 1]},
+            ),
+        },
+    ),
+    (
+        ("s3-improper-star", "g_on_h", (0, 3)),
+        {
+            "compat": (
+                f"{LAW_2} on g-on-h", {"condition": 2, "side": "g-on-h", "witness": [0, 0, 3]}
+            ),
+            "def-2.8": (LAW_2, {"condition": 2, "witness": [0, 0, 3]}),
+            "def-3.1": (
+                f"{COND_2} on the H display", {"condition": 2, "side": "H", "witness": [0, 0, 3]}
+            ),
+            "prop-2.10": (
+                "bracket conjugation fails on the H display",
+                {"side": "g-on-h", "witness": [1, 3, 0, 3]},
+            ),
+        },
+    ),
+]
+ERRORS = {
+    "compat": ActionViolation,
+    "def-2.8": ActionViolation,
+    "def-3.1": CompatibilityViolation,
+    "prop-2.10": IdentityViolation,
+}
+
+
+@pytest.mark.parametrize("where,failures", PERTURBED_BRACKETS)
+def test_replaced_pair_is_rescanned_for_its_least_witness(pairs, where, failures):
+    name, field_name, (i, j) = where
+    pair = pairs[name]
+    act = getattr(pair, field_name)
+    bad = act.bracket.copy()
+    bad[i, j] = (bad[i, j] + 1) % bad.shape[1]
+    broken = replace(pair, **{field_name: replace(act, bracket=bad)})
+    message, payload = failures["compat"]
+    with pytest.raises(ActionViolation) as exc:
+        check_compatibility(broken.g_on_h, broken.h_on_g)
+    assert (str(exc.value), exc.value.payload) == (message, payload)
+    led = run_suite(Instance.from_pair(broken), ["def-2.8", "def-3.1", "prop-2.10"])
+    for st in failures.keys() - {"compat"}:
+        message, payload = failures[st]
+        v = led.get(st)
+        assert (v.status, v.detail) == ("fail", message)
+        assert list(v.witness.items()) == [
+            ("error", ERRORS[st].__name__), ("message", message), *payload.items()
+        ]
+    assert "prop-2.10" in failures or led.get("prop-2.10").status == "pass"
 
 
 def test_swapped_pair_still_compatible(pairs):
@@ -344,7 +501,7 @@ def test_failing_ideal_construction_raises_every_time():
     bracket = np.full((6, 6), G.identity)
     bracket[s, s] = s
     act = MlaAction(M, M, G.conj_table, bracket)
-    pair = CompatiblePair(act, act, ())
+    pair = CompatiblePair(act, act)
     for _ in range(3):
         with pytest.raises(IdealityFailure, match="not normal"):
             bracket_ideal(pair)

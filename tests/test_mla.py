@@ -25,6 +25,7 @@ from mlacalc.mla import (
     broken_axioms,
     check_axioms,
     check_lie_identities,
+    compose_failure,
     derived_series,
     ideal_closure,
     lie_commutator_ideal,
@@ -35,6 +36,7 @@ from mlacalc.mla import (
     nilpotency_class,
     quotient_algebra,
     solvable_length,
+    star_iso_failure,
     sub_algebra,
     validate_ideal,
 )
@@ -456,3 +458,58 @@ def test_hand_built_algebras_are_always_scanned():
         MultLieAlg(valid.group, valid.star, _verified=True)
     with pytest.raises(ValueError):
         dataclasses.replace(valid, _verified=True)
+
+
+# --- maps and actions -------------------------------------------------------------
+
+
+SMALL_GROUPS = [n for n in group_names() if get_group(n).order <= 12]
+
+
+def oracle_star_iso_failure(M, N, row):
+    if sorted(row) != list(range(N.order)):
+        return "not-bijective", None
+    for reason, A, B in (("product", M.group.table, N.group.table), ("star", M.star, N.star)):
+        for a, b in product(range(M.order), repeat=2):
+            if row[A[a, b]] != B[row[a], row[b]]:
+                return reason, (a, b)
+    return None
+
+
+def oracle_compose_failure(G, rows):
+    for a, b, x in product(range(G.order), range(G.order), range(rows.shape[1])):
+        if rows[G.table[a, b], x] != rows[a, rows[b, x]]:
+            return (a, b, x)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_map_checks_match_loops(data):
+    # the conjugation action of a corpus group on itself, with one or two
+    # row entries moved, row entries swapped, rows copied or star entries moved
+    G = get_group(data.draw(st.sampled_from(SMALL_GROUPS)))
+    n = G.order
+    M = data.draw(st.sampled_from([make_trivial_star, make_improper_star]))(G)
+    rows, star = G.conj_table.copy(), M.star.copy()
+    for _ in range(data.draw(st.integers(1, 2))):
+        a, i, j = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        kind = data.draw(st.sampled_from(["move", "swap", "copy", "star"]))
+        if kind == "move":
+            rows[a, i] = j
+        elif kind == "swap":
+            rows[a, [i, j]] = rows[a, [j, i]]
+        elif kind == "copy":
+            rows[a] = rows[i]
+        else:
+            star[i, j] = (star[i, j] + 1) % n
+    N = MultLieAlg(G, star)
+    for row in rows:
+        assert star_iso_failure(M, N, row) == oracle_star_iso_failure(M, N, row)
+    assert compose_failure(G, rows, "test") == oracle_compose_failure(G, rows)
+
+
+def test_compose_failure_reaches_the_last_slab():
+    # C2 acting by rows e -> identity, a -> constant: only a·a = e breaks
+    rows = np.array([[0, 1], [0, 0]])
+    assert compose_failure(get_group("C2"), rows, "test") == (1, 1, 1)

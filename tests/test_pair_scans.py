@@ -166,7 +166,7 @@ def test_slab_scans_match_the_row_scans(data):
     for cond in (1, 2, 3, 4, 5):
         want = reference_pair_condition_witness(gh, hg, cond)
         assert _pair_condition_witness(gh, hg, cond) == want
-    pair = CompatiblePair(gh, hg, ())
+    pair = CompatiblePair(gh, hg)
     assert outcome(check_lemma_commutator_bracket, pair) == outcome(
         reference_lemma_commutator_bracket, pair
     )
@@ -179,7 +179,7 @@ def test_corpus_self_pairs_pass_both_scans(name):
     for M in (make_trivial_star(G), make_improper_star(G)):
         bracket = np.full((G.order, G.order), G.identity) if M.star_is_trivial else M.star
         act = MlaAction(M, M, G.conj_table, bracket)
-        pair = CompatiblePair(act, act, ())
+        pair = CompatiblePair(act, act)
         for cond in (1, 2, 3, 4, 5):
             assert _pair_condition_witness(act, act, cond) is None
             assert reference_pair_condition_witness(act, act, cond) is None
