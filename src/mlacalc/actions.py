@@ -738,21 +738,21 @@ def check_bracket_conjugation(pair: CompatiblePair) -> CheckReport:
     checked = 0
     for side, display in zip(SIDES, "HG"):  # each side's display is its acted group
         act, co = pair.action(side), pair.companion(side)
-        G, H = act.actor.group, act.acted.group
-        for x in range(G.order):
+        B, Hc = act.bracket, act.acted.group.conj_table
+        for x in range(act.actor.order):
             check_budget("bracket conjugation")
-            for y in range(H.order):
-                c = int(act.mixed_comm_table[x, y])  # ^x y · y^-1 in the acted group
-                lhs = H.conj_table[act.brk(x, y)][act.bracket]  # over (actor, acted)
-                rhs = act.bracket[np.ix_(co.phi[c], H.conj_table[c])]
-                checked += lhs.size
-                at = first_true(lhs != rhs)
-                if at is not None:
-                    raise IdentityViolation(
-                        f"bracket conjugation fails on the {display} display",
-                        side=side,
-                        witness=[x, y, *at],
-                    )
+            c = act.mixed_comm_table[x]  # ^x y · y^-1 over acted y
+            # one slab over (acted y, actor x', acted y')
+            lhs = Hc[B[x][:, None, None], B]
+            rhs = B[co.phi[c][:, :, None], Hc[c][:, None, :]]
+            checked += lhs.size
+            at = first_true(lhs != rhs)
+            if at is not None:
+                raise IdentityViolation(
+                    f"bracket conjugation fails on the {display} display",
+                    side=side,
+                    witness=[x, *at],
+                )
     return CheckReport("bracket-conjugation", True, checked)
 
 

@@ -9,8 +9,13 @@ The star table S is an order x order matrix over element indices.  Axioms
   4  ((x*y) * ^y z) · ((y*z) * ^z x) · ((z*x) * ^x y) = 1
   5  ^z(x*y)   = ^z x * ^z y
 
-with ^z x = z x z^-1, written once in _axiom_laws as flat gathers from the
-raveled tables (_gather), for the reduced and the exhaustive checks alike.
+with ^z x = z x z^-1, written once in _axiom_laws for the reduced and the
+exhaustive checks alike, with one variable fixed and two over a plane
+(_plane).  Tables of 32 or more columns are read from int32 copies, a value
+that indexes rows from a copy scaled by n (_FlatTable): a read is a row, a
+slice, or one add and one take.  Axiom 4's sides are P1·P2 and P3^-1 (from
+the inverse-star table): they differ where P1·P2·P3 != 1, and lhs·rhs^-1 is
+P1·P2·P3.
 broken_axioms decides each axiom on a reduced set of tuples:
 
   Axioms 2, 3 and 5 are closed under products in one variable (y, x and z
@@ -55,7 +60,8 @@ from .errors import (
     InputError,
     QuotientStarIllDefined,
 )
-from .groups import FiniteGroup, GroupMap, Subgroup, _closure, _freeze, quotient, validate_cayley
+from .groups import ORDER_CAP, FiniteGroup, GroupMap, Subgroup, _closure, _freeze, quotient
+from .groups import validate_cayley
 from .util import check_budget, first_true
 
 V = TypeVar("V")
@@ -120,42 +126,100 @@ def make_improper_star(G: FiniteGroup) -> MultLieAlg:
     return MultLieAlg(G, make_star_table(G, G.comm_table))
 
 
+# row keys reach n*n - 1: one dtype for every order the cap admits
+_KEY = np.int32
+assert ORDER_CAP**2 <= np.iinfo(_KEY).max
+
+
+class _Range:
+    """A law variable over range(lo, n) along one axis of the plane: as
+    indices (col, shaped along that axis) and as row keys (key = n * col)."""
+
+    __slots__ = ("lo", "col", "key")
+
+    def __init__(self, n: int, lo: int, axis: int) -> None:
+        r = np.arange(lo, n, dtype=_KEY)
+        self.lo, self.col = lo, r.reshape((-1, 1) if axis == 0 else (1, -1))
+        self.key = self.col * n
+
+
 class _FlatTable:
-    """An n x n table read as A[i, j] at broadcastable index arrays i, j by
-    one gather from its raveled form, about half the cost of 2-D fancy
-    indexing."""
+    """An n x n table A of 32 or more columns, read as A[i, j], or as
+    n * A[i, j] when keyed, so that its values can index rows.
 
-    __slots__ = ("flat", "n")
+    i and j are elements, _Range variables or int32 arrays; an array i is a
+    row key, read from a keyed table.  A read at an element i takes from row
+    i, one over _Range variables and elements only is a slice, and any other
+    is one add and one take on an int32 copy of the read values.  A plain
+    table is copied at once, a keyed one (often read by rows only) when a
+    read first needs it."""
 
-    def __init__(self, A: np.ndarray) -> None:
-        self.flat, self.n = A.ravel(), A.shape[1]
+    __slots__ = ("A", "scale", "_grid")
+
+    def __init__(self, A: np.ndarray, keyed: bool) -> None:
+        self.A, self.scale = A, A.shape[1] if keyed else 1
+        self._grid = None if keyed else self._values(A)
+
+    def _values(self, v: np.ndarray) -> np.ndarray:
+        """The read values at entries v of A, as a contiguous int32 copy."""
+        out = v.astype(_KEY)
+        if self.scale > 1:
+            out *= self.scale
+        return out
+
+    @property
+    def grid(self) -> np.ndarray:
+        if self._grid is None:
+            self._grid = self._values(self.A)
+        return self._grid
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.flat.take(i * self.n + j)
+        if not isinstance(i, (np.ndarray, _Range)):  # an element: read its row
+            if isinstance(j, _Range):
+                return self._values(self.A[i, j.lo :]).reshape(j.col.shape)
+            return self._values(self.A[i]).take(j)
+        if isinstance(i, _Range):
+            if isinstance(j, _Range):
+                plane = self.grid[i.lo :, j.lo :]
+                return plane if i.col.shape[1] == 1 else plane.T
+            if not isinstance(j, np.ndarray):  # an element: read its column
+                return self._values(self.A[i.lo :, j]).reshape(i.col.shape)
+            i = i.key
+        at = i + (j.col if isinstance(j, _Range) else j)  # a fresh array: read into it
+        return self.grid.ravel().take(at, out=at, mode="clip")
 
 
-def _gather(A: np.ndarray) -> np.ndarray | _FlatTable:
-    """A for the scans' laws: below 32 columns the flat index arithmetic
-    costs more than it saves, and the table is indexed directly."""
-    return A if A.shape[1] < 32 else _FlatTable(A)
+def _gather(A: np.ndarray, keyed: bool = False) -> np.ndarray | _FlatTable:
+    """A for the laws; below 32 columns, where flat reads cost more than they
+    save, indexed directly, with plain indices as row keys."""
+    return A if A.shape[1] < 32 else _FlatTable(A, keyed)
+
+
+def _plane(n: int, lo: int = 0) -> tuple:
+    """The two law variables over range(lo, n), along axes 0 and 1."""
+    if n < 32:
+        r = np.arange(lo, n)
+        return r[:, None], r[None, :]
+    return _Range(n, lo, 0), _Range(n, lo, 1)
 
 
 def _axiom_laws(G: FiniteGroup, S: np.ndarray) -> dict[int, Callable]:
-    """Both sides (lhs, rhs) of axioms 2-5 at broadcastable index arrays x, y, z."""
-    T, C, S, e = _gather(G.table), _gather(G.conj_table), _gather(S), G.identity
-
-    def jacobi(x, y, z):
-        P1 = S[S[x, y], C[y, z]]  # (x*y) * ^y z
-        P2 = S[S[y, z], C[z, x]]  # (y*z) * ^z x
-        P3 = S[S[z, x], C[x, y]]  # (z*x) * ^x y
-        return T[T[P1, P2], P3], e
-
+    """Both sides (lhs, rhs) of axioms 2-5 at the law variables x, y, z (one
+    an element, two from _plane); a table named with a trailing r is keyed.
+    Axiom 4's sides are P1·P2 and P3^-1, no Pi kept alive past its use."""
+    T, Tr = _gather(G.table), _gather(G.table, True)
+    C, Cr = _gather(G.conj_table), _gather(G.conj_table, True)
+    Si = _gather(G.inverses[S])
+    S, Sr = _gather(S), _gather(S, True)
     return {
-        2: lambda x, y, z: (S[x, T[y, z]], T[S[x, y], C[y, S[x, z]]]),
-        3: lambda x, y, z: (S[T[x, y], z], T[C[x, S[y, z]], S[x, z]]),
-        4: jacobi,
-        5: lambda x, y, z: (C[z, S[x, y]], S[C[z, x], C[z, y]]),
+        2: lambda x, y, z: (S[x, T[y, z]], T[Sr[x, y], C[y, S[x, z]]]),
+        3: lambda x, y, z: (S[Tr[x, y], z], T[Cr[x, S[y, z]], S[x, z]]),
+        4: lambda x, y, z: (
+            T[Sr[Sr[x, y], C[y, z]], S[Sr[y, z], C[z, x]]],  # P1·P2
+            Si[Sr[z, x], C[x, y]],  # ((z*x) * ^x y)^-1
+        ),
+        5: lambda x, y, z: (C[z, S[x, y]], S[Cr[z, x], C[z, y]]),
     }
 
 
@@ -167,13 +231,12 @@ def broken_axioms(
     """The axioms that fail on S, in increasing order, each decided on the
     reduced tuple set of the module docstring."""
     laws = _axiom_laws(G, S)
-    r = np.arange(G.order)
-    col, row = r[:, None], r[None, :]
+    col, row = _plane(G.order)
     gens = G.generators
     reduced = {
         2: ((col, y, row) for y in gens),
         3: ((x, col, row) for x in gens),
-        4: ((x, col[x:], row[:, x:]) for x in range(G.order)),
+        4: ((x, *_plane(G.order, x)) for x in range(G.order)),
         5: ((col, row, z) for z in gens),
     }
     if (np.diagonal(S) != G.identity).any():
@@ -203,8 +266,7 @@ def axiom_sides(
     """
     wanted = set(axioms)
     laws = _axiom_laws(G, S)
-    r = np.arange(G.order)
-    col, row = r[:, None], r[None, :]
+    col, row = _plane(G.order)
     if 1 in wanted:
         yield 1, (), np.diagonal(S), G.identity
     for num in sorted(wanted - {1}):
@@ -292,22 +354,25 @@ IDENTITY_NAMES = {
 
 
 def _identity_laws(M: MultLieAlg) -> dict[int, Callable]:
-    """Failure masks of identities 3-5 at broadcastable index arrays a, b, c."""
+    """Failure masks of identities 3-5 at law variables a, b, c, as in _axiom_laws."""
     G = M.group
-    T, C, K, L = (_gather(A) for A in (G.table, G.conj_table, G.comm_table, M.lie_defect_table))
+    T, Tr = _gather(G.table), _gather(G.table, True)
+    C, Cr = _gather(G.conj_table), _gather(G.conj_table, True)
+    L, Lr = _gather(M.lie_defect_table), _gather(M.lie_defect_table, True)
+    Kr = _gather(G.comm_table, True)
     return {
-        3: lambda a, b, c: L[T[a, b], c] != T[L[a, c], C[C[c, a], L[b, c]]],
-        4: lambda a, b, c: L[a, T[b, c]] != T[C[b, L[a, c]], C[K[C[b, c], C[b, a]], L[a, b]]],
-        5: lambda a, b, c: C[a, L[b, c]] != L[C[a, b], C[a, c]],
+        3: lambda a, b, c: L[Tr[a, b], c] != T[Lr[a, c], C[Cr[c, a], L[b, c]]],
+        4: lambda a, b, c: L[a, T[b, c]] != T[Cr[b, L[a, c]], C[Kr[Cr[b, c], C[b, a]], L[a, b]]],
+        5: lambda a, b, c: C[a, L[b, c]] != L[Cr[a, b], C[a, c]],
     }
 
 
 def _least_witness(law: Callable, n: int) -> list[int] | None:
     """Least (a, b, c) where the failure mask law(a, b, c) is set, by rows in a."""
-    r = np.arange(n)
+    bc = _plane(n)
     for a in range(n):
         check_budget("identity scan")
-        at = first_true(law(a, r[:, None], r[None, :]))
+        at = first_true(law(a, *bc))
         if at is not None:
             return [a, *at]
     return None
@@ -358,9 +423,8 @@ def check_lie_identities(
         at = first_true(T[L, L.T] != e)
         results[2] = list(at) if at else None
 
-    laws = _identity_laws(M)
-    r = np.arange(n)
-    col, row = r[:, None], r[None, :]
+    laws = _identity_laws(M) if wanted & {3, 4, 5} else {}
+    col, row = _plane(n)
     on_generator = {  # the variable closed under products set to g
         3: lambda g: (g, col, row),
         4: lambda g: (col, g, row),

@@ -40,6 +40,7 @@ from mlacalc.mla import (
     sub_algebra,
     validate_ideal,
 )
+from mlacalc import groups, mla
 from mlacalc.groups import Subgroup, subgroup_closure
 from mlacalc.tensor import tensor_ideal
 
@@ -243,6 +244,18 @@ def test_reduced_checks_agree_with_exhaustive_scans(data):
 
     got = check_lie_identities(MultLieAlg(G, S), only=(3, 4, 5))
     assert got == {num: oracle_identity_witness(G, S, num) for num in (3, 4, 5)}
+
+
+def test_row_keys_hold_every_order_the_cap_admits():
+    # a flat read indexes n * i + j < n * n; raising ORDER_CAP past what the
+    # key dtype holds would wrap those indices around
+    assert groups.ORDER_CAP**2 <= np.iinfo(mla._KEY).max
+    n = 32
+    A = np.arange(n * n).reshape(n, n) % n
+    x, y = mla._plane(n)
+    read = mla._gather(A, keyed=True)[3, mla._gather(A)[x, y]]
+    assert read.dtype == mla._KEY
+    assert (read == n * A[3, A]).all()
 
 
 def test_make_algebra_is_the_validating_constructor():

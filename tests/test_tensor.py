@@ -9,6 +9,7 @@ enumeration itself and then pinned.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 from math import gcd, prod
 
@@ -23,8 +24,10 @@ from mlacalc.actions import (
     trivial_action,
     validate_action,
 )
-from mlacalc.corpus import get_group, group_names
+from mlacalc import mla
+from mlacalc.corpus import direct_product, get_group, group_names
 from mlacalc.errors import (
+    AxiomViolation,
     CosetCapExceeded,
     Inapplicable,
     InputError,
@@ -33,7 +36,11 @@ from mlacalc.errors import (
 from mlacalc.groups import subgroup_closure
 from mlacalc.harness import Instance, run_suite
 from mlacalc.mla import (
+    MultLieAlg,
     axiom_sides,
+    broken_axioms,
+    check_axioms,
+    check_lie_identities,
     make_improper_star,
     make_trivial_star,
     quotient_algebra,
@@ -58,6 +65,7 @@ from mlacalc.tensor import (
     tensor_ideal,
 )
 from mlacalc.coset import coset_enumerate, make_presentation
+from mlacalc.util import first_true
 
 
 # --- frozen reference values ------------------------------------------------------
@@ -384,3 +392,118 @@ def test_offending_values_scan_only_broken_axioms_and_lose_nothing(data):
     seed_elem = base[images[:, None], images[None, :]]
     got = _offending_values(K, S, images, seed_elem)
     assert [int(v) for v in got] == _full_collection(K, S, images, seed_elem)
+
+
+# --- the flat table reads, on algebras of 32 or more elements -----------------------
+
+
+def _self_tensor(name):
+    G = get_group(name)
+    act = conjugation_self_action(make_trivial_star(G), np.full((G.order, G.order), G.identity))
+    return build_tensor_algebra(check_compatibility(act, act)).algebra
+
+
+# the trivial-star self-pair tensors of order 32-64 are abelian with the
+# trivial star; the two improper products are not abelian
+FLAT_ALGEBRAS = {
+    **{f"{name}-tensor": functools.partial(_self_tensor, name) for name in ("D4", "C6xC2", "D6", "Q8")},
+    "D4xC4-improper": lambda: make_improper_star(direct_product(get_group("D4"), get_group("C4"))),
+    "A4xC4-improper": lambda: make_improper_star(direct_product(get_group("A4"), get_group("C4"))),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_algebra(name):
+    return FLAT_ALGEBRAS[name]()
+
+
+def _plain_axiom_sides(K, S):
+    """Both sides of axioms 1-5 over every tuple by direct int64 indexing of
+    the tables: [x] for axiom 1 and [x, y, z] for 2-5, axiom 4 as the whole
+    product against the identity."""
+    T, C, e = K.table, K.conj_table, K.identity
+    r = np.arange(K.order)
+    x, y, z = np.ix_(r, r, r)
+    P1, P2, P3 = S[S[x, y], C[y, z]], S[S[y, z], C[z, x]], S[S[z, x], C[x, y]]
+    sides = {
+        1: (np.diagonal(S), e),
+        2: (S[x, T[y, z]], T[S[x, y], C[y, S[x, z]]]),
+        3: (S[T[x, y], z], T[C[x, S[y, z]], S[x, z]]),
+        4: (T[T[P1, P2], P3], e),
+        5: (C[z, S[x, y]], S[C[z, x], C[z, y]]),
+    }
+    return {num: (lhs, np.broadcast_to(rhs, lhs.shape)) for num, (lhs, rhs) in sides.items()}
+
+
+def _plain_identity_masks(K, S):
+    """Failure masks of defect identities 3-5 over every (a, b, c), by direct
+    int64 indexing of the tables."""
+    T, C, Kc = K.table, K.conj_table, K.comm_table
+    L = T[K.inverses[S], Kc]
+    r = np.arange(K.order)
+    a, b, c = np.ix_(r, r, r)
+    return {
+        3: L[T[a, b], c] != T[L[a, c], C[C[c, a], L[b, c]]],
+        4: L[a, T[b, c]] != T[C[b, L[a, c]], C[Kc[C[b, c], C[b, a]], L[a, b]]],
+        5: C[a, L[b, c]] != L[C[a, b], C[a, c]],
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_flat_reads_agree_with_plain_indexing(data):
+    # the corpus algebras have fewer than 32 elements and never reach the
+    # flat reads; these algebras do, with one or two star cells changed
+    M = _flat_algebra(data.draw(st.sampled_from(sorted(FLAT_ALGEBRAS))))
+    K, base = M.group, M.star
+    n = K.order
+    assert 32 <= n <= 64
+    S = base.copy()
+    for _ in range(data.draw(st.integers(1, 2))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        S[i, j] = data.draw(st.integers(0, n - 1).filter(lambda v: v != base[i, j]))
+
+    # every law with each variable in turn fixed, the other two over a plane
+    sides = _plain_axiom_sides(K, S)
+    masks = _plain_identity_masks(K, S)
+    axiom_laws, identity_laws = mla._axiom_laws(K, S), mla._identity_laws(MultLieAlg(K, S))
+    v, lo = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    for pos in range(3):
+        at = [slice(None)] * 3
+        at[pos] = v
+        xyz = list(mla._plane(n))
+        xyz.insert(pos, v)
+        for num in (2, 3, 4, 5):
+            lhs, rhs = axiom_laws[num](*xyz)
+            assert ((lhs != rhs) == (sides[num][0] != sides[num][1])[tuple(at)]).all()
+        for num in (3, 4, 5):
+            assert (identity_laws[num](*xyz) == masks[num][tuple(at)]).all()
+    lhs, rhs = axiom_laws[4](v, *mla._plane(n, lo))  # the rotation pass's planes
+    assert ((lhs != rhs) == (sides[4][0] != sides[4][1])[v, lo:, lo:]).all()
+
+    failing = [num for num, (lhs, rhs) in sides.items() if (lhs != rhs).any()]
+    assert list(broken_axioms(K, S)) == failing
+    if failing:
+        num = failing[0]
+        mask = sides[num][0] != sides[num][1]
+        witness = list(first_true(mask.transpose(0, 2, 1) if num == 5 else mask))
+        with pytest.raises(AxiomViolation) as exc:
+            check_axioms(MultLieAlg(K, S))
+        assert exc.value.payload == {"axiom": num, "witness": witness}
+    else:
+        check_axioms(MultLieAlg(K, S))
+
+    images = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8)))
+    seed_elem = base[images[:, None], images[None, :]]
+    seed = S[images[:, None], images[None, :]]
+    found = {int(v) for v in K.table[seed, K.inverses[seed_elem]][seed != seed_elem]}
+    for lhs, rhs in sides.values():
+        bad = lhs != rhs
+        found.update(int(v) for v in K.table[lhs[bad], K.inverses[rhs[bad]]])
+    found.discard(int(K.identity))
+    got = [int(v) for v in _offending_values(K, S, images, seed_elem)]
+    assert got == _full_collection(K, S, images, seed_elem) == sorted(found)[:RELATOR_BATCH]
+
+    assert check_lie_identities(MultLieAlg(K, S), only=(3, 4, 5)) == {
+        num: list(first_true(m)) if m.any() else None for num, m in masks.items()
+    }
