@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlacalc.actions import bracket_ideal, mixed_lie_ideal
-from mlacalc.corpus import get_group, group_names
-from mlacalc.errors import AxiomViolation, IdealityFailure, MathViolation
+from mlacalc.corpus import direct_product, get_group, group_names
+from mlacalc.errors import AxiomViolation, BudgetExceeded, IdealityFailure, MathViolation
 from mlacalc.mla import (
     AXIOM_NAMES,
     MultLieAlg,
@@ -40,7 +40,7 @@ from mlacalc.mla import (
     sub_algebra,
     validate_ideal,
 )
-from mlacalc import groups, mla
+from mlacalc import groups, mla, util
 from mlacalc.groups import Subgroup, subgroup_closure
 from mlacalc.tensor import tensor_ideal
 
@@ -244,6 +244,85 @@ def test_reduced_checks_agree_with_exhaustive_scans(data):
 
     got = check_lie_identities(MultLieAlg(G, S), only=(3, 4, 5))
     assert got == {num: oracle_identity_witness(G, S, num) for num in (3, 4, 5)}
+
+
+def oracle_plain_identity_failures(G, S):
+    """The defect identities 1, 2, 6 and 7 that fail on S, by loops over the
+    formulas in IDENTITY_NAMES."""
+    T, inv, e = G.table, G.inverses, G.identity
+    conj = lambda z, x: T[T[z, x], inv[z]]
+    comm = lambda x, y: T[T[T[x, y], inv[x]], inv[y]]
+    M = MultLieAlg(G, S)
+    L = lambda a, b: oracle_defect(M, a, b)
+    pairs = list(product(range(G.order), repeat=2))
+    defects, stars = {L(a, b) for a, b in pairs}, {int(v) for v in S.ravel()}
+    holds = {
+        1: all(L(a, a) == e for a in range(G.order)),
+        2: all(T[L(a, b), L(b, a)] == e for a, b in pairs),
+        6: all(
+            L(inv[a], b) == conj(inv[a], L(b, a)) and L(a, inv[b]) == conj(inv[b], L(b, a))
+            for a, b in pairs
+        ),
+        7: all(comm(d, s) == e for d in defects for s in stars),
+    }
+    return {num for num, ok in holds.items() if not ok}
+
+
+def test_recognized_stars_hold_every_law_by_the_full_scans():
+    # broken_axioms and check_lie_identities pass these two stars without a
+    # scan; the exhaustive scans and the loop oracles must agree, and one
+    # changed cell must take the scanning route to the oracle's least witness
+    rng = np.random.default_rng(11)
+    for name in group_names():
+        G = get_group(name)
+        n = G.order
+        for make in (make_trivial_star, make_improper_star):
+            S = make(G).star
+            assert not any((lhs != rhs).any() for _, _, lhs, rhs in axiom_sides(G, S, range(1, 6)))
+            assert all(oracle_identity_witness(G, S, num) is None for num in (3, 4, 5)), name
+            assert oracle_plain_identity_failures(G, S) == set(), name
+            assert all(w is None for w in check_lie_identities(MultLieAlg(G, S)).values())
+            if n == 1:
+                continue
+            bent = S.copy()
+            i, j = (int(v) for v in rng.integers(0, n, size=2))
+            bent[i, j] = (bent[i, j] + int(rng.integers(1, n))) % n
+            num, witness = oracle_least_failure(G, bent)
+            with pytest.raises(AxiomViolation) as exc:
+                check_axioms(MultLieAlg(G, bent))
+            assert exc.value.payload == {"axiom": num, "witness": witness}, (name, i, j)
+
+
+def _no_laws(*args):
+    raise AssertionError("a law table was built")
+
+
+def test_recognized_stars_build_no_laws(groups, monkeypatch):
+    monkeypatch.setattr(mla, "_axiom_laws", _no_laws)
+    monkeypatch.setattr(mla, "_identity_laws", _no_laws)
+    # two groups of order 32, where the laws would read flat tables
+    d4c4 = direct_product(get_group("D4"), get_group("C4"))
+    c4c4c2 = direct_product(get_group("C4xC2"), get_group("C4"))
+    for G in (*groups.values(), d4c4, c4c4c2):
+        for make in (make_trivial_star, make_improper_star):
+            M = make_algebra(G, make(G).star)
+            assert M._verified
+            # on an abelian group the trivial star is the commutator star;
+            # elsewhere L is the group commutator and the identities are scanned
+            if M.star_is_commutator:
+                assert all(w is None for w in check_lie_identities(M).values())
+
+
+def test_an_expired_budget_stops_both_recognitions(monkeypatch):
+    G = get_group("S3")
+    monkeypatch.setenv("MLACALC_BUDGET_SECS", "-1")
+    for make in (make_trivial_star, make_improper_star):
+        with pytest.raises(BudgetExceeded) as exc, util.run_budget():
+            make_algebra(G, make(G).star)
+        assert exc.value.payload == {"stage": "axiom scan"}
+    with pytest.raises(BudgetExceeded) as exc, util.run_budget():
+        check_lie_identities(make_improper_star(G), only=(1,))
+    assert exc.value.payload == {"stage": "identity scan"}
 
 
 def test_row_keys_hold_every_order_the_cap_admits():
