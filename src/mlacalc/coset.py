@@ -15,12 +15,17 @@ edge set or a coset merged since it last ran, and both push the edges they
 set as deductions; scanning the rotations that start at pending deductions
 thus reaches that fixed point, and definitions, stats and tables do not
 depend on how the deductions are processed.  So _drain takes all pending
-deductions as one wave and scans their length-3 rotations (all base tensor
-relators) on a snapshot of the table by numpy gathers.  Only informative
-scans, one per edge they would fill (the first fill pushes that edge,
-rescanning every cycle through it), are replayed by the scalar _scan, the
-only code that changes the table; their new edges form the next wave.
-Longer words go to _scan directly.
+deductions as one wave and tests their length-3 rotations (all base tensor
+relators) on a snapshot: T is a partial permutation, so a word (l, x, y) at
+a deduction (a, l) = b closes iff T[b, x] == T[a, y^1], and where these
+differ it forces the missing one, or a coincidence if both are set.  Such
+a fill stays a consequence after the wave's other steps, which only add
+information, between the classes of its cosets (rep() maps them after a
+merge); _drain writes it if its slots are empty, else coincides it with
+what a slot holds, as _scan does at its gap.  One fill per edge is kept:
+the others share its slot, whose write or merge pushes what it changes.
+As every written edge is pushed, the drain still ends at the least fixed
+point.  Longer words go to _scan.
 
 Letters encode generators as 2i (forward) and 2i+1 (inverse); a relator is
 stored as signed 1-based generator numbers.
@@ -109,30 +114,31 @@ def _rotations(lets: np.ndarray, n: int) -> np.ndarray:
 def _rotation_words(by_length, nletters: int):
     """Distinct cyclic rotations of the relators and their inverses, by first letter.
 
-    Length-3 words come as CSR arrays (X, Y, start): the words starting
-    with letter l are (l, X[k], Y[k]) for start[l] <= k < start[l + 1].
+    Length-3 words come as CSR arrays (X, Yinv, start): the words starting
+    with l are (l, X[k], Yinv[k] ^ 1) for start[l] <= k < start[l + 1].
     Words of every other length are listed per first letter, as tuples.
     """
     words = _rotations(by_length[3][1] if 3 in by_length else np.empty((0, 3), dtype=np.int64), 3)
     key = (words[:, 0] * nletters + words[:, 1]) * nletters + words[:, 2]
-    first = np.sort(np.unique(key, return_index=True)[1])
-    words = words[first[np.argsort(words[first, 0], kind="stable")]]
+    words = words[np.unique(key, return_index=True)[1]]  # sorted by key, so by first letter
     start = np.searchsorted(words[:, 0], np.arange(nletters + 1))
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(nletters)]
     longer = (_rotations(lets, n).tolist() for n, (_, lets) in by_length.items() if n != 3)
     for rot in dict.fromkeys(map(tuple, chain.from_iterable(longer))):
         buckets[rot[0]].append(rot)
-    return words[:, 1].copy(), words[:, 2].copy(), start, buckets
+    return words[:, 1].copy(), words[:, 2] ^ 1, start, buckets
 
 
 class _Enumerator:
     def __init__(self, pres: Presentation, max_cosets: int):
         self.nletters = 2 * pres.generator_count
         self.by_length = _relator_letters(pres.relators)
-        self.X, self.Y, self.start, self.buckets = _rotation_words(self.by_length, self.nletters)
+        self.X, self.Yinv, self.start, self.buckets = _rotation_words(self.by_length, self.nletters)
+        self.longer = any(self.buckets)
         self.max_cosets = max_cosets
         # rows below `size` are cosets; the rest is room to grow
-        self.table = np.full((16, self.nletters), -1, dtype=np.int64)
+        self.table = np.full((min(16, max_cosets), self.nletters), -1, dtype=np.int64)
+        self.mark = np.full_like(self.table, -1, np.int32).ravel()  # _wave's scratch, per slot
         self.size = 1
         self.p: list[int] = [0]
         self.deductions: list[tuple[int, int]] = []
@@ -212,22 +218,28 @@ class _Enumerator:
             T[b, word[i] ^ 1] = f
             self.deductions.append((f, word[i]))
 
-    def _wave(self, a: np.ndarray, l: np.ndarray) -> np.ndarray:
-        """Rows (a, l, x, y): the scans (l, x, y) from deductions (a, l) that are
-        informative now, one per edge they would fill; coincidences all kept."""
-        T, nl = self.table, self.nletters
-        Tf = T.ravel()  # flat gathers: T[i, j] is Tf[i * nl + j]
+    def _wave(self, a: np.ndarray, l: np.ndarray) -> list[tuple[int, int, int]]:
+        """Fills (f, x, g), meaning T[f, x] = g, forced by the scans from deductions
+        (a, l): one per edge, and every one whose slot is set (a coincidence)."""
+        nl, Tf, mark = self.nletters, self.table.ravel(), self.mark  # T[i, j] is Tf[i * nl + j]
         cnt = self.start[l + 1] - self.start[l]
-        k = np.arange(cnt.sum()) + np.repeat(self.start[l] - (np.cumsum(cnt) - cnt), cnt)
-        r = np.repeat(np.arange(len(a)), cnt)  # the deduction of each scan
-        A, B, X, Y = a[r], T[a, l][r], self.X[k], self.Y[k]
-        C = Tf[B * nl + X]
-        D = Tf[C * nl + Y]  # read only where C >= 0
-        i = np.flatnonzero(np.where(C >= 0, D != A, Tf[A * nl + (Y ^ 1)] >= 0))
-        # a one-gap scan fills (C, Y) when it got two steps in, else (B, X)
-        key = np.where(C[i] >= 0, np.where(D[i] < 0, C[i] * nl + Y[i], -1 - i), B[i] * nl + X[i])
-        i = i[np.sort(np.unique(key, return_index=True)[1])]
-        return np.stack([A[i], l[r[i]], X[i], Y[i]], axis=1)
+        k = np.arange(cnt.sum()) + (self.start[l] - cnt.cumsum() + cnt).repeat(cnt)
+        r = np.arange(len(a)).repeat(cnt)  # the deduction of each scan
+        sb = (Tf[a * nl + l] * nl)[r] + self.X[k]  # slot (b, x)
+        sa = (a * nl)[r] + self.Yinv[k]  # slot (a, y^1)
+        C, E = Tf[sb], Tf[sa]
+        if not len(i := (C != E).nonzero()[0]):
+            return []
+        C, E = C[i], E[i]
+        # fill (a, y^1) = C when E is missing, else (b, x) = E (a coincidence if C is set)
+        s, g = np.where(E < 0, [sa[i], C], [sb[i], E])
+        f, x = np.divmod(s, nl)
+        edge = np.minimum(s, g * nl + (x ^ 1))  # either slot of the edge it writes
+        coincide = np.minimum(C, E) >= 0  # both sides set
+        fill = (~coincide).nonzero()[0]
+        mark[edge[fill]] = fill
+        keep = (coincide | (mark[edge] == np.arange(len(i)))).nonzero()[0]
+        return list(zip(f[keep].tolist(), x[keep].tolist(), g[keep].tolist()))
 
     def _drain(self) -> None:
         T = self.table
@@ -237,27 +249,34 @@ class _Enumerator:
             self.deductions = []
             held = T[a, l] >= 0  # a merged coset's row is cleared
             a, l = a[held], l[held]
-            for ai, li, x, y in self._wave(a, l).tolist():
-                if T[ai, li] >= 0:  # else a merge in this wave moved the edge
-                    self._scan(ai, (li, x, y))
-            for ai, li in zip(a.tolist(), l.tolist()):
-                for word in self.buckets[li]:
-                    if T[ai, li] < 0:
-                        break
-                    self._scan(ai, word)
+            collapsed = self.collapsed
+            for f, x, g in self._wave(a, l):
+                if self.collapsed != collapsed:  # the snapshot's cosets may be dead
+                    f, g = self.rep(f), self.rep(g)
+                if (h := int(T[f, x])) >= 0:
+                    self._coincide(h, g)
+                elif (h := int(T[g, x ^ 1])) >= 0:
+                    self._coincide(f, h)
+                else:
+                    T[f, x], T[g, x ^ 1] = g, f
+                    self.deductions.append((f, x))
+            if self.longer:
+                for ai, li in zip(a.tolist(), l.tolist()):
+                    for word in self.buckets[li]:
+                        if T[ai, li] < 0:
+                            break
+                        self._scan(ai, word)
 
     def _define(self, alpha: int, l: int) -> None:
-        if self.defined >= self.max_cosets:
-            raise CosetCapExceeded(
-                f"coset table would exceed {self.max_cosets} rows",
-                max_cosets=self.max_cosets,
-            )
+        cap = self.max_cosets
+        if self.defined >= cap:
+            raise CosetCapExceeded(f"coset table would exceed {cap} rows", max_cosets=cap)
         new = self.size
-        if new == len(self.table):
-            self.table = np.concatenate([self.table, np.full_like(self.table, -1)])
-        self.size += 1
+        if new == len(self.table):  # double, up to the cap
+            self.table = np.concatenate([self.table, np.full_like(self.table[: cap - new], -1)])
+            self.mark = np.full_like(self.table, -1, np.int32).ravel()
+        self.size = self.defined = new + 1
         self.p.append(new)
-        self.defined += 1
         self.table[alpha, l] = new
         self.table[new, l ^ 1] = alpha
         self.deductions.append((alpha, l))
@@ -314,6 +333,7 @@ def coset_enumerate(
     m = len(live)
     check_order_cap(m)  # before the m x m Cayley table exists
     raw = eng.table[live]
+    eng.table = eng.mark = None  # freed before the Cayley assembly, which reads only raw
     if (raw < 0).any():
         raise InputError("enumeration finished with an incomplete row")
     while (p[p] != p).any():

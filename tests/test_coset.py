@@ -141,6 +141,16 @@ def test_free_group_exceeds_cap():
         coset_enumerate(make_presentation(("a", "b"), ()), max_cosets=64)
 
 
+@pytest.mark.parametrize("max_cosets", [1, 100])
+def test_coset_table_stays_within_the_cap(max_cosets):
+    # the table grows by doubling, but never to more rows than the cap admits
+    eng = coset._Enumerator(make_presentation(("a", "b"), ()), max_cosets)
+    with pytest.raises(CosetCapExceeded):
+        eng.run()
+    assert eng.defined == max_cosets
+    assert len(eng.table) <= max_cosets
+
+
 def test_expired_deadline_stops_enumeration(monkeypatch):
     pres = make_presentation(("a", "b"), [(1,) * 6, (2,) * 6])
     monkeypatch.setenv("MLACALC_BUDGET_SECS", "-1")

@@ -297,3 +297,23 @@ def _pres(*rels):
 def test_small_presentations_match_the_scalar_closure(pres, max_cosets):
     # infinite or large groups hit the cap, which must fall at the same definition
     _assert_same_closure(pres, max_cosets)
+
+
+@st.composite
+def _length3_presentations(draw):
+    ngen = draw(st.integers(2, 4))
+    letter = st.integers(1, ngen).flatmap(lambda g: st.sampled_from((g, -g)))
+    rels = draw(st.lists(st.lists(letter, min_size=3, max_size=3), min_size=1, max_size=5))
+    return make_presentation([f"g{i}" for i in range(ngen)], rels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pres=_length3_presentations(), max_cosets=st.integers(1, 200))
+# two scans of one wave fill the same slot with different cosets
+@example(pres=_pres((2, 1, 2), (2, 2, -1)), max_cosets=53)
+# a merge, then fills in the same wave that name a coset it killed
+@example(pres=_pres((1, -2, 2), (2, 2, 1)), max_cosets=8)
+def test_length3_presentations_match_the_scalar_closure(pres, max_cosets):
+    # every scan takes the wave path: no relator is longer than 3
+    assert {len(r) for r in pres.relators} == {3}
+    _assert_same_closure(pres, max_cosets)

@@ -25,7 +25,7 @@ from mlacalc.actions import (
     validate_action,
 )
 from mlacalc import mla
-from mlacalc.corpus import direct_product, get_group, group_names
+from mlacalc.corpus import cyclic, direct_product, get_group, group_names
 from mlacalc.errors import (
     AxiomViolation,
     CosetCapExceeded,
@@ -160,9 +160,14 @@ def _gcd_order(A, B):
     return prod(gcd(d, e) for d in _cyclic_factors(A) for e in _cyclic_factors(B))
 
 
+def _group(name: str):
+    # C4xC4 is not in the corpus; its tensor square C4^4 has order 256
+    return direct_product(cyclic(4), cyclic(4)) if name == "C4xC4" else get_group(name)
+
+
 def _trivial_pair(a: str, b: str):
-    A = make_trivial_star(get_group(a))
-    B = make_trivial_star(get_group(b))
+    A = make_trivial_star(_group(a))
+    B = make_trivial_star(_group(b))
     return check_compatibility(trivial_action(A, B), trivial_action(B, A))
 
 
@@ -175,11 +180,12 @@ def _trivial_pair(a: str, b: str):
         ("C6xC2", "C4"),
         ("C2", "C3"),
         ("C4xC2", "V4"),
+        ("C4xC4", "C4xC4"),
     ],
 )
 def test_abelian_tensor_matches_gcd_oracle(a, b):
     t = build_tensor_algebra(_trivial_pair(a, b))
-    assert t.order == _gcd_order(get_group(a), get_group(b))
+    assert t.order == _gcd_order(_group(a), _group(b))
     assert t.group.is_abelian
     assert t.algebra.star_is_trivial
     assert check_defining_relations(t).passed
