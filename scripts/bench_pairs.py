@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Alternating before/after benchmark pairs: a parent commit against the working tree.
 
-    python3 scripts/bench_pairs.py --parent HEAD --seed 12 --pairs 10 --seconds 50 \\
+    python3 scripts/bench_pairs.py --parent HEAD --seed 12 \\
         --workload corpus --workload rung-512 --traced corpus --out BENCH_12.json
 
 The parent is built from ``git archive <rev>`` and the change from the
 working tree's tracked and untracked, not ignored, files; each goes into a
 fresh directory under ``.bench_build/``.  For each workload, in the order
-given, the script runs ``perfbench/run.py --trace 0`` once per side and pair,
-alternating which side runs first (odd pairs: parent first).  Then come
-two traced pairs (``--trace 1``, seed 1) of each ``--traced`` workload, in
-the same alternation.  Every run starts in its side's directory; perfbench
-is run, never edited.
+given, the script runs ``perfbench/run.py --trace 0`` once per side in each
+of 10 pairs, alternating which side runs first (odd pairs: parent first).
+Then come two traced pairs (``--trace 1``, seed 1) of each ``--traced``
+workload, in the same alternation.  Every run starts in its side's
+directory and lasts perfbench's default run length; perfbench is run,
+never edited.
 
 The output keeps each run's two result lines (info and metrics) as printed.
 Its ``summary`` gives, per workload and end-to-end metric, the median and
@@ -34,7 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
 END_TO_END = ("setup_s", "wall_s", "instance_p50_ms", "instance_p75_ms", "witness_p50_ms", "peak_rss_mb")
-TRACED_PAIRS, TRACED_SEED = 2, 1
+PAIRS, TRACED_PAIRS, TRACED_SEED = 10, 2, 1
 LAYERS = (
     "coset.enumerate.busy_s",
     "coset.cosets_defined",
@@ -66,19 +67,18 @@ def build(parent: str) -> dict[str, Path]:
     return dirs
 
 
-def run(cwd: Path, workload: str, seed: int, seconds: float, trace: int) -> list[dict]:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+def run(cwd: Path, workload: str, seed: int, trace: int) -> list[dict]:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=cwd, check=True, capture_output=True, text=True).stdout
     return [json.loads(line) for line in out.splitlines()[-2:]]
 
 
-def alternate(dirs, workload: str, seed: int, seconds: float, trace: int, pairs: int) -> list[dict]:
+def alternate(dirs, workload: str, seed: int, trace: int, pairs: int) -> list[dict]:
     runs = []
     for pair in range(1, pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
-            lines = run(dirs[side], workload, seed, seconds, trace)
+            lines = run(dirs[side], workload, seed, trace)
             print(f"{workload} trace {trace} pair {pair} {side}: "
                   f"{json.dumps(lines[1]['metrics'].get('wall_s', {}).get('value'))}", file=sys.stderr)
             runs.append({"pair": pair, "side": side, "first": order[0], "workload": workload,
@@ -125,8 +125,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--parent", required=True, help="git revision to compare against")
     ap.add_argument("--workload", action="append", required=True, help="untraced workload (repeatable)")
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=50.0)
     ap.add_argument("--traced", action="append", default=[], help="workload for traced pairs (repeatable)")
     ap.add_argument("--title", default="")
     ap.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write")
@@ -141,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
             f"scripts/bench_pairs.py: parent from git archive of {parent[:7]}, change from the working "
             f"tree's tracked and new files, each in a fresh directory under .bench_build/. Pairs alternate "
             f"which side runs first (odd pairs: parent first). Untraced runs: python3 perfbench/run.py "
-            f"--workload <w> --seed {args.seed} --seconds {args.seconds:g} --trace 0, {args.pairs} pairs "
+            f"--workload <w> --seed {args.seed} --trace 0 (perfbench's default run length), {PAIRS} pairs "
             f"per workload in the order {', '.join(args.workload)}. Traced runs: --seed {TRACED_SEED} "
             f"--trace 1, {TRACED_PAIRS} pairs per traced workload; their per_round values are each "
             f"layer metric summed over the run divided by the run's rounds, and are not scaled for host speed."
@@ -151,11 +149,11 @@ def main(argv: list[str] | None = None) -> int:
         "traced": [],
     }
     for w in args.workload:
-        runs = alternate(dirs, w, args.seed, args.seconds, 0, args.pairs)
+        runs = alternate(dirs, w, args.seed, 0, PAIRS)
         result["runs"][w] = runs
         result["summary"][w] = summarize(runs)
     for w in args.traced:
-        runs = alternate(dirs, w, TRACED_SEED, args.seconds, 1, TRACED_PAIRS)
+        runs = alternate(dirs, w, TRACED_SEED, 1, TRACED_PAIRS)
         layers = {}
         for r in runs:
             r["per_round"] = per_round(r)
