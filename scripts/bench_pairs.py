@@ -42,6 +42,8 @@ LAYERS = (
     "coset.cosets_collapsed",
     "tensor.build.busy_s",
     "tensor.presentation.busy_s",
+    "tensor.presentation.relators",
+    "tensor.presentation.letters",
     "cli.subprocess.busy_s",
 )
 
@@ -142,7 +144,10 @@ def main(argv: list[str] | None = None) -> int:
             f"--workload <w> --seed {args.seed} --trace 0 (perfbench's default run length), {PAIRS} pairs "
             f"per workload in the order {', '.join(args.workload)}. Traced runs: --seed {TRACED_SEED} "
             f"--trace 1, {TRACED_PAIRS} pairs per traced workload; their per_round values are each "
-            f"layer metric summed over the run divided by the run's rounds, and are not scaled for host speed."
+            f"layer metric summed over the run divided by the run's rounds, and are not scaled for host speed. "
+            f"perfbench's presentation counter reads Presentation.relators, a tuple view that the untraced "
+            f"program does not build, inside tensor.build; compare tensor.presentation.busy_s and "
+            f"coset.enumerate.busy_s between the sides, not tensor.build.busy_s."
         ),
         "summary": {},
         "runs": {},

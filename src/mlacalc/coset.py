@@ -27,14 +27,17 @@ the others share its slot, whose write or merge pushes what it changes.
 As every written edge is pushed, the drain still ends at the least fixed
 point.  Longer words go to _scan.
 
-Letters encode generators as 2i (forward) and 2i+1 (inverse); a relator is
-stored as signed 1-based generator numbers.
+Letters encode generators as 2i (forward) and 2i+1 (inverse).  A presentation
+stores its relators once, as rows of signed 1-based generator numbers grouped
+by length, which the enumerator and the closure check read; the tuples of
+Presentation.relators are built only when something reads them.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -49,11 +52,18 @@ DEFAULT_MAX_COSETS = 200_000
 @dataclass(frozen=True, eq=False)
 class Presentation:
     generator_labels: tuple[str, ...]
-    relators: tuple[tuple[int, ...], ...]
+    # length -> (their positions in relator order, their (k, length) signed entries)
+    by_length: dict[int, tuple[np.ndarray, np.ndarray]]
 
     @property
     def generator_count(self) -> int:
         return len(self.generator_labels)
+
+    @cached_property
+    def relators(self) -> tuple[tuple[int, ...], ...]:
+        """The relators as tuples, in order; built on first read."""
+        at = (zip(idx.tolist(), map(tuple, w.tolist())) for idx, w in self.by_length.values())
+        return tuple(w for _, w in sorted(chain.from_iterable(at)))
 
 
 def make_presentation(generator_labels, relators) -> Presentation:
@@ -63,19 +73,23 @@ def make_presentation(generator_labels, relators) -> Presentation:
     if len(set(labels)) != len(labels):
         raise InputError("generator labels are not distinct")
     n = len(labels)
-    if isinstance(relators, np.ndarray) and relators.dtype.kind == "i":
-        # entries checked on the array; one tolist makes every row's tuple
-        flat, words = relators.ravel(), map(tuple, relators.tolist())
+    if isinstance(relators, np.ndarray) and relators.ndim != 2:
+        raise InputError("a relator array must be 2-D", shape=list(relators.shape))
+    if isinstance(relators, np.ndarray) and relators.dtype.kind == "i" and relators.size:
+        rows = np.ascontiguousarray(relators, dtype=np.int64)  # range-checked in int64
+        first = np.unique(rows.view(np.dtype((np.void, 8 * rows.shape[1]))), return_index=True)[1]
+        by_length = {rows.shape[1]: (np.arange(len(first)), rows[np.sort(first)])}  # in input order
     else:
-        words = [tuple(map(int, w)) for w in relators]
-        flat = np.fromiter(chain.from_iterable(words), dtype=np.int64)
-    rels = list(dict.fromkeys(words))
-    bad = (flat == 0) | (np.abs(flat) > n)
-    if bad.any():
-        e = int(flat[bad.argmax()])
-        rel = next(w for w in rels if e in w)  # the first bad entry's relator
+        words = [w for w in dict.fromkeys(tuple(map(int, w)) for w in relators) if w]
+        at: dict[int, list[int]] = {}
+        for i, w in enumerate(words):
+            at.setdefault(len(w), []).append(i)
+        by_length = {k: (np.array(ix), np.array([words[i] for i in ix])) for k, ix in sorted(at.items())}
+    pres = Presentation(labels, by_length)
+    if any(((w == 0) | (np.abs(w) > n)).any() for _, w in by_length.values()):
+        e, rel = next((e, w) for w in pres.relators for e in w if e == 0 or abs(e) > n)
         raise InputError(f"relator entry {e} references no generator", relator=list(rel))
-    return Presentation(labels, tuple(w for w in rels if w))
+    return pres
 
 
 @dataclass(frozen=True)
@@ -93,46 +107,39 @@ class EnumerationResult:
     stats: EnumerationStats
 
 
-def _relator_letters(relators) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Relators grouped by length: length -> (their positions, their letters)."""
-    lens = np.fromiter(map(len, relators), dtype=np.int64, count=len(relators))
-    flat = np.fromiter(chain.from_iterable(relators), dtype=np.int64, count=int(lens.sum()))
-    lets = np.where(flat > 0, 2 * flat - 2, -2 * flat - 1)
-    starts = np.cumsum(lens) - lens
-    out = {}
-    for n in np.unique(lens).tolist():
-        idx = np.flatnonzero(lens == n)
-        out[n] = (idx, lets[starts[idx, None] + np.arange(n)])
-    return out
-
-
 def _rotations(lets: np.ndarray, n: int) -> np.ndarray:
-    """Every cyclic rotation of the length-n words and of their inverses."""
-    return np.concatenate([np.roll(w, -k, 1) for w in (lets, lets[:, ::-1] ^ 1) for k in range(n)])
+    """Every cyclic rotation of the (k, n) words and of their inverses, by fixed
+    column permutations: [r, i] is word i's r-th rotation, [n + r, i] its inverse's."""
+    cols = (np.arange(n)[:, None] + np.arange(n)) % n
+    both = np.concatenate([lets.T, lets.T[::-1] ^ 1])  # the words' columns, then their inverses'
+    return both[np.concatenate([cols, cols + n])].transpose(0, 2, 1)
 
 
-def _rotation_words(by_length, nletters: int):
+def _rotation_words(by_length, nl: int):
     """Distinct cyclic rotations of the relators and their inverses, by first letter.
 
     Length-3 words come as CSR arrays (X, Yinv, start): the words starting
     with l are (l, X[k], Yinv[k] ^ 1) for start[l] <= k < start[l + 1].
     Words of every other length are listed per first letter, as tuples.
     """
-    words = _rotations(by_length[3][1] if 3 in by_length else np.empty((0, 3), dtype=np.int64), 3)
-    key = (words[:, 0] * nletters + words[:, 1]) * nletters + words[:, 2]
-    words = words[np.unique(key, return_index=True)[1]]  # sorted by key, so by first letter
-    start = np.searchsorted(words[:, 0], np.arange(nletters + 1))
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(nletters)]
-    longer = (_rotations(lets, n).tolist() for n, (_, lets) in by_length.items() if n != 3)
+    r3 = _rotations(by_length[3][1], 3) if 3 in by_length else np.empty((6, 0, 3), dtype=np.int64)
+    key = np.sort((r3[..., 0] * nl + r3[..., 1]) * nl + r3[..., 2], axis=None)  # by first letter
+    key = key[np.diff(key, prepend=-1) != 0]  # keys are >= 0
+    start = np.searchsorted(key, np.arange(nl + 1) * nl * nl)
+    X, Y = np.divmod(key % (nl * nl), nl)
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(nl)]
+    longer = (_rotations(w, n).reshape(-1, n).tolist() for n, (_, w) in by_length.items() if n != 3)
     for rot in dict.fromkeys(map(tuple, chain.from_iterable(longer))):
         buckets[rot[0]].append(rot)
-    return words[:, 1].copy(), words[:, 2] ^ 1, start, buckets
+    return X, Y ^ 1, start, buckets
 
 
 class _Enumerator:
     def __init__(self, pres: Presentation, max_cosets: int):
         self.nletters = 2 * pres.generator_count
-        self.by_length = _relator_letters(pres.relators)
+        self.by_length = {  # letters, grouped as the presentation's relators
+            n: (i, np.where(w > 0, 2 * w - 2, -2 * w - 1)) for n, (i, w) in pres.by_length.items()
+        }
         self.X, self.Yinv, self.start, self.buckets = _rotation_words(self.by_length, self.nletters)
         self.longer = any(self.buckets)
         self.max_cosets = max_cosets
@@ -296,19 +303,20 @@ class _Enumerator:
                     alpha += 1
 
 
-def _check_relators_close(relators, by_length, tbl: np.ndarray) -> None:
+def _check_relators_close(pres: Presentation, by_length, tbl: np.ndarray) -> None:
     """Defensive: every relator must close at every coset of the finished table."""
-    ident = np.arange(len(tbl))
+    m, nl = tbl.shape
+    keyed = (tbl * nl).ravel()  # keyed[a * nl + l] = T[a, l] * nl
     bad = []
-    step = max(1, (1 << 16) // len(tbl))  # bounds the transient (step, m) arrays
     for n, (idx, lets) in by_length.items():
-        for s in range(0, len(idx), step):
-            cur, w = ident, lets[s : s + step]
+        step = max(1, (1 << 14) // len(idx))  # cosets per block of (step, k) gathers
+        for s in range(0, m, step):
+            cur = start = np.arange(s * nl, min(s + step, m) * nl, nl)[:, None]
             for j in range(n):
-                cur = tbl[cur, w[:, j, None]]
-            bad += idx[s : s + step][(cur != ident).any(axis=1)].tolist()
+                cur = keyed[cur + lets[:, j]]
+            bad += idx[(cur != start).any(axis=0)].tolist()
     if bad:
-        raise InputError("relator fails to close after enumeration", relator=[*relators[min(bad)]])
+        raise InputError("relator fails to close after enumeration", relator=[*pres.relators[min(bad)]])
 
 
 def coset_enumerate(
@@ -319,11 +327,8 @@ def coset_enumerate(
     """Realize the presented group; raises CosetCapExceeded when it cannot."""
     if max_cosets < 1:
         raise InputError("max_cosets must be at least 1")
-    if pres.generator_count == 0:
-        if pres.relators:
-            raise InputError("relators over an empty generator set")
-        group = validate_cayley([identity_label], [[0]])
-        return EnumerationResult(pres, group, np.zeros(0, dtype=np.int64), EnumerationStats(1, 0, 1))
+    if pres.generator_count == 0 and pres.by_length:
+        raise InputError("relators over an empty generator set")
 
     eng = _Enumerator(pres, max_cosets)
     eng.run()
@@ -339,7 +344,7 @@ def coset_enumerate(
     while (p[p] != p).any():
         p = p[p]  # every coset to the live coset of its class
     tbl = (np.cumsum(p == np.arange(len(p))) - 1)[p[raw]]
-    _check_relators_close(pres.relators, eng.by_length, tbl)
+    _check_relators_close(pres, eng.by_length, tbl)
 
     # normal forms: BFS over forward letters; then right multiplication by
     # each element, one gather from its parent's column

@@ -228,16 +228,15 @@ def _offending_values(
         bad = lhs != rhs
         if bad.any():
             out.append(T[lhs[bad], inv[np.broadcast_to(rhs, lhs.shape)[bad]]])
-    if not out:
-        return np.empty(0, dtype=np.int64)
-    vals = np.unique(np.concatenate(out))
+    vals = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *out]))
     return vals[vals != K.identity][:RELATOR_BATCH]
 
 
 def _word_of(parent: np.ndarray, letter: np.ndarray, identity: int, v: int) -> tuple[int, ...]:
+    """v's normal-form word, as a relator: 1-based generator numbers."""
     rev = []
     while v != identity:
-        rev.append(int(letter[v]))
+        rev.append(int(letter[v]) + 1)
         v = int(parent[v])
     return tuple(reversed(rev))
 
@@ -256,7 +255,6 @@ def induce_star(
     _letter_order(1, seed_order)  # validates the flag
     seed_idx = star_seed_indices(pair)
     ng, nh = pair.G.order, pair.H.order
-    base_count = len(result.presentation.relators)
     res = result
     for round_no in range(1, max_rounds + 1):
         check_budget("tensor star fixpoint")
@@ -268,7 +266,7 @@ def induce_star(
         if bad.size == 0:
             # the checks that found nothing to collect proved all five axioms
             alg = _record_verified(MultLieAlg(K, make_star_table(K, star)))
-            extra = res.presentation.relators[base_count:]
+            extra = () if res is result else res.presentation.relators[len(result.presentation.relators) :]
             return TensorAlgebra(
                 alg, pair, images.reshape(ng, nh).copy(), res, seed_order, round_no, extra
             )
@@ -280,10 +278,7 @@ def induce_star(
                 order=int(K.order),
             )
         parent, letter, _ = _normal_forms(K, images, seed_order)
-        new_rels = [
-            tuple(b + 1 for b in _word_of(parent, letter, int(K.identity), int(v)))
-            for v in bad
-        ]
+        new_rels = [_word_of(parent, letter, int(K.identity), int(v)) for v in bad]
         pres = make_presentation(
             res.presentation.generator_labels, res.presentation.relators + tuple(new_rels)
         )

@@ -6,7 +6,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlacalc import coset, groups
@@ -168,7 +168,79 @@ def test_presentation_input_errors():
     with pytest.raises(InputError):
         coset_enumerate(make_presentation(("a",), [(1,)]), max_cosets=0)
     with pytest.raises(InputError):
-        coset_enumerate(Presentation((), ((1,),)))
+        coset_enumerate(Presentation((), {1: (np.array([0]), np.array([[1]]))}))
+
+
+def test_relator_arrays_must_be_2d_and_in_range():
+    # -128 is its own absolute value in int8: the range check must not wrap
+    with pytest.raises(InputError) as exc:
+        make_presentation(("a",), np.array([[1, 1], [-128, 1]], dtype=np.int8))
+    assert exc.value.payload == {"relator": [-128, 1]}
+    with pytest.raises(InputError) as exc:
+        make_presentation(("a", "b"), np.array([1, 2]))
+    assert exc.value.payload == {"shape": [2]}
+
+
+@st.composite
+def _relator_arrays(draw):
+    ngen = draw(st.integers(1, 3))
+    dtype = draw(st.sampled_from([np.int8, np.int16, np.int64]))
+    width = draw(st.integers(0, 4))
+    valid = [g for g in range(-ngen, ngen + 1) if g]
+    entry = st.sampled_from(valid * 6 + [0, ngen + 1, -128])
+    # rows drawn from a small pool, so that most arrays repeat some row
+    pool = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=3))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=8))
+    return ngen, np.array(rows, dtype=dtype).reshape(len(rows), width)
+
+
+def _presentation_or_error(labels, relators):
+    try:
+        return make_presentation(labels, relators).relators
+    except InputError as ex:
+        return str(ex), ex.payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_relator_arrays())
+@example(case=(2, np.array([[1, -2], [-128, 1], [1, -2]], dtype=np.int8)))
+def test_array_and_list_relators_agree(case):
+    ngen, rows = case
+    labels = [f"g{i}" for i in range(ngen)]
+    got = _presentation_or_error(labels, rows)
+    assert got == _presentation_or_error(labels, rows.tolist())
+    words = [tuple(r) for r in rows.tolist()]
+    bad = [w for w in words if any(e == 0 or abs(e) > ngen for e in w)]
+    if bad:
+        assert got[1] == {"relator": list(bad[0])}
+    else:  # first occurrences, in input order; empty rows dropped
+        assert got == tuple(w for w in dict.fromkeys(words) if w)
+
+
+def _replay(tbl, c, rel):
+    for e in rel:
+        c = int(tbl[c, 2 * (abs(e) - 1) + (e < 0)])
+    return c
+
+
+def test_closure_check_names_the_least_failing_relator():
+    # the regular table of S3 = <a, b | b^2, (ab)^2, a^3>, then a's image swapped
+    # at cosets 0 and 1: relators of lengths 3 and 4 fail, b^2 and b a^-1 a b close
+    elems = list(permutations(range(3)))
+    a, b = (1, 2, 0), (1, 0, 2)
+    a_inv = tuple(a.index(i) for i in range(3))
+    tbl = np.array([[elems.index(_compose(c, g)) for g in (a, a_inv, b, b)] for c in elems])
+    pres = make_presentation(("a", "b"), [(2, 2), (2, -1, 1, 2), (1, 2, 1, 2), (1, 1, 1), (-1, -1, -1)])
+    by_length = coset._Enumerator(pres, 1).by_length
+    coset._check_relators_close(pres, by_length, tbl)  # the true table closes them all
+    tbl[[0, 1], 0] = tbl[[1, 0], 0]
+    tbl[tbl[:, 0], 1] = np.arange(6)
+    closes = [all(_replay(tbl, c, r) == c for c in range(6)) for r in pres.relators]
+    assert closes == [True, True, False, False, False]
+    with pytest.raises(InputError) as exc:
+        coset._check_relators_close(pres, by_length, tbl)
+    # the length-3 relators are checked first, but (ab)^2 comes first in input order
+    assert exc.value.payload == {"relator": [1, 2, 1, 2]}
 
 
 def test_relators_deduplicated_and_empty_dropped():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlacalc import coset
+from mlacalc import coset, tensor
 from mlacalc.actions import check_compatibility, conjugation_self_action
 from mlacalc.corpus import get_group, group_names
 from mlacalc.coset import coset_enumerate, make_presentation
@@ -249,6 +249,22 @@ CORPUS_PAIRS = [(n, s) for n in group_names() if n != "C2xC2xC2" for s in ("triv
 @pytest.mark.parametrize("name,star", CORPUS_PAIRS, ids=[f"{n}-{s}" for n, s in CORPUS_PAIRS])
 def test_corpus_pairs_match_the_scalar_closure(name, star):
     _assert_same_closure(build_tensor_presentation(_self_pair(name, star)))
+
+
+@pytest.mark.parametrize("name", group_names())
+def test_tensor_relator_array_matches_its_list(name, monkeypatch):
+    # the tensor presentation's rows, through the array path and as lists
+    rows = []
+    monkeypatch.setattr(tensor, "make_presentation", lambda labels, r: rows.append((labels, r)))
+    for star in ("trivial", "improper"):
+        build_tensor_presentation(_self_pair(name, star))
+    for labels, r in rows:
+        arr, lst = make_presentation(labels, r), make_presentation(labels, r.tolist())
+        assert arr.relators == lst.relators
+        a, b = coset_enumerate(arr), coset_enumerate(lst)
+        assert a.stats == b.stats and a.group.labels == b.group.labels
+        assert np.array_equal(a.group.table, b.group.table)
+        assert np.array_equal(a.gen_image, b.gen_image)
 
 
 def test_reference_pairs_match_the_scalar_closure(pairs):
