@@ -45,6 +45,9 @@ LAYERS = (
     "tensor.presentation.relators",
     "tensor.presentation.letters",
     "cli.subprocess.busy_s",
+    "harness.compat.busy_s",
+    "harness.tensor.busy_s",
+    "harness.tuples",
 )
 
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -45,11 +46,12 @@ from .mla import (
     compose_failure,
     nilpotency_class,
     solvable_length,
-    star_iso_failure,
+    star_iso_reason,
+    star_iso_slabs,
     sub_algebra,
     validate_ideal,
 )
-from .util import CheckReport, check_budget, first_true, memoized
+from .util import CheckReport, check_budget, memoized, scan
 
 SIDES = ("g-on-h", "h-on-g")
 
@@ -132,17 +134,17 @@ def validate_action(actor: MultLieAlg, acted: MultLieAlg, phi, bracket) -> MlaAc
         raise InputError("action table entry out of range")
     phi, bracket = _freeze(phi.copy()), _freeze(bracket.copy())
 
-    for g in range(G.order):
-        check_budget("action validation")
-        bad = star_iso_failure(acted, acted, phi[g])
-        if bad is not None:
-            reason, at = bad
-            raise NotAutomorphism(
-                f"phi[{G.labels[g]}] {_NOT_AUTOMORPHISM[reason]}",
-                g=g,
-                reason=reason,
-                **({} if at is None else {"witness": list(at)}),
-            )
+    rows = chain.from_iterable(star_iso_slabs(acted, acted, phi[g], (g,)) for g in range(G.order))
+    hit = scan("action validation", rows)[0]
+    if hit is not None:
+        g, *at = hit
+        reason, at = star_iso_reason(at)
+        raise NotAutomorphism(
+            f"phi[{G.labels[g]}] {_NOT_AUTOMORPHISM[reason]}",
+            g=g,
+            reason=reason,
+            **({} if at is None else {"witness": list(at)}),
+        )
     bad = compose_failure(G, phi, "action validation")
     if bad is not None:
         raise ActionViolation(
@@ -179,47 +181,38 @@ def _bracket_condition_witness(
     co: MlaAction | None,
     which: Iterable[int],
 ) -> tuple[int, list[int]] | None:
-    """Least witness (x-major) of a failing bracket law, or None."""
+    """Least witness (x-major, then in law order 2, 1, 3, 4) of a failing
+    bracket law, or None."""
     G, H = act.actor.group, act.acted.group
     B, P = act.bracket, act.phi
     Gs, Hs = act.actor.star, act.acted.star
     wanted = set(which)
+    assert co is not None or wanted <= {2}
 
-    for x in range(G.order):
-        check_budget("bracket laws")
-        if 2 in wanted:
-            lhs = B[G.table[x]]  # <x·x', y> at [x', y]
-            rhs = H.table[B[np.ix_(G.conj_table[x], P[x])], B[x][None, :]]
-            at = first_true(lhs != rhs)
-            if at is not None:
-                return 2, [x, *at]
-        if 1 in wanted:
-            assert co is not None
-            lhs = B[x][H.table]  # <x, y·y'> at [y, y']
-            t = B[co.phi[:, x][:, None], H.conj_table]  # <^y x, ^y y'>
-            rhs = H.table[B[x][:, None], t]
-            at = first_true(lhs != rhs)
-            if at is not None:
-                return 1, [x, *at]
-        if 3 in wanted:
-            assert co is not None
-            t1 = B[Gs[x][:, None], P]  # <x*x', ^{x'}y> at [x', y]
-            t2 = B[co.phi[:, x][None, :], B]  # <^y x, <x', y>>
-            t3 = B[G.conj_table[x][:, None], H.inverses[B[x]][None, :]]
-            prod = H.table[H.table[t1, H.inverses[t2]], H.inverses[t3]]
-            at = first_true(prod != H.identity)
-            if at is not None:
-                return 3, [x, *at]
-        if 4 in wanted:
-            assert co is not None
-            u1 = B[co.phi[:, x][None, :], Hs]  # <^{y'}x, y*y'> at [y, y']
-            u2 = B[G.inverses[co.bracket[:, x]][:, None], H.conj_table]
-            u3 = B[co.bracket[:, x][None, :], P[x][:, None]]
-            prod = H.table[H.table[u1, H.inverses[u2]], H.inverses[u3]]
-            at = first_true(prod != H.identity)
-            if at is not None:
-                return 4, [x, *at]
-    return None
+    def slabs() -> Iterator:
+        for x in range(G.order):
+            if 2 in wanted:
+                lhs = B[G.table[x]]  # <x·x', y> at [x', y]
+                yield (2, x), lhs != H.table[B[np.ix_(G.conj_table[x], P[x])], B[x][None, :]]
+            if 1 in wanted:
+                lhs = B[x][H.table]  # <x, y·y'> at [y, y']
+                t = B[co.phi[:, x][:, None], H.conj_table]  # <^y x, ^y y'>
+                yield (1, x), lhs != H.table[B[x][:, None], t]
+            if 3 in wanted:
+                t1 = B[Gs[x][:, None], P]  # <x*x', ^{x'}y> at [x', y]
+                t2 = B[co.phi[:, x][None, :], B]  # <^y x, <x', y>>
+                t3 = B[G.conj_table[x][:, None], H.inverses[B[x]][None, :]]
+                prod = H.table[H.table[t1, H.inverses[t2]], H.inverses[t3]]
+                yield (3, x), prod != H.identity
+            if 4 in wanted:
+                u1 = B[co.phi[:, x][None, :], Hs]  # <^{y'}x, y*y'> at [y, y']
+                u2 = B[G.inverses[co.bracket[:, x]][:, None], H.conj_table]
+                u3 = B[co.bracket[:, x][None, :], P[x][:, None]]
+                prod = H.table[H.table[u1, H.inverses[u2]], H.inverses[u3]]
+                yield (4, x), prod != H.identity
+
+    at = scan("bracket laws", slabs())[0]
+    return None if at is None else (at[0], list(at[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,13 +349,9 @@ def _pair_condition_witness(
     }
     if cond not in displays:
         raise InputError(f"no pair condition {cond}")
-    for side, n, fails in displays[cond]:
-        for a in range(n):
-            check_budget("pair conditions")
-            at = first_true(fails(a))
-            if at is not None:
-                return side, [a, *at]
-    return None
+    slabs = (((side, a), fails(a)) for side, n, fails in displays[cond] for a in range(n))
+    at = scan("pair conditions", slabs)[0]
+    return None if at is None else (at[0], list(at[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -549,29 +538,33 @@ def partner_element(pair: CompatiblePair, side: str, word: Word) -> tuple[int, i
     return _eval_word(pair, side, word, False), _eval_word(pair, side, word, True)
 
 
-def _require_agreement(
-    pair: CompatiblePair, side: str, x, y, message: str, prefix: list[int]
-) -> None:
-    """x (acted group) and y (actor group) must act identically on both
+def _disagreement(pair: CompatiblePair, side: str, x, y) -> np.ndarray:
+    """Where x (acted group) and y (actor group) act differently on both
     groups: x via the reverse action / conjugation, y via conjugation / the
-    forward action.  The first disagreement, on the actor group's elements
-    before the acted group's, raises IdentityViolation(message) with witness
-    [*prefix, index]; for arrays x, y of one shape, [*prefix, *position,
-    index] at the least position."""
-    act = pair.action(side)
-    co = pair.companion(side)
+    forward action.  For arrays x, y of one shape, one row per position,
+    over the actor group's elements and then the acted group's."""
+    act, co = pair.action(side), pair.companion(side)
     G, H = act.actor.group, act.acted.group
-    at = first_true(
-        np.concatenate([co.phi[x] != G.conj_table[y], H.conj_table[x] != act.phi[y]], axis=-1)
-    )
+    return np.concatenate([co.phi[x] != G.conj_table[y], H.conj_table[x] != act.phi[y]], axis=-1)
+
+
+def _require_agreement(
+    pair: CompatiblePair, stage: str, message: str, slabs: Iterable, witness: Callable
+) -> int:
+    """Scan _disagreement slabs prefixed by (side, *prefix) and return the
+    tuples checked.  The least disagreement raises IdentityViolation(message)
+    with witness [*witness([*prefix, *position]), element index]."""
+    at, checked = scan(stage, slabs)
     if at is not None:
-        *pos, i = at
+        side, *pos, i = at
+        n = pair.action(side).actor.order
         raise IdentityViolation(
             message,
             side=side,
-            witness=[*prefix, *pos, i if i < G.order else i - G.order],
-            on="actor" if i < G.order else "acted",
+            witness=[*witness(pos), i if i < n else i - n],
+            on="actor" if i < n else "acted",
         )
+    return checked
 
 
 def action_partner(pair: CompatiblePair, word: Word, side: str = "g-on-h") -> tuple[int, int, Word]:
@@ -586,42 +579,47 @@ def action_partner(pair: CompatiblePair, word: Word, side: str = "g-on-h") -> tu
             element=y,
             side=mirror_side,
         )
-    _require_agreement(pair, side, x, y, "partner does not act identically", [x, y])
+    slab = ((side, x, y), _disagreement(pair, side, x, y))
+    _require_agreement(pair, "action partner", "partner does not act identically", [slab], list)
     return x, y, mirror.words[y]
 
 
 def check_partner_generators(pair: CompatiblePair) -> CheckReport:
     """Single-defect partners act identically on both groups (both sides)."""
-    checked = 0
-    for side in SIDES:
-        act, co = pair.action(side), pair.companion(side)
-        G, H = act.actor.group, act.acted.group
-        for g in range(G.order):
-            check_budget("partner generators")
-            # the one-letter words (("gen", g, h, 1),) and their partners, over h
-            x, y = act.mixed_defect_table[g], _partner_defect(co, g, np.arange(H.order))
-            _require_agreement(pair, side, x, y, "generator partner does not act identically", [g])
-            checked += H.order * (G.order + H.order)
+
+    def slabs() -> Iterator:
+        for side in SIDES:
+            act, co = pair.action(side), pair.companion(side)
+            h = np.arange(act.acted.order)
+            for g in range(act.actor.order):
+                # the one-letter words (("gen", g, h, 1),) and their partners, over h
+                x, y = act.mixed_defect_table[g], _partner_defect(co, g, h)
+                yield (side, g), _disagreement(pair, side, x, y)
+
+    message = "generator partner does not act identically"
+    checked = _require_agreement(pair, "partner generators", message, slabs(), list)
     return CheckReport("partner-generators", True, checked)
 
 
 def check_partner_words(pair: CompatiblePair) -> CheckReport:
     """Every witnessed element of each defect ideal has an identically
     acting partner built letter-by-letter from its word."""
-    checked = 0
-    for side in SIDES:
-        term = mixed_lie_ideal(pair, side)
-        for x in sorted(term.carrier.members):
-            check_budget("partner words")
-            xe, y = partner_element(pair, side, term.words[x])
-            if xe != x:
-                raise IdentityViolation(
-                    "witness word does not evaluate to its element",
-                    side=side,
-                    witness=[x, xe],
-                )
-            _require_agreement(pair, side, x, y, "word partner does not act identically", [x, y])
-            checked += pair.G.order + pair.H.order
+
+    def slabs() -> Iterator:
+        for side in SIDES:
+            term = mixed_lie_ideal(pair, side)
+            for x in sorted(term.carrier.members):
+                xe, y = partner_element(pair, side, term.words[x])
+                if xe != x:
+                    raise IdentityViolation(
+                        "witness word does not evaluate to its element",
+                        side=side,
+                        witness=[x, xe],
+                    )
+                yield (side, x, y), _disagreement(pair, side, x, y)
+
+    message = "word partner does not act identically"
+    checked = _require_agreement(pair, "partner words", message, slabs(), list)
     return CheckReport("partner-words", True, checked)
 
 
@@ -632,25 +630,23 @@ def check_partner_closure_ops(pair: CompatiblePair) -> CheckReport:
         act = pair.action(side)
         G, H = act.actor.group, act.acted.group
         term = mixed_lie_ideal(pair, side)
-        pairs = [partner_element(pair, side, term.words[x]) for x in sorted(term.carrier.members)]
-        for x, y in pairs:
-            check_budget("partner closure")
-            _require_agreement(
-                pair, side, H.inv(x), G.inv(y), "inverse pair does not act identically", [x, y]
-            )
-            checked += G.order + H.order
-        for x1, y1 in pairs:
-            for x2, y2 in pairs:
-                check_budget("partner closure")
-                _require_agreement(
-                    pair,
-                    side,
-                    H.commutator(x1, x2),
-                    G.commutator(y1, y2),
-                    "commutator pair does not act identically",
-                    [x1, x2, y1, y2],
-                )
-                checked += G.order + H.order
+        xy = [partner_element(pair, side, term.words[x]) for x in sorted(term.carrier.members)]
+        inverses = (
+            ((side, x, y), _disagreement(pair, side, H.inverses[x], G.inverses[y])) for x, y in xy
+        )
+        message = "inverse pair does not act identically"
+        checked += _require_agreement(pair, "partner closure", message, inverses, list)
+        # one slab per x1, over every x2: [x1, x2] against [y1, y2]
+        xs, ys = np.array(xy).T
+        commutators = (
+            ((side, j), _disagreement(pair, side, H.comm_table[x1, xs], G.comm_table[y1, ys]))
+            for j, (x1, y1) in enumerate(xy)
+        )
+        message = "commutator pair does not act identically"
+        checked += _require_agreement(
+            pair, "partner closure", message, commutators,
+            lambda jk: [*xs[jk].tolist(), *ys[jk].tolist()],  # [x1, x2, y1, y2]
+        )
     return CheckReport("partner-closure-ops", True, checked)
 
 
@@ -688,94 +684,96 @@ def star_to_bracket(
 
 
 def check_star_to_bracket_level(pair: CompatiblePair, level: int) -> CheckReport:
-    """x1 * x2 = <partner(x1), x2> over all witnessed pairs at one level."""
+    """x1 * x2 = <partner(x1), x2> over all witnessed pairs at one level,
+    one slab per x1."""
     checked = 0
     for side in SIDES:
         act = pair.action(side)
-        terms = witnessed_derived_terms(pair, side, level)
-        term = terms[level]
+        term = witnessed_derived_terms(pair, side, level)[level]
         members = sorted(term.carrier.members)
-        for x1 in members:
-            check_budget("star-to-bracket")
-            z = _eval_word(pair, side, term.words[x1], True)
-            for x2 in members:
-                lhs = act.acted.op(x1, x2)
-                rhs = act.brk(z, x2)
-                checked += 1
-                if lhs != rhs:
-                    raise IdentityViolation(
-                        "star does not rewrite to the partner bracket",
-                        side=side,
-                        level=level,
-                        witness=[x1, x2, z, lhs, rhs],
-                    )
+        xs = np.array(members)
+
+        def slabs() -> Iterator:
+            for x1 in members:
+                z = _eval_word(pair, side, term.words[x1], True)
+                yield (x1, z), act.acted.star[x1, xs] != act.bracket[z, xs]
+
+        at, n = scan("star-to-bracket", slabs())
+        checked += n
+        if at is not None:
+            x1, z, k = at
+            x2 = members[k]
+            raise IdentityViolation(
+                "star does not rewrite to the partner bracket",
+                side=side,
+                level=level,
+                witness=[x1, x2, z, act.acted.op(x1, x2), act.brk(z, x2)],
+            )
     return CheckReport(f"star-to-bracket-level-{level}", True, checked)
 
 
 def check_lie_conjugation_transfer(pair: CompatiblePair) -> CheckReport:
-    """Defects of agreeing pairs act identically: ^L[x1,x2] vs ^L[y1,y2]."""
+    """Defects of agreeing pairs act identically: ^L[x1,x2] vs ^L[y1,y2],
+    one slab per x1 over every x2."""
     checked = 0
     for side in SIDES:
         act = pair.action(side)
         term = mixed_lie_ideal(pair, side)
-        members = sorted(term.carrier.members)
-        partners = {x: _eval_word(pair, side, term.words[x], True) for x in members}
-        for x1 in members:
-            check_budget("conjugation transfer")
-            for x2 in members:
-                dx = act.acted.lie_defect(x1, x2)
-                dy = act.actor.lie_defect(partners[x1], partners[x2])
-                _require_agreement(
-                    pair, side, dx, dy, "defect pair does not act identically", [x1, x2]
-                )
-                checked += pair.G.order + pair.H.order
+        xs = np.array(sorted(term.carrier.members))
+        ys = np.array([_eval_word(pair, side, term.words[x], True) for x in xs.tolist()])
+        Lx, Ly = act.acted.lie_defect_table, act.actor.lie_defect_table
+        slabs = (
+            ((side, j), _disagreement(pair, side, Lx[x1, xs], Ly[y1, ys]))
+            for j, (x1, y1) in enumerate(zip(xs, ys))
+        )
+        message = "defect pair does not act identically"
+        checked += _require_agreement(
+            pair, "conjugation transfer", message, slabs, lambda jk: xs[jk].tolist()
+        )
     return CheckReport("lie-conjugation-transfer", True, checked)
 
 
 def check_bracket_conjugation(pair: CompatiblePair) -> CheckReport:
     """Conjugating one bracket value by another equals bracketing the
     mixed-commutator conjugates, on both sides."""
-    checked = 0
-    for side, display in zip(SIDES, "HG"):  # each side's display is its acted group
-        act, co = pair.action(side), pair.companion(side)
-        B, Hc = act.bracket, act.acted.group.conj_table
-        for x in range(act.actor.order):
-            check_budget("bracket conjugation")
-            c = act.mixed_comm_table[x]  # ^x y · y^-1 over acted y
-            # one slab over (acted y, actor x', acted y')
-            lhs = Hc[B[x][:, None, None], B]
-            rhs = B[co.phi[c][:, :, None], Hc[c][:, None, :]]
-            checked += lhs.size
-            at = first_true(lhs != rhs)
-            if at is not None:
-                raise IdentityViolation(
-                    f"bracket conjugation fails on the {display} display",
-                    side=side,
-                    witness=[x, *at],
-                )
+
+    def slabs() -> Iterator:
+        for side in SIDES:
+            act, co = pair.action(side), pair.companion(side)
+            B, Hc = act.bracket, act.acted.group.conj_table
+            for x in range(act.actor.order):
+                c = act.mixed_comm_table[x]  # ^x y · y^-1 over acted y
+                # one slab over (acted y, actor x', acted y')
+                lhs = Hc[B[x][:, None, None], B]
+                yield (side, x), lhs != B[co.phi[c][:, :, None], Hc[c][:, None, :]]
+
+    at, checked = scan("bracket conjugation", slabs())
+    if at is not None:
+        side, *witness = at
+        display = "H" if side == "g-on-h" else "G"  # each side's display is its acted group
+        raise IdentityViolation(
+            f"bracket conjugation fails on the {display} display", side=side, witness=witness
+        )
     return CheckReport("bracket-conjugation", True, checked)
 
 
 def check_lemma_commutator_bracket(pair: CompatiblePair) -> CheckReport:
     """[<g,h>, h'] = <g·^h g^-1, h'> = (^g h·h^-1) * h', and mirrored."""
-    checked = 0
-    for side in SIDES:
-        act = pair.action(side)
-        co = pair.companion(side)
-        G, H = act.actor.group, act.acted.group
-        for g in range(G.order):
-            check_budget("commutator bracket")
-            left = H.comm_table[act.bracket[g]]  # [<g,h>, h'] over (h, h')
-            mid = act.bracket[G.table[g, co.phi[:, G.inverses[g]]]]
-            right = act.acted.star[act.mixed_comm_table[g]]
-            checked += H.order * H.order
-            at = first_true((left != mid) | (mid != right))
-            if at is not None:
-                raise IdentityViolation(
-                    "commutator/bracket/star chain breaks",
-                    side=side,
-                    witness=[g, *at],
-                )
+
+    def slabs() -> Iterator:
+        for side in SIDES:
+            act, co = pair.action(side), pair.companion(side)
+            G, H = act.actor.group, act.acted.group
+            for g in range(G.order):
+                left = H.comm_table[act.bracket[g]]  # [<g,h>, h'] over (h, h')
+                mid = act.bracket[G.table[g, co.phi[:, G.inverses[g]]]]
+                right = act.acted.star[act.mixed_comm_table[g]]
+                yield (side, g), (left != mid) | (mid != right)
+
+    at, checked = scan("commutator bracket", slabs())
+    if at is not None:
+        side, *witness = at
+        raise IdentityViolation("commutator/bracket/star chain breaks", side=side, witness=witness)
     return CheckReport("commutator-bracket-chain", True, checked)
 
 
@@ -787,16 +785,15 @@ def check_defect_centralizes_bracket_ideal(pair: CompatiblePair) -> CheckReport:
         H = act.acted.group
         defects = sorted(mixed_lie_ideal(pair, side).carrier.members)
         brk = np.fromiter(sorted(bracket_ideal(pair, side).subgroup.members), dtype=np.int64)
-        for a in defects:
-            check_budget("defect centralizer")
-            at = first_true(H.comm_table[a, brk] != H.identity)
-            checked += brk.size
-            if at is not None:
-                raise IdentityViolation(
-                    "defect element fails to commute with a bracket element",
-                    side=side,
-                    witness=[a, int(brk[at[0]])],
-                )
+        slabs = (((a,), H.comm_table[a, brk] != H.identity) for a in defects)
+        at, n = scan("defect centralizer", slabs)
+        checked += n
+        if at is not None:
+            raise IdentityViolation(
+                "defect element fails to commute with a bracket element",
+                side=side,
+                witness=[at[0], int(brk[at[1]])],
+            )
     return CheckReport("defect-centralizes-bracket-ideal", True, checked)
 
 
@@ -811,16 +808,14 @@ def check_defect_fixes_opposite_bracket_ideal(pair: CompatiblePair) -> CheckRepo
         opp = np.fromiter(
             sorted(bracket_ideal(pair, mirror_side).subgroup.members), dtype=np.int64
         )
-        for a in defects:
-            check_budget("defect fixes opposite")
-            at = first_true(co.phi[a, opp] != opp)
-            checked += opp.size
-            if at is not None:
-                raise IdentityViolation(
-                    "defect element moves an opposite bracket element",
-                    side=side,
-                    witness=[a, int(opp[at[0]])],
-                )
+        at, n = scan("defect fixes opposite", (((a,), co.phi[a, opp] != opp) for a in defects))
+        checked += n
+        if at is not None:
+            raise IdentityViolation(
+                "defect element moves an opposite bracket element",
+                side=side,
+                witness=[at[0], int(opp[at[1]])],
+            )
     return CheckReport("defect-fixes-opposite-bracket-ideal", True, checked)
 
 

@@ -55,6 +55,15 @@ class Presentation:
     # length -> (their positions in relator order, their (k, length) signed entries)
     by_length: dict[int, tuple[np.ndarray, np.ndarray]]
 
+    def __post_init__(self) -> None:
+        """Every relator entry must name a generator: built here or by hand,
+        a presentation that fails this raises InputError naming the relator."""
+        n = len(self.generator_labels)
+        bad = ((w == 0) | (np.abs(w, dtype=np.int64) > n) for _, w in self.by_length.values())
+        if any(b.any() for b in bad):
+            e, rel = next((e, w) for w in self.relators for e in w if e == 0 or abs(e) > n)
+            raise InputError(f"relator entry {e} references no generator", relator=list(rel))
+
     @property
     def generator_count(self) -> int:
         return len(self.generator_labels)
@@ -72,7 +81,6 @@ def make_presentation(generator_labels, relators) -> Presentation:
     labels = tuple(str(s) for s in generator_labels)
     if len(set(labels)) != len(labels):
         raise InputError("generator labels are not distinct")
-    n = len(labels)
     if isinstance(relators, np.ndarray) and relators.ndim != 2:
         raise InputError("a relator array must be 2-D", shape=list(relators.shape))
     if isinstance(relators, np.ndarray) and relators.dtype.kind == "i" and relators.size:
@@ -85,11 +93,7 @@ def make_presentation(generator_labels, relators) -> Presentation:
         for i, w in enumerate(words):
             at.setdefault(len(w), []).append(i)
         by_length = {k: (np.array(ix), np.array([words[i] for i in ix])) for k, ix in sorted(at.items())}
-    pres = Presentation(labels, by_length)
-    if any(((w == 0) | (np.abs(w) > n)).any() for _, w in by_length.values()):
-        e, rel = next((e, w) for w in pres.relators for e in w if e == 0 or abs(e) > n)
-        raise InputError(f"relator entry {e} references no generator", relator=list(rel))
-    return pres
+    return Presentation(labels, by_length)
 
 
 @dataclass(frozen=True)

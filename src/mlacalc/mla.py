@@ -58,7 +58,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, TypeVar
+from operator import ne
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -70,7 +71,7 @@ from .errors import (
 )
 from .groups import ORDER_CAP, FiniteGroup, GroupMap, Subgroup, _closure, _freeze, quotient
 from .groups import validate_cayley
-from .util import check_budget, first_true
+from .util import check_budget, first_true, scan
 
 V = TypeVar("V")
 
@@ -253,19 +254,12 @@ def broken_axioms(
         5: ((col, row, z) for z in gens),
     }
     for num, tuples in reduced.items():
-        for xyz in tuples:
-            check_budget(stage)
-            lhs, rhs = laws[num](*xyz)
-            if (lhs != rhs).any():
-                yield num
-                break
+        if scan(stage, (((), ne(*laws[num](*xyz))) for xyz in tuples))[0] is not None:
+            yield num
 
 
 def axiom_sides(
-    G: FiniteGroup,
-    S: np.ndarray,
-    axioms: Iterable[int],
-    stage: str = "axiom scan",
+    G: FiniteGroup, S: np.ndarray, axioms: Iterable[int]
 ) -> Iterator[tuple[int, tuple[int, ...], np.ndarray, np.ndarray | int]]:
     """The exhaustive evaluation of the given axioms on a star table S over G.
 
@@ -273,7 +267,9 @@ def axiom_sides(
     outer x in increasing order.  The axiom fails exactly where lhs != rhs (rhs
     may be the identity), with witness (*prefix, *position), so the first
     mismatch met is the least witness of the first failing axiom.  Positions
-    are [y, z], and [z, y] for axiom 5.
+    are [y, z], and [z, y] for axiom 5.  Each row is built when it is pulled,
+    so a consumer that checks the budget first (util.budgeted) builds none
+    past it.
     """
     wanted = set(axioms)
     laws = _axiom_laws(G, S)
@@ -283,7 +279,6 @@ def axiom_sides(
     for num in sorted(wanted - {1}):
         yz = (row, col) if num == 5 else (col, row)
         for x in range(G.order):
-            check_budget(stage)
             yield num, (x,), *laws[num](x, *yz)
 
 
@@ -300,17 +295,16 @@ def check_axioms(M: MultLieAlg) -> None:
     num = next(broken_axioms(M.group, M.star), None)
     if num is None:
         return
-    for _, prefix, lhs, rhs in axiom_sides(M.group, M.star, (num,)):
-        at = first_true(lhs != rhs)
-        if at is not None:
-            witness = [*prefix, *at]
-            labels = [M.group.labels[i] for i in witness]
-            raise AxiomViolation(
-                f"axiom {num} ({AXIOM_NAMES[num]}) fails at ({', '.join(labels)})",
-                axiom=num,
-                witness=witness,
-            )
-    raise AssertionError(f"axiom {num} failed on a reduced tuple the full scan missed")
+    sides = axiom_sides(M.group, M.star, (num,))
+    at = scan("axiom scan", ((prefix, lhs != rhs) for _, prefix, lhs, rhs in sides))[0]
+    if at is None:
+        raise AssertionError(f"axiom {num} failed on a reduced tuple the full scan missed")
+    labels = [M.group.labels[i] for i in at]
+    raise AxiomViolation(
+        f"axiom {num} ({AXIOM_NAMES[num]}) fails at ({', '.join(labels)})",
+        axiom=num,
+        witness=list(at),
+    )
 
 
 def _record_verified(obj: V) -> V:
@@ -326,6 +320,26 @@ def make_algebra(G: FiniteGroup, star) -> MultLieAlg:
     return _record_verified(M)
 
 
+_ISO_FAILURES = ("not-bijective", "product", "star")
+
+
+def star_iso_slabs(M: MultLieAlg, N: MultLieAlg, row: np.ndarray, prefix: tuple) -> Iterator:
+    """The checks of star_iso_failure on ``row`` as scan slabs, each prefixed
+    by (*prefix, its reason's index in _ISO_FAILURES); a later slab is built
+    only once the earlier ones pass."""
+    yield (*prefix, 0), np.sort(row) != np.arange(N.order)
+    g, A, B = M.group.generators, M.group.table, N.group.table
+    if not (row[A[:, g]] == B[row[:, None], row[g]]).all():
+        yield (*prefix, 1), row[A] != B[row[:, None], row[None, :]]
+    yield (*prefix, 2), row[M.star] != N.star[row[:, None], row[None, :]]
+
+
+def star_iso_reason(at: Sequence[int]) -> tuple[str, tuple[int, ...] | None]:
+    """(reason, least (a, b) or None) from the part of a scan witness that
+    star_iso_slabs yielded."""
+    return _ISO_FAILURES[at[0]], None if at[0] == 0 else tuple(at[1:])
+
+
 def star_iso_failure(
     M: MultLieAlg, N: MultLieAlg, row: np.ndarray
 ) -> tuple[str, tuple[int, ...] | None] | None:
@@ -336,27 +350,14 @@ def star_iso_failure(
     with b over the generators only: row(a·g) = row(a)·row(g) for every a and
     generator g gives row(e) = e (at a = e) and then, by induction on words,
     every product; only a failure is rescanned over all (a, b)."""
-    if (np.sort(row) != np.arange(N.order)).any():
-        return "not-bijective", None
-    g = M.group.generators
-    for reason, A, B in (("product", M.group.table, N.group.table), ("star", M.star, N.star)):
-        if reason == "product" and (row[A[:, g]] == B[row[:, None], row[g]]).all():
-            continue
-        at = first_true(row[A] != B[row[:, None], row[None, :]])
-        if at is not None:
-            return reason, at
-    return None
+    at = scan("star isomorphism", star_iso_slabs(M, N, row, ()))[0]
+    return None if at is None else star_iso_reason(at)
 
 
 def compose_failure(G: FiniteGroup, rows: np.ndarray, stage: str) -> tuple[int, ...] | None:
     """Least (a, b, x) with rows[a·b][x] != rows[a][rows[b][x]], scanned one
     slab per a; None when the rows compose as an action of G."""
-    for a in range(G.order):
-        check_budget(stage)
-        at = first_true(rows[G.table[a]] != rows[a][rows])
-        if at is not None:
-            return (a, *at)
-    return None
+    return scan(stage, (((a,), rows[G.table[a]] != rows[a][rows]) for a in range(G.order)))[0]
 
 
 IDENTITY_NAMES = {
@@ -382,17 +383,6 @@ def _identity_laws(M: MultLieAlg) -> dict[int, Callable]:
         4: lambda a, b, c: L[a, T[b, c]] != T[Cr[b, L[a, c]], C[Kr[Cr[b, c], C[b, a]], L[a, b]]],
         5: lambda a, b, c: C[a, L[b, c]] != L[Cr[a, b], C[a, c]],
     }
-
-
-def _least_witness(law: Callable, n: int) -> list[int] | None:
-    """Least (a, b, c) where the failure mask law(a, b, c) is set, by rows in a."""
-    bc = _plane(n)
-    for a in range(n):
-        check_budget("identity scan")
-        at = first_true(law(a, *bc))
-        if at is not None:
-            return [a, *at]
-    return None
 
 
 def check_lie_identities(
@@ -455,12 +445,11 @@ def check_lie_identities(
         5: lambda g: (g, col, row),
     }
     for num in sorted(wanted & set(laws)):
-        results[num] = None
-        for g in G.generators:
-            check_budget("identity scan")
-            if laws[num](*on_generator[num](g)).any():
-                results[num] = _least_witness(laws[num], n)
-                break
+        law = laws[num]
+        at = scan("identity scan", (((), law(*on_generator[num](g))) for g in G.generators))[0]
+        if at is not None:  # the least witness, by rows in a
+            at = scan("identity scan", (((a,), law(a, col, row)) for a in range(n)))[0]
+        results[num] = None if at is None else list(at)
 
     if 6 in wanted:
         m1 = L[inv, :] != C[inv[:, None], L.T]  # L[a^-1, b] vs ^(a^-1) L[b, a]
@@ -471,16 +460,9 @@ def check_lie_identities(
     if 7 in wanted:
         # distinct values suffice; recover a least witness pair afterwards
         stars = np.unique(S)
-        ls = np.unique(L)
-        bad7: list[int] | None = None
-        for li in ls:
-            check_budget("identity scan")
-            wrong = first_true(G.comm_table[li, stars] != e)
-            if wrong is not None:
-                si = int(stars[wrong[0]])
-                bad7 = [*first_true(L == li), *first_true(S == si)]
-                break
-        results[7] = bad7
+        slabs = (((li,), G.comm_table[li, stars] != e) for li in np.unique(L).tolist())
+        at = scan("identity scan", slabs)[0]  # (an L value, a star value's index)
+        results[7] = at and [*first_true(L == at[0]), *first_true(S == stars[at[1]])]
 
     return {k: results[k] for k in sorted(results)}
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
@@ -49,9 +50,11 @@ from .mla import (
     quotient_algebra,
     solvable_length,
     star_iso_failure,
+    star_iso_reason,
+    star_iso_slabs,
     validate_ideal,
 )
-from .util import CheckReport, check_budget, first_true, memoized
+from .util import CheckReport, budgeted, check_budget, first_true, memoized, scan
 
 DEFAULT_MAX_ROUNDS = 8
 SEED_ORDERS = ("default", "alt")
@@ -224,7 +227,7 @@ def _offending_values(
     seed = (0, (), S[images[:, None], images[None, :]], seed_elem)
     broken = list(broken_axioms(K, S, stage))
     out: list[np.ndarray] = []
-    for _, _, lhs, rhs in chain([seed], axiom_sides(K, S, broken, stage)):
+    for _, _, lhs, rhs in chain([seed], budgeted(stage, axiom_sides(K, S, broken))):
         bad = lhs != rhs
         if bad.any():
             out.append(T[lhs[bad], inv[np.broadcast_to(rhs, lhs.shape)[bad]]])
@@ -320,18 +323,22 @@ def induce_actions(t: TensorAlgebra) -> TensorAlgebra:
 
     def build(side: str, m: int, targets_of) -> np.ndarray:
         rows = np.empty((m, K.order), dtype=np.int64)
-        for a in range(m):
-            check_budget("induced actions")
-            rows[a] = _extend_hom(K, targets_of(a), parent, letter, order)
-            bad = star_iso_failure(t.algebra, t.algebra, rows[a])
-            if bad is not None:
-                reason, at = bad
-                raise InducedActionIllDefined(
-                    f"induced map of {side} element {a} {_ILL_DEFINED[reason]}",
-                    side=side,
-                    element=a,
-                    **({} if at is None else {"witness": at}),
-                )
+
+        def slabs() -> Iterator:
+            for a in range(m):
+                rows[a] = _extend_hom(K, targets_of(a), parent, letter, order)
+                yield from star_iso_slabs(t.algebra, t.algebra, rows[a], (a,))
+
+        hit = scan("induced actions", slabs())[0]
+        if hit is not None:
+            a, *at = hit
+            reason, at = star_iso_reason(at)
+            raise InducedActionIllDefined(
+                f"induced map of {side} element {a} {_ILL_DEFINED[reason]}",
+                side=side,
+                element=a,
+                **({} if at is None else {"witness": at}),
+            )
         return rows
 
     act_g = build("left-factor", G.order, lambda g: tmap[G.conj_table[g]][
@@ -354,6 +361,16 @@ def induce_actions(t: TensorAlgebra) -> TensorAlgebra:
     return replace(t, act_g=act_g, act_h=act_h)
 
 
+def _first_failing(name: str, slabs: Iterator) -> CheckReport:
+    """A report over single slabs, each prefixed by its detail: the first
+    failing slab names the detail and the witness, the tuples counted up to
+    and including it."""
+    at, checked = scan(name, slabs)
+    if at is None:
+        return CheckReport(name, True, checked)
+    return CheckReport(name, False, checked, at[1:], at[0])
+
+
 def check_defining_relations(t: TensorAlgebra) -> CheckReport:
     """All four defining relations, re-evaluated directly on the symbol table."""
     pair = t.pair
@@ -362,75 +379,48 @@ def check_defining_relations(t: TensorAlgebra) -> CheckReport:
     K = t.group
     T = K.table
     tm = t.tensor_map
-    checked = 0
 
-    lhs = tm[:, H.table]
-    rhs = T[tm[:, :, None], tm[co.phi.T[:, :, None], H.conj_table[None, :, :]]]
-    checked += lhs.size
-    w = first_true(lhs != rhs)
-    if w is not None:
-        return CheckReport("tensor-defining-relations", False, checked, w, "product in the right slot")
+    def slabs() -> Iterator:
+        rhs = T[tm[:, :, None], tm[co.phi.T[:, :, None], H.conj_table[None, :, :]]]
+        yield ("product in the right slot",), tm[:, H.table] != rhs
 
-    lhs = tm[G.table]
-    rhs = T[
-        tm[G.conj_table[:, :, None], act.phi[:, None, :]],
-        np.broadcast_to(tm[:, None, :], (G.order, G.order, H.order)),
-    ]
-    checked += lhs.size
-    w = first_true(lhs != rhs)
-    if w is not None:
-        return CheckReport("tensor-defining-relations", False, checked, w, "product in the left slot")
+        rhs = T[
+            tm[G.conj_table[:, :, None], act.phi[:, None, :]],
+            np.broadcast_to(tm[:, None, :], (G.order, G.order, H.order)),
+        ]
+        yield ("product in the left slot",), tm[G.table] != rhs
 
-    SG, SH = pair.G.star, pair.H.star
-    a = tm[SG[:, :, None], act.phi[None, :, :]]
-    b = tm[co.phi.T[:, None, :], act.bracket[None, :, :]]
-    c = tm[G.conj_table[:, :, None], H.inverses[act.bracket][:, None, :]]
-    prod = T[T[a, K.inverses[b]], K.inverses[c]]
-    checked += prod.size
-    w = first_true(prod != K.identity)
-    if w is not None:
-        return CheckReport("tensor-defining-relations", False, checked, w, "left star relation")
+        SG, SH = pair.G.star, pair.H.star
+        a = tm[SG[:, :, None], act.phi[None, :, :]]
+        b = tm[co.phi.T[:, None, :], act.bracket[None, :, :]]
+        c = tm[G.conj_table[:, :, None], H.inverses[act.bracket][:, None, :]]
+        yield ("left star relation",), T[T[a, K.inverses[b]], K.inverses[c]] != K.identity
 
-    a = tm[co.phi.T[:, None, :], SH[None, :, :]]
-    b = tm[G.inverses[co.bracket].T[:, :, None], H.conj_table[None, :, :]]
-    c = tm[co.bracket.T[:, None, :], act.phi[:, :, None]]
-    prod = T[T[a, K.inverses[b]], K.inverses[c]]
-    checked += prod.size
-    w = first_true(prod != K.identity)
-    if w is not None:
-        return CheckReport("tensor-defining-relations", False, checked, w, "right star relation")
+        a = tm[co.phi.T[:, None, :], SH[None, :, :]]
+        b = tm[G.inverses[co.bracket].T[:, :, None], H.conj_table[None, :, :]]
+        c = tm[co.bracket.T[:, None, :], act.phi[:, :, None]]
+        yield ("right star relation",), T[T[a, K.inverses[b]], K.inverses[c]] != K.identity
 
-    seed = t.result.gen_image[star_seed_indices(pair)]
-    img = t.result.gen_image
-    lhs = t.algebra.star[img[:, None], img[None, :]]
-    checked += lhs.size
-    w = first_true(lhs != seed)
-    if w is not None:
-        return CheckReport("tensor-defining-relations", False, checked, w, "star seed")
+        img = t.result.gen_image
+        lhs = t.algebra.star[img[:, None], img[None, :]]
+        yield ("star seed",), lhs != img[star_seed_indices(pair)]
 
-    return CheckReport("tensor-defining-relations", True, checked)
+    return _first_failing("tensor-defining-relations", slabs())
 
 
 def check_induced_action_formulas(t: TensorAlgebra) -> CheckReport:
     """Induced actions restricted to symbols match the coordinatewise formulas."""
     act_g, act_h = t._require_actions()
     pair = t.pair
-    G, H = pair.G.group, pair.H.group
+    CG, CH = pair.G.group.conj_table, pair.H.group.conj_table
     tm = t.tensor_map
-    checked = 0
-    lhs = act_g[:, tm]  # (g, x, y)
-    rhs = tm[G.conj_table[:, :, None], pair.g_on_h.phi[:, None, :]]
-    checked += lhs.size
-    w = first_true(lhs != rhs)
-    if w is not None:
-        return CheckReport("induced-action-formulas", False, checked, w, "left factor")
-    lhs = act_h[:, tm]  # (h, x, y)
-    rhs = tm[pair.h_on_g.phi[:, :, None], H.conj_table[:, None, :]]
-    checked += lhs.size
-    w = first_true(lhs != rhs)
-    if w is not None:
-        return CheckReport("induced-action-formulas", False, checked, w, "right factor")
-    return CheckReport("induced-action-formulas", True, checked)
+
+    def slabs() -> Iterator:
+        # over (g, x, y), then (h, x, y)
+        yield ("left factor",), act_g[:, tm] != tm[CG[:, :, None], pair.g_on_h.phi[:, None, :]]
+        yield ("right factor",), act_h[:, tm] != tm[pair.h_on_g.phi[:, :, None], CH[:, None, :]]
+
+    return _first_failing("induced-action-formulas", slabs())
 
 
 def check_tensor_identities(t: TensorAlgebra, only: int | None = None) -> dict[int, CheckReport]:
@@ -471,50 +461,27 @@ def check_tensor_identities(t: TensorAlgebra, only: int | None = None) -> dict[i
             witness = first_true((lhs != r1) | (lhs != r2))
         elif k == 3:
             checked = ng * nh * K.order
-            for g in range(ng):
-                check_budget(name)
-                lhs = K.conj_table[tm[g]]
-                rhs = act_h[hslot[g]]
-                at = first_true(lhs != rhs)
-                if at is not None:
-                    witness = (g, *at)
-                    break
+            slabs = (((g,), K.conj_table[tm[g]] != act_h[hslot[g]]) for g in range(ng))
+            witness = scan(name, slabs)[0]
         elif k == 4:
             checked = ng * nh * nh
-            for g in range(ng):
-                check_budget(name)
-                tt = tm[g]
-                lhs = tm[gslot[g]]  # (h, h') via broadcast below
-                rhs = T[tt[:, None], act_h[:, inv[tt]].T]
-                at = first_true(lhs != rhs)
-                if at is not None:
-                    witness = (g, *at)
-                    break
+            slabs = (  # over (h, h')
+                ((g,), tm[gslot[g]] != T[tt[:, None], act_h[:, inv[tt]].T]) for g, tt in enumerate(tm)
+            )
+            witness = scan(name, slabs)[0]
         elif k == 5:
             checked = ng * nh * ng
-            for g in range(ng):
-                check_budget(name)
-                tt = tm[g]
-                lhs = tm[:, hslot[g]]  # (g', h)
-                rhs = T[act_g[:, tt], inv[tt][None, :]]
-                at = first_true(lhs != rhs)
-                if at is not None:
-                    gp, h = at
-                    witness = (g, h, gp)
-                    break
+            slabs = (  # over (g', h), reported as (g, h, g')
+                ((g,), tm[:, hslot[g]] != T[act_g[:, tt], inv[tt][None, :]]) for g, tt in enumerate(tm)
+            )
+            at = scan(name, slabs)[0]
+            witness = at and (at[0], at[2], at[1])
         elif k == 6:
             checked = (ng * nh) ** 2
-            for g in range(ng):
-                check_budget(name)
-                for h in range(nh):
-                    lhs = K.comm_table[tm[g, h]][tm]
-                    rhs = tm[gslot[g, h]][hslot]
-                    at = first_true(lhs != rhs)
-                    if at is not None:
-                        witness = (g, h, *at)
-                        break
-                if witness:
-                    break
+            slabs = (  # over (h, g', h')
+                ((g,), K.comm_table[tm[g]][:, tm] != tm[gslot[g]][:, hslot]) for g in range(ng)
+            )
+            witness = scan(name, slabs)[0]
         out[k] = CheckReport(name, witness is None, checked, witness, TENSOR_IDENTITY_NAMES[k])
     return out
 
@@ -533,23 +500,20 @@ def check_tensor_lie_commutator(t: TensorAlgebra) -> CheckReport:
     ng, nh = G.order, H.order
     dh = act.mixed_defect_table  # ^L[g', h'] over (g', h')
     bh = act.bracket
-    checked = 0
-    for g in range(ng):
-        check_budget("tensor-lie-commutator")
-        for h in range(nh):
-            dg = int(co.mixed_defect_table[h, g])  # ^L[h, g]
-            bg = int(co.bracket[h, g])
-            f1 = tm[G.inverses[bg]][dh]
-            f2 = tm[G.inverses[dg]][bh]
-            f3 = tm[G.inverses[dg]][dh]
-            pref = act_g[G.inverses[dg]][act_h[bh, f1]]
-            rhs = T[T[pref, f2], f3]
-            lhs = D[tm[g, h]][tm]
-            checked += lhs.size
-            at = first_true(lhs != rhs)
-            if at is not None:
-                return CheckReport("tensor-lie-commutator", False, checked, (g, h, *at))
-    return CheckReport("tensor-lie-commutator", True, checked)
+
+    def slabs() -> Iterator:
+        for g in range(ng):
+            for h in range(nh):
+                dg = int(co.mixed_defect_table[h, g])  # ^L[h, g]
+                bg = int(co.bracket[h, g])
+                f1 = tm[G.inverses[bg]][dh]
+                f2 = tm[G.inverses[dg]][bh]
+                f3 = tm[G.inverses[dg]][dh]
+                pref = act_g[G.inverses[dg]][act_h[bh, f1]]
+                yield (g, h), D[tm[g, h]][tm] != T[T[pref, f2], f3]
+
+    at, checked = scan("tensor-lie-commutator", slabs())
+    return CheckReport("tensor-lie-commutator", at is None, checked, at)
 
 
 def tensor_ideal(t: TensorAlgebra, I: Subgroup, J: Subgroup) -> Ideal:

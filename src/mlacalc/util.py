@@ -8,7 +8,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -73,6 +73,37 @@ def first_true(mask: np.ndarray) -> tuple[int, ...] | None:
     if not mask.any():
         return None
     return tuple(int(v) for v in np.unravel_index(int(mask.argmax()), mask.shape))
+
+
+def budgeted(stage: str, items: Iterable[T]) -> Iterator[T]:
+    """The items in order, with check_budget(stage) before each is pulled, so
+    an item built lazily is not built once the budget is spent."""
+    items = iter(items)
+    while True:
+        check_budget(stage)
+        try:
+            item = next(items)
+        except StopIteration:
+            return
+        yield item
+
+
+def scan(stage: str, slabs: Iterable[tuple[tuple, np.ndarray]]) -> tuple[tuple | None, int]:
+    """The least failure of a law scanned slab by slab: (witness or None, tuples).
+
+    ``slabs`` yields (prefix, mask) in the order of their tuples, mask set where
+    the law fails at (*prefix, *position).  The witness is that tuple at the
+    first set entry of the first slab with one; tuples counts the entries of
+    every slab scanned, the failing one included.  The budget is checked before
+    each slab is pulled (budgeted).
+    """
+    tuples = 0
+    for prefix, mask in budgeted(stage, slabs):
+        tuples += mask.size
+        at = first_true(mask)
+        if at is not None:
+            return (*prefix, *at), tuples
+    return None, tuples
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,25 @@ def test_presentation_input_errors():
         coset_enumerate(Presentation((), {1: (np.array([0]), np.array([[1]]))}))
 
 
+@pytest.mark.parametrize(
+    "labels, by_length, entry, relator",
+    [
+        # a 0 entry: enumerated to a group of order 1 when unchecked
+        (("a",), {1: (np.array([0]), np.array([[0]]))}, 0, [0]),
+        # past the last generator: a bare IndexError in the enumerator when unchecked
+        (("a",), {1: (np.array([0]), np.array([[-2]]))}, -2, [-2]),
+        (("a", "b"), {3: (np.array([0]), np.array([[1, 0, 2]]))}, 0, [1, 0, 2]),
+        # int8 -128 is its own absolute value
+        (("a",), {2: (np.array([0]), np.array([[1, -128]], dtype=np.int8))}, -128, [1, -128]),
+    ],
+)
+def test_hand_built_presentation_validates_itself(labels, by_length, entry, relator):
+    with pytest.raises(InputError) as exc:
+        coset_enumerate(Presentation(labels, by_length))
+    assert str(exc.value) == f"relator entry {entry} references no generator"
+    assert exc.value.payload == {"relator": relator}
+
+
 def test_relator_arrays_must_be_2d_and_in_range():
     # -128 is its own absolute value in int8: the range check must not wrap
     with pytest.raises(InputError) as exc:

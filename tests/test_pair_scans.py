@@ -1,10 +1,13 @@
 """The slab scans of the pair laws against the per-row scans they replaced.
 
-The references below are _pair_condition_witness, check_lemma_commutator_bracket
-and check_partner_generators as they stood when each outer element was still
-scanned one row (or one element) at a time.  Both must report the same
-display or side, the same condition and the same least witness, on
-perturbed actions of the corpus self pairs that mostly break some law.
+The references below are _pair_condition_witness, check_lemma_commutator_bracket,
+check_partner_generators, check_star_to_bracket_level,
+check_lie_conjugation_transfer and check_partner_closure_ops as they stood
+when each outer element (or pair of elements) was still scanned one row or
+one element at a time, and the two defect-ideal scans as plain loops over
+pairs of members.  Both must report the same display or side, the same
+condition, the same least witness and the same count, on perturbed actions
+of the corpus self pairs that mostly break some law.
 """
 
 from __future__ import annotations
@@ -19,11 +22,23 @@ from mlacalc.actions import (
     CompatiblePair,
     MlaAction,
     _pair_condition_witness,
+    bracket_ideal,
+    check_compatibility,
+    check_defect_centralizes_bracket_ideal,
+    check_defect_fixes_opposite_bracket_ideal,
     check_lemma_commutator_bracket,
+    check_lie_conjugation_transfer,
+    check_partner_closure_ops,
     check_partner_generators,
+    check_star_to_bracket_level,
+    mixed_lie_ideal,
+    partner_element,
+    validate_action,
+    witnessed_derived_terms,
 )
 from mlacalc.corpus import get_group, group_names
-from mlacalc.errors import IdentityViolation
+from mlacalc.errors import IdentityViolation, MlaError
+from mlacalc.groups import validate_cayley
 from mlacalc.mla import make_improper_star, make_trivial_star
 from mlacalc.util import CheckReport
 
@@ -132,11 +147,145 @@ def reference_partner_generators(pair):
     return CheckReport("partner-generators", True, checked)
 
 
+def reference_agreement(pair, side, x, y, message, prefix):
+    act, co = pair.action(side), pair.companion(side)
+    G, H = act.actor.group, act.acted.group
+    on_actor = co.phi[x] != G.conj_table[y]
+    on_acted = H.conj_table[x] != act.phi[y]
+    for on, bad in (("actor", on_actor), ("acted", on_acted)):
+        if bad.any():
+            raise IdentityViolation(
+                message, side=side, witness=[*prefix, int(np.flatnonzero(bad)[0])], on=on
+            )
+
+
+def reference_star_to_bracket_level(pair, level):
+    checked = 0
+    for side in SIDES:
+        act = pair.action(side)
+        term = witnessed_derived_terms(pair, side, level)[level]
+        members = sorted(term.carrier.members)
+        for x1 in members:
+            z = partner_element(pair, side, term.words[x1])[1]
+            for x2 in members:
+                lhs, rhs = act.acted.op(x1, x2), act.brk(z, x2)
+                checked += 1
+                if lhs != rhs:
+                    raise IdentityViolation(
+                        "star does not rewrite to the partner bracket",
+                        side=side,
+                        level=level,
+                        witness=[x1, x2, z, lhs, rhs],
+                    )
+    return CheckReport(f"star-to-bracket-level-{level}", True, checked)
+
+
+def reference_lie_conjugation_transfer(pair):
+    checked = 0
+    for side in SIDES:
+        act = pair.action(side)
+        term = mixed_lie_ideal(pair, side)
+        members = sorted(term.carrier.members)
+        partner = {x: partner_element(pair, side, term.words[x])[1] for x in members}
+        for x1 in members:
+            for x2 in members:
+                dx = act.acted.lie_defect(x1, x2)
+                dy = act.actor.lie_defect(partner[x1], partner[x2])
+                message = "defect pair does not act identically"
+                reference_agreement(pair, side, dx, dy, message, [x1, x2])
+                checked += pair.G.order + pair.H.order
+    return CheckReport("lie-conjugation-transfer", True, checked)
+
+
+def reference_partner_closure_ops(pair):
+    checked = 0
+    for side in SIDES:
+        act = pair.action(side)
+        G, H = act.actor.group, act.acted.group
+        term = mixed_lie_ideal(pair, side)
+        pairs = [partner_element(pair, side, term.words[x]) for x in sorted(term.carrier.members)]
+        for x, y in pairs:
+            message = "inverse pair does not act identically"
+            reference_agreement(pair, side, H.inv(x), G.inv(y), message, [x, y])
+            checked += G.order + H.order
+        for x1, y1 in pairs:
+            for x2, y2 in pairs:
+                x, y = H.commutator(x1, x2), G.commutator(y1, y2)
+                message = "commutator pair does not act identically"
+                reference_agreement(pair, side, x, y, message, [x1, x2, y1, y2])
+                checked += G.order + H.order
+    return CheckReport("partner-closure-ops", True, checked)
+
+
+def reference_defect_centralizes_bracket_ideal(pair):
+    checked = 0
+    for side in SIDES:
+        H = pair.action(side).acted.group
+        defects = sorted(mixed_lie_ideal(pair, side).carrier.members)
+        for a in defects:
+            for b in sorted(bracket_ideal(pair, side).subgroup.members):
+                checked += 1
+                if H.commutator(a, b) != H.identity:
+                    raise IdentityViolation(
+                        "defect element fails to commute with a bracket element",
+                        side=side,
+                        witness=[a, b],
+                    )
+    return CheckReport("defect-centralizes-bracket-ideal", True, checked)
+
+
+def reference_defect_fixes_opposite_bracket_ideal(pair):
+    checked = 0
+    for side in SIDES:
+        co = pair.companion(side)
+        defects = sorted(mixed_lie_ideal(pair, side).carrier.members)
+        mirror_side = "h-on-g" if side == "g-on-h" else "g-on-h"
+        for a in defects:
+            for b in sorted(bracket_ideal(pair, mirror_side).subgroup.members):
+                checked += 1
+                if co.act(a, b) != b:
+                    raise IdentityViolation(
+                        "defect element moves an opposite bracket element",
+                        side=side,
+                        witness=[a, b],
+                    )
+    return CheckReport("defect-fixes-opposite-bracket-ideal", True, checked)
+
+
+# each scan against its reference
+CHECKS = {
+    "commutator-bracket": (check_lemma_commutator_bracket, reference_lemma_commutator_bracket),
+    "partner-generators": (check_partner_generators, reference_partner_generators),
+    "star-to-bracket-0": (
+        lambda pair: check_star_to_bracket_level(pair, 0),
+        lambda pair: reference_star_to_bracket_level(pair, 0),
+    ),
+    "star-to-bracket-1": (
+        lambda pair: check_star_to_bracket_level(pair, 1),
+        lambda pair: reference_star_to_bracket_level(pair, 1),
+    ),
+    "conjugation-transfer": (check_lie_conjugation_transfer, reference_lie_conjugation_transfer),
+    "partner-closure": (check_partner_closure_ops, reference_partner_closure_ops),
+    "defect-centralizer": (
+        check_defect_centralizes_bracket_ideal,
+        reference_defect_centralizes_bracket_ideal,
+    ),
+    "defect-fixes-opposite": (
+        check_defect_fixes_opposite_bracket_ideal,
+        reference_defect_fixes_opposite_bracket_ideal,
+    ),
+}
+
+
 def outcome(check, pair):
+    # a perturbed pair may already fail while its ideals are built, the same
+    # way for a scan and its reference
     try:
         return "pass", check(pair)
     except IdentityViolation as exc:
         return "fail", str(exc), exc.payload
+    except MlaError as exc:
+        return "error", type(exc).__name__, str(exc), exc.payload
 
 
 # --- the property ------------------------------------------------------------------
@@ -167,10 +316,8 @@ def test_slab_scans_match_the_row_scans(data):
         want = reference_pair_condition_witness(gh, hg, cond)
         assert _pair_condition_witness(gh, hg, cond) == want
     pair = CompatiblePair(gh, hg)
-    assert outcome(check_lemma_commutator_bracket, pair) == outcome(
-        reference_lemma_commutator_bracket, pair
-    )
-    assert outcome(check_partner_generators, pair) == outcome(reference_partner_generators, pair)
+    for check, reference in CHECKS.values():
+        assert outcome(check, pair) == outcome(reference, pair)
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -183,9 +330,29 @@ def test_corpus_self_pairs_pass_both_scans(name):
         for cond in (1, 2, 3, 4, 5):
             assert _pair_condition_witness(act, act, cond) is None
             assert reference_pair_condition_witness(act, act, cond) is None
-        assert outcome(check_lemma_commutator_bracket, pair) == outcome(
-            reference_lemma_commutator_bracket, pair
-        )
-        assert outcome(check_partner_generators, pair) == outcome(
-            reference_partner_generators, pair
-        )
+        for check, reference in CHECKS.values():
+            got = outcome(check, pair)
+            assert got[0] == "pass" and got == outcome(reference, pair)
+
+
+def test_commutator_slab_names_both_partner_pairs():
+    # with actions, a commutator of agreeing pairs agrees, so the commutator
+    # scan of check_partner_closure_ops only fails on a corrupted commutator
+    # table: here of the actor group, one of two equal but distinct copies of S3
+    S3 = get_group("S3")
+    G, H = (validate_cayley(S3.labels, S3.table) for _ in range(2))
+    M, N = make_trivial_star(G), make_trivial_star(H)
+    gh = validate_action(M, N, S3.conj_table, np.full((6, 6), S3.identity))
+    hg = validate_action(N, M, S3.conj_table, np.full((6, 6), S3.identity))
+    pair = check_compatibility(gh, hg)
+    term = mixed_lie_ideal(pair, "g-on-h")
+    xy = [partner_element(pair, "g-on-h", term.words[x]) for x in sorted(term.carrier.members)]
+    (x1, y1), (x2, y2) = xy[1:3]
+    assert y1 != y2
+    comm = G.comm_table.copy()
+    comm[y1, y2] = next(v for v in range(6) if v != comm[y1, y2])
+    G.__dict__["comm_table"] = comm
+    got = outcome(check_partner_closure_ops, pair)
+    assert got == outcome(reference_partner_closure_ops, pair)
+    assert got[:2] == ("fail", "commutator pair does not act identically")
+    assert got[2]["witness"][:4] == [x1, x2, y1, y2]
