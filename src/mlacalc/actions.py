@@ -358,10 +358,9 @@ def _pair_condition_witness(
 # the three mixed ideals
 
 
-def _ideal_from_generators(M: MultLieAlg, gens: Iterable[int], what: str) -> Ideal:
-    """Subgroup closure of gens, then the full ideal check; raising means the
-    closure needed more than products, which the theory rules out."""
-    S = subgroup_closure(M.group, gens)
+def _checked_ideal(M: MultLieAlg, S: Subgroup, what: str) -> Ideal:
+    """validate_ideal(M, S) for a subgroup generated as an ideal; raising means
+    the ideal needs more than products, which the theory rules out."""
     try:
         return validate_ideal(M, S)
     except IdealityFailure as exc:
@@ -370,28 +369,26 @@ def _ideal_from_generators(M: MultLieAlg, gens: Iterable[int], what: str) -> Ide
         ) from exc
 
 
+def _generated_ideal(pair: CompatiblePair, side: str, name: str, table: Callable) -> Ideal:
+    """The subgroup of the acted algebra that the values of ``table(action)``
+    generate, checked to be an ideal; built once per pair and side."""
+    act = pair.action(side)
+
+    def build() -> Ideal:
+        S = subgroup_closure(act.acted.group, np.unique(table(act)).tolist())
+        return _checked_ideal(act.acted, S, f"{name} ideal ({side})")
+
+    return memoized(pair._ideals, (name, side), build)
+
+
 def derived_action_ideal(pair: CompatiblePair, side: str = "g-on-h") -> Ideal:
     """Ideal of the acted algebra generated by all ^g h · h^-1."""
-    act = pair.action(side)
-    return memoized(
-        pair._ideals,
-        ("derived-action", side),
-        lambda: _ideal_from_generators(
-            act.acted, np.unique(act.mixed_comm_table).tolist(), f"derived-action ideal ({side})"
-        ),
-    )
+    return _generated_ideal(pair, side, "derived-action", lambda act: act.mixed_comm_table)
 
 
 def bracket_ideal(pair: CompatiblePair, side: str = "g-on-h") -> Ideal:
     """Ideal of the acted algebra generated by all <g, h>."""
-    act = pair.action(side)
-    return memoized(
-        pair._ideals,
-        ("bracket", side),
-        lambda: _ideal_from_generators(
-            act.acted, np.unique(act.bracket).tolist(), f"bracket ideal ({side})"
-        ),
-    )
+    return _generated_ideal(pair, side, "bracket", lambda act: act.bracket)
 
 
 # witness words: letters are ("gen", g, h, sgn) at level 0 and
@@ -468,6 +465,9 @@ def _eval_word(pair: CompatiblePair, side: str, word: Word, partner: bool) -> in
 
 
 def _bfs_words(K: FiniteGroup, letters: list[Letter], values: list[int]) -> dict[int, Word]:
+    """A shortest word over the letters for each element right products of the
+    letter values reach from the identity.  In a finite group those elements
+    are the subgroup the values generate, so the keys need no closure."""
     parent, col, order = spanning_tree(K.table[:, values], K.identity)
     words: dict[int, Word] = {K.identity: ()}
     for x in order[1:]:
@@ -496,15 +496,8 @@ def _mixed_lie_ideal(pair: CompatiblePair, side: str) -> WitnessedIdeal:
                     else H.inv(int(act.mixed_defect_table[g, h]))
                 )
     words = _bfs_words(H, letters, values)
-    ideal = _ideal_from_generators(act.acted, words.keys(), f"mixed defect ideal ({side})")
-    if ideal.subgroup.members != frozenset(words):
-        # ideal saturation added elements beyond products of generators
-        extra = sorted(ideal.subgroup.members - set(words))
-        raise IdealityFailure(
-            "defect generators do not span their ideal closure",
-            side=side,
-            unwitnessed=extra,
-        )
+    what = f"mixed defect ideal ({side})"
+    ideal = _checked_ideal(act.acted, Subgroup(H, frozenset(words)), what)
     return WitnessedIdeal(pair, side, 0, ideal, words)
 
 
@@ -528,7 +521,7 @@ def witnessed_derived_terms(pair: CompatiblePair, side: str, depth: int) -> list
                     letters.append(("lie", prev.words[u], prev.words[v], sgn))
                     values.append(val if sgn > 0 else H.inv(val))
         words = _bfs_words(H, letters, values)
-        sub = subgroup_closure(H, words.keys())
+        sub = Subgroup(H, frozenset(words))
         terms.append(WitnessedIdeal(pair, side, level, Ideal(alg, sub), words))
     return terms[: max(depth, 0) + 1]
 
@@ -784,7 +777,7 @@ def check_defect_centralizes_bracket_ideal(pair: CompatiblePair) -> CheckReport:
         act = pair.action(side)
         H = act.acted.group
         defects = sorted(mixed_lie_ideal(pair, side).carrier.members)
-        brk = np.fromiter(sorted(bracket_ideal(pair, side).subgroup.members), dtype=np.int64)
+        brk = bracket_ideal(pair, side).subgroup.member_array
         slabs = (((a,), H.comm_table[a, brk] != H.identity) for a in defects)
         at, n = scan("defect centralizer", slabs)
         checked += n
@@ -805,9 +798,7 @@ def check_defect_fixes_opposite_bracket_ideal(pair: CompatiblePair) -> CheckRepo
         co = pair.companion(side)
         defects = sorted(mixed_lie_ideal(pair, side).carrier.members)
         mirror_side = "h-on-g" if side == "g-on-h" else "g-on-h"
-        opp = np.fromiter(
-            sorted(bracket_ideal(pair, mirror_side).subgroup.members), dtype=np.int64
-        )
+        opp = bracket_ideal(pair, mirror_side).subgroup.member_array
         at, n = scan("defect fixes opposite", (((a,), co.phi[a, opp] != opp) for a in defects))
         checked += n
         if at is not None:

@@ -229,9 +229,12 @@ def cmd_action_check(args: argparse.Namespace) -> int:
 
 
 def _caps(args: argparse.Namespace, pd: ParsedDocument) -> tuple[int, int]:
-    job = pd.job
-    max_cosets = args.max_cosets or (job.max_cosets if job else None) or DEFAULT_MAX_COSETS
-    max_rounds = args.max_rounds or (job.max_rounds if job else None) or DEFAULT_MAX_ROUNDS
+    job = pd.job  # a flag of 0 is refused below, not replaced; document caps are never 0
+    max_cosets, max_rounds = args.max_cosets, args.max_rounds
+    if max_cosets is None:
+        max_cosets = (job and job.max_cosets) or DEFAULT_MAX_COSETS
+    if max_rounds is None:
+        max_rounds = (job and job.max_rounds) or DEFAULT_MAX_ROUNDS
     if max_cosets < 1 or max_rounds < 1:
         raise InputError("caps must be positive", max_cosets=max_cosets, max_rounds=max_rounds)
     return max_cosets, max_rounds

@@ -56,8 +56,13 @@ class Presentation:
     by_length: dict[int, tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self) -> None:
-        """Every relator entry must name a generator: built here or by hand,
-        a presentation that fails this raises InputError naming the relator."""
+        """Each length k >= 1 must hold 1-D positions and a (positions, k) word
+        array, and every relator entry must name a generator: built here or by
+        hand, a presentation that fails this raises InputError."""
+        for k, (idx, w) in self.by_length.items():
+            if k < 1 or np.ndim(idx) != 1 or np.shape(w) != (len(idx), k):
+                shape = f"1-D positions and a (positions, {k}) array"
+                raise InputError(f"relators of length {k} are not {shape}", length=k)
         n = len(self.generator_labels)
         bad = ((w == 0) | (np.abs(w, dtype=np.int64) > n) for _, w in self.by_length.values())
         if any(b.any() for b in bad):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -88,6 +88,23 @@ def check_order_cap(n: int) -> None:
         raise ResourceError(f"order {n} exceeds cap {ORDER_CAP}", order=n, cap=ORDER_CAP)
 
 
+def close_mask(
+    inside: np.ndarray, images: Callable[[np.ndarray], Iterable[np.ndarray]]
+) -> np.ndarray:
+    """The least superset of the boolean mask ``inside`` that holds every
+    index ``images(members)`` yields, adding the images of all members a round
+    at once; ``inside`` is not written.  Nothing is assumed of the tables read:
+    validate_cayley closes a table under its product before Light's test."""
+    while True:
+        mem = inside.nonzero()[0]
+        grown = inside.copy()
+        for img in images(mem):
+            grown[img] = True
+        if np.count_nonzero(grown) == mem.size:
+            return inside
+        inside = grown
+
+
 def least_generators(table: np.ndarray, identity: int) -> np.ndarray:
     """Greedy least generating set of a closed table with an identity.
 
@@ -104,13 +121,7 @@ def least_generators(table: np.ndarray, identity: int) -> np.ndarray:
         g = int(inside.argmin())
         gens.append(g)
         inside[g] = True
-        while True:  # add all products of members until none is new
-            mem = inside.nonzero()[0]
-            grown = inside.copy()
-            grown[table[mem[:, None], mem]] = True
-            if (grown == inside).all():
-                break
-            inside = grown
+        inside = close_mask(inside, lambda mem: (table[mem[:, None], mem],))
     return np.asarray(gens, dtype=np.int64)
 
 
@@ -212,9 +223,22 @@ class Subgroup:
     parent: FiniteGroup
     members: frozenset[int]
 
+    def __post_init__(self) -> None:
+        bad = [m for m in self.members if not 0 <= m < self.parent.order]
+        if bad:
+            raise InputError("subgroup member out of range", value=int(min(bad)))
+
     @cached_property
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+    def member_array(self) -> np.ndarray:
+        """The members in increasing order."""
+        return _freeze(np.fromiter(sorted(self.members), dtype=np.int64, count=self.order))
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Membership over the parent's elements: ``mask[values]`` tests an array."""
+        inside = np.zeros(self.parent.order, dtype=bool)
+        inside[self.member_array] = True
+        return _freeze(inside)
 
     @property
     def order(self) -> int:
@@ -225,33 +249,25 @@ def _closure(
     G: FiniteGroup, seed: Iterable[int], conjugate: bool, star: np.ndarray | None = None
 ) -> frozenset[int]:
     """Least subgroup containing the seed; normal if ``conjugate``, and closed
-    under ``star`` against every element when a star table is given."""
-    T, inv = G.table, G.inverses
-    members = {G.identity}
-    pending = []
-    for s in sorted({int(x) for x in seed}):
-        if s < 0 or s >= G.order:
-            raise InputError("seed element out of range", value=s)
-        if s not in members:
-            members.add(s)
-            pending.append(s)
-    i = 0
-    while i < len(pending):
-        a = pending[i]
-        i += 1
-        mem = np.fromiter(members, dtype=np.int64)
-        fresh = {int(inv[a])}
-        fresh.update(int(v) for v in T[a, mem])
-        fresh.update(int(v) for v in T[mem, a])
+    under ``star`` against every element when a star table is given.  In a
+    finite group a product-closed set holds its inverses."""
+    seed = {int(x) for x in seed}
+    bad = [s for s in seed if not 0 <= s < G.order]
+    if bad:
+        raise InputError("seed element out of range", value=min(bad))
+    inside = np.zeros(G.order, dtype=bool)
+    inside[[G.identity, *seed]] = True
+    T = G.table
+
+    def images(mem: np.ndarray) -> Iterator[np.ndarray]:
+        yield T[mem[:, None], mem]
         if conjugate:
-            fresh.update(int(v) for v in G.conj_table[:, a])
+            yield G.conj_table[:, mem]
         if star is not None:
-            fresh.update(int(v) for v in star[:, a])
-            fresh.update(int(v) for v in star[a, :])
-        for v in fresh - members:
-            members.add(v)
-            pending.append(v)
-    return frozenset(members)
+            yield star[:, mem]
+            yield star[mem]
+
+    return frozenset(close_mask(inside, images).nonzero()[0].tolist())
 
 
 def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
@@ -285,8 +301,8 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupMap]:
     """Quotient by a normal subgroup; coset labels come from least-index reps."""
     if N.parent is not G:
         raise InputError("subgroup does not belong to this group")
-    mem = np.fromiter(N.sorted_members, dtype=np.int64)
-    at = first_true(~np.isin(G.conj_table[:, mem], mem))
+    mem = N.member_array
+    at = first_true(~N.mask[G.conj_table[:, mem]])
     if at is not None:
         z, k = at
         raise NotNormal(
@@ -294,14 +310,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupMap]:
             witness=[z, int(mem[k])],
         )
 
-    n = G.order
-    coset_of = np.full(n, -1, dtype=np.int64)
-    reps: list[int] = []
-    for i in range(n):
-        if coset_of[i] < 0:
-            coset_of[G.table[i, mem]] = len(reps)
-            reps.append(i)
-    reps_arr = np.asarray(reps, dtype=np.int64)
-    qtable = coset_of[G.table[np.ix_(reps_arr, reps_arr)]]
-    Q = validate_cayley([G.labels[r] for r in reps], qtable)
+    # each coset g·N by its least element; the reps come out in increasing order
+    reps, coset_of = np.unique(G.table[:, mem].min(axis=1), return_inverse=True)
+    Q = validate_cayley([G.labels[r] for r in reps.tolist()], coset_of[G.table[np.ix_(reps, reps)]])
     return Q, make_group_map(G, Q, coset_of)

@@ -482,34 +482,25 @@ class Ideal:
 
 
 def validate_ideal(M: MultLieAlg, S: Subgroup) -> Ideal:
-    """Normal subgroup absorbing * from both sides."""
-    G = M.group
-    mem = np.fromiter(S.sorted_members, dtype=np.int64)
-    at = first_true(~np.isin(G.conj_table[:, mem], mem))
-    if at is not None:
-        z, k = at
-        raise IdealityFailure(
-            f"not normal: ^{G.labels[z]} {G.labels[int(mem[k])]} escapes",
-            kind="normality",
-            witness=[z, int(mem[k])],
-        )
-    at = first_true(~np.isin(M.star[:, mem], mem))
-    if at is not None:
-        g, k = at
-        raise IdealityFailure(
-            f"not absorbed: {G.labels[g]} * {G.labels[int(mem[k])]} escapes",
-            kind="star-right",
-            witness=[g, int(mem[k])],
-        )
-    at = first_true(~np.isin(M.star[mem, :], mem))
-    if at is not None:
-        k, g = at
-        raise IdealityFailure(
-            f"not absorbed: {G.labels[int(mem[k])]} * {G.labels[g]} escapes",
-            kind="star-left",
-            witness=[int(mem[k]), g],
-        )
-    return Ideal(M, S)
+    """Normal subgroup absorbing * from both sides.
+
+    Raises IdealityFailure of the first failing kind (normality, star-right,
+    star-left), with the least witness in that kind's scan order."""
+    G, mem, inside = M.group, S.member_array, S.mask
+
+    def slabs() -> Iterator:
+        yield ("normality",), ~inside[G.conj_table[:, mem]]  # [z, k]
+        yield ("star-right",), ~inside[M.star[:, mem]]  # [g, k]
+        yield ("star-left",), ~inside[M.star[mem]]  # [k, g]
+
+    at = scan("ideal check", slabs())[0]
+    if at is None:
+        return Ideal(M, S)
+    kind, i, j = at
+    x, y = (int(mem[i]), j) if kind == "star-left" else (i, int(mem[j]))
+    lx, ly = G.labels[x], G.labels[y]
+    message = f"not normal: ^{lx} {ly}" if kind == "normality" else f"not absorbed: {lx} * {ly}"
+    raise IdealityFailure(f"{message} escapes", kind=kind, witness=[x, y])
 
 
 def ideal_closure(M: MultLieAlg, seed: Iterable[int]) -> Ideal:
@@ -520,11 +511,8 @@ def ideal_closure(M: MultLieAlg, seed: Iterable[int]) -> Ideal:
 
 def lie_commutator_ideal(M: MultLieAlg, A: Iterable[int], B: Iterable[int]) -> Ideal:
     """Ideal closure of { L[a,b] : a in A, b in B }."""
-    L = M.lie_defect_table
-    arrA = np.fromiter(sorted(set(A)), dtype=np.int64)
-    arrB = np.fromiter(sorted(set(B)), dtype=np.int64)
-    seed = np.unique(L[np.ix_(arrA, arrB)])
-    return ideal_closure(M, (int(v) for v in seed))
+    rows, cols = (np.fromiter(X, dtype=np.int64) for X in (A, B))
+    return ideal_closure(M, np.unique(M.lie_defect_table[np.ix_(rows, cols)]).tolist())
 
 
 @dataclass(frozen=True)
@@ -592,13 +580,13 @@ def sub_algebra(M: MultLieAlg, S: Subgroup) -> MultLieAlg:
     M, so on every tuple of a subgroup that * does not leave.
     """
     G = M.group
-    mem = np.fromiter(S.sorted_members, dtype=np.int64)
-    if not np.isin(M.star[np.ix_(mem, mem)], mem).all():
+    mem = S.member_array
+    if not S.mask[M.star[np.ix_(mem, mem)]].all():
         raise InputError("subgroup is not closed under *")
-    pos = {int(v): i for i, v in enumerate(mem)}
-    remap = np.vectorize(pos.__getitem__, otypes=[np.int64])
-    H = validate_cayley([G.labels[int(v)] for v in mem], remap(G.table[np.ix_(mem, mem)]))
-    return _image_algebra(M, H, remap(M.star[np.ix_(mem, mem)]))
+    pos = np.full(G.order, -1, dtype=np.int64)  # element -> its index in S
+    pos[mem] = np.arange(S.order)
+    H = validate_cayley([G.labels[v] for v in mem.tolist()], pos[G.table[np.ix_(mem, mem)]])
+    return _image_algebra(M, H, pos[M.star[np.ix_(mem, mem)]])
 
 
 def quotient_algebra(M: MultLieAlg, I: Ideal) -> tuple[MultLieAlg, GroupMap]:

@@ -30,6 +30,7 @@ from .coset import (
 from .errors import (
     BoundViolation,
     Inapplicable,
+    IdealityFailure,
     InducedActionIllDefined,
     InputError,
     PreconditionFailed,
@@ -526,32 +527,26 @@ def tensor_ideal(t: TensorAlgebra, I: Subgroup, J: Subgroup) -> Ideal:
     for name, alg, sub in (("left", pair.G, I), ("right", pair.H, J)):
         try:
             validate_ideal(alg, sub)
-        except Exception as ex:  # noqa: BLE001 - rewrapped with context
+        except IdealityFailure as ex:
             raise PreconditionFailed(
                 f"{name} subgroup is not an ideal of its factor", which=f"{name}-ideal"
             ) from ex
-    mem_i = np.fromiter(I.sorted_members, dtype=np.int64)
-    mem_j = np.fromiter(J.sorted_members, dtype=np.int64)
-    hit = pair.h_on_g.phi[:, mem_i]
-    bad = first_true(~np.isin(hit, mem_i))
-    if bad is not None:
-        h, a = bad
+    # each factor ideal against the other factor's action: [actor, member index]
+    sides = {"left": (I, pair.h_on_g, "right"), "right": (J, pair.g_on_h, "left")}
+    slabs = (
+        ((name,), ~sub.mask[act.phi[:, sub.member_array]]) for name, (sub, act, _) in sides.items()
+    )
+    at = scan("tensor ideal", slabs)[0]
+    if at is not None:
+        name, actor, k = at
+        sub, _, other = sides[name]
         raise PreconditionFailed(
-            "left ideal is not invariant under the right factor's action",
-            which="left-invariance",
-            witness=(h, int(mem_i[a])),
+            f"{name} ideal is not invariant under the {other} factor's action",
+            which=f"{name}-invariance",
+            witness=(actor, int(sub.member_array[k])),
         )
-    hit = pair.g_on_h.phi[:, mem_j]
-    bad = first_true(~np.isin(hit, mem_j))
-    if bad is not None:
-        g, b = bad
-        raise PreconditionFailed(
-            "right ideal is not invariant under the left factor's action",
-            which="right-invariance",
-            witness=(g, int(mem_j[b])),
-        )
-    gens = np.unique(t.tensor_map[np.ix_(mem_i, mem_j)])
-    S = subgroup_closure(t.group, (int(x) for x in gens))
+    gens = np.unique(t.tensor_map[np.ix_(I.member_array, J.member_array)])
+    S = subgroup_closure(t.group, gens.tolist())
     return validate_ideal(t.algebra, S)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import re
@@ -60,6 +61,28 @@ def test_golden_transcripts(fixtures_dir, golden_dir, fname, argv, as_json):
     rc, out, _ = run_cli(argv)
     assert rc == 0
     assert normalize(out, as_json) == (golden_dir / fname).read_text(encoding="utf-8")
+
+
+def test_fixture_script_reproduces_the_bundled_files(
+    fixtures_dir, golden_dir, tmp_path, monkeypatch
+):
+    # scripts/gen_fixtures.py promises that a rerun leaves no diff
+    script = fixtures_dir.parent / "scripts" / "gen_fixtures.py"
+    spec = importlib.util.spec_from_file_location("gen_fixtures", script)
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src
+    spec.loader.exec_module(gen)
+    monkeypatch.setattr(gen, "ROOT", tmp_path)
+    monkeypatch.setattr(gen, "FIXTURES", tmp_path / "fixtures")
+    monkeypatch.setattr(gen, "GOLDEN", tmp_path / "golden")
+    for step in (gen.gen_algebras, gen.gen_pairs_and_tensors, gen.gen_bad, gen.gen_goldens):
+        step()
+    for made, bundled in ((gen.FIXTURES, fixtures_dir), (gen.GOLDEN, golden_dir)):
+        files = lambda root: {p.relative_to(root): p for p in root.rglob("*") if p.is_file()}
+        got, want = files(made), files(bundled)
+        assert sorted(got) == sorted(want)
+        for rel, path in want.items():
+            assert got[rel].read_bytes() == path.read_bytes(), rel
 
 
 # --- exit codes -------------------------------------------------------------------
@@ -160,6 +183,17 @@ def test_max_cosets_flag_overrides_document(fixtures_dir):
     rc, _, _ = run_cli(["tensor", fixtures_dir / "bad/tiny-cap-tensor.json",
                         "--max-cosets", "100000"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("flag", ["--max-cosets", "--max-rounds"])
+def test_zero_cap_flag_is_an_input_error(fixtures_dir, flag):
+    doc = fixtures_dir / "tensors/z2-trivial.json"
+    rc, out, err = run_cli(["tensor", doc, flag, "0", "--json"])
+    assert rc == 2 and err == ""
+    payload = json.loads(out)
+    assert payload["ok"] is False and payload["exit"] == 2
+    assert payload["error"]["error"] == "InputError"
+    assert payload["error"]["message"] == "caps must be positive"
 
 
 def test_seed_order_flag(fixtures_dir):

@@ -190,6 +190,26 @@ def test_hand_built_presentation_validates_itself(labels, by_length, entry, rela
     assert exc.value.payload == {"relator": relator}
 
 
+@pytest.mark.parametrize(
+    "by_length",
+    [
+        # a length-0 group: a bare ValueError (reshape) in the enumerator when unchecked
+        {0: (np.array([0]), np.empty((1, 0), dtype=np.int64))},
+        # two positions, one row: a bare IndexError when unchecked
+        {1: (np.array([0, 1]), np.array([[1]]))},
+        # a 1-D word array: a bare ValueError ("axes don't match") when unchecked
+        {2: (np.array([0]), np.array([1, 1]))},
+    ],
+    ids=["length-0", "positions-vs-rows", "1-d-words"],
+)
+def test_hand_built_presentation_checks_its_shapes(by_length):
+    (k,) = by_length
+    with pytest.raises(InputError) as exc:
+        coset_enumerate(Presentation(("a",), by_length))
+    assert str(exc.value).startswith(f"relators of length {k} ")
+    assert exc.value.payload == {"length": k}
+
+
 def test_relator_arrays_must_be_2d_and_in_range():
     # -128 is its own absolute value in int8: the range check must not wrap
     with pytest.raises(InputError) as exc:

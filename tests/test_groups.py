@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from mlacalc.corpus import all_groups, get_group, group_names
 from mlacalc.errors import InputError, MathViolation, NotAssociative
-from mlacalc.groups import normal_closure, quotient, subgroup_closure, validate_cayley
-from mlacalc.mla import check_lie_identities, make_trivial_star
+from mlacalc.groups import Subgroup, normal_closure, quotient, subgroup_closure, validate_cayley
+from mlacalc.mla import check_lie_identities, ideal_closure, make_trivial_star
 
 EXPECTED_ORDERS = {
     "C1": 1, "C2": 2, "C3": 3, "C4": 4, "C5": 5, "C6": 6, "C7": 7, "C8": 8,
@@ -155,6 +155,27 @@ def test_subgroup_closure_matches_naive_oracle(data):
     seed = data.draw(st.sets(st.integers(0, G.order - 1), max_size=3))
     got = subgroup_closure(G, seed)
     assert got.members == frozenset(naive_closure(G.table, seed))
+
+
+def test_out_of_range_seed_names_the_least_bad_value():
+    G = get_group("S3")
+    ideal = lambda G, seed: ideal_closure(make_trivial_star(G), seed)
+    for close in (subgroup_closure, normal_closure, ideal):
+        with pytest.raises(InputError) as exc:
+            close(G, [7, 2, -2, 6, -5])
+        assert str(exc.value) == "seed element out of range"
+        assert exc.value.payload == {"value": -5}
+        with pytest.raises(InputError) as exc:
+            close(G, iter([9, 6]))
+        assert exc.value.payload == {"value": 6}
+
+
+def test_hand_built_subgroup_checks_its_members():
+    # a negative member would index a table from its end without complaint
+    with pytest.raises(InputError) as exc:
+        Subgroup(get_group("S3"), frozenset({0, 6, -1}))
+    assert str(exc.value) == "subgroup member out of range"
+    assert exc.value.payload == {"value": -1}
 
 
 def test_normal_closure_s3():

@@ -396,6 +396,64 @@ def test_ideal_closure_matches_naive_oracle(corpus_algebras):
             assert got.subgroup.members == frozenset(oracle_normal_star_closure(M, seed))
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_normal_and_ideal_closures_match_the_loop_oracle(corpus_algebras, data):
+    name = data.draw(st.sampled_from(group_names()))
+    M = corpus_algebras[f"{name}-{data.draw(st.sampled_from(['trivial', 'improper']))}"]
+    G = M.group
+    seed = data.draw(st.sets(st.integers(0, G.order - 1), max_size=3))
+    assert ideal_closure(M, seed).members == frozenset(oracle_normal_star_closure(M, seed))
+    # the trivial star adds only the identity, so its oracle is the normal closure
+    normal = oracle_normal_star_closure(corpus_algebras[f"{name}-trivial"], seed)
+    assert groups.normal_closure(G, seed).members == frozenset(normal)
+
+
+def oracle_ideal_failure(M, members):
+    """validate_ideal's verdict by nested loops: None, or (kind, witness,
+    message) of the first failing kind at its least witness."""
+    G, S = M.group, M.star
+    T, inv, lab = G.table, G.inverses, G.labels
+    mem = sorted(members)
+    for z in range(G.order):
+        for x in mem:
+            if int(T[T[z, x], inv[z]]) not in members:
+                return "normality", [z, x], f"not normal: ^{lab[z]} {lab[x]} escapes"
+    for g in range(G.order):
+        for x in mem:
+            if int(S[g, x]) not in members:
+                return "star-right", [g, x], f"not absorbed: {lab[g]} * {lab[x]} escapes"
+    for x in mem:
+        for g in range(G.order):
+            if int(S[x, g]) not in members:
+                return "star-left", [x, g], f"not absorbed: {lab[x]} * {lab[g]} escapes"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_validate_ideal_matches_the_loop_oracle(data):
+    G = get_group(data.draw(st.sampled_from(group_names())))
+    n = G.order
+    # any star table: validate_ideal reads * without assuming the axioms
+    star = data.draw(st.sampled_from(["trivial", "improper", "random"]))
+    if star == "random":
+        cells = data.draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+        M = MultLieAlg(G, np.array(cells, dtype=np.int64).reshape(n, n))
+    else:
+        M = (make_trivial_star if star == "trivial" else make_improper_star)(G)
+    S = subgroup_closure(G, data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)))
+    want = oracle_ideal_failure(M, S.members)
+    if want is None:
+        assert validate_ideal(M, S).subgroup is S
+        return
+    with pytest.raises(IdealityFailure) as exc:
+        validate_ideal(M, S)
+    kind, witness, message = want
+    assert exc.value.payload == {"kind": kind, "witness": witness}
+    assert str(exc.value) == message
+
+
 def test_lie_commutator_ideal_of_everything():
     M = make_trivial_star(get_group("S3"))
     full = range(M.order)

@@ -24,10 +24,11 @@ from mlacalc.actions import (
     trivial_action,
     validate_action,
 )
-from mlacalc import mla
+from mlacalc import mla, util
 from mlacalc.corpus import cyclic, direct_product, get_group, group_names
 from mlacalc.errors import (
     AxiomViolation,
+    BudgetExceeded,
     CosetCapExceeded,
     Inapplicable,
     InputError,
@@ -284,6 +285,16 @@ def test_tensor_ideal_rejects_non_ideal_factor(tensors):
     with pytest.raises(PreconditionFailed) as exc:
         tensor_ideal(t, crooked, full)
     assert exc.value.payload["which"] == "left-ideal"
+
+
+def test_tensor_ideal_lets_a_spent_budget_through(tensors, monkeypatch):
+    # a spent budget is not a precondition failure: it keeps its own exit code
+    t = tensors["q8-trivial"]
+    center = subgroup_closure(t.pair.G.group, [2])
+    monkeypatch.setenv("MLACALC_BUDGET_SECS", "-1")
+    with pytest.raises(BudgetExceeded) as exc, util.run_budget():
+        tensor_ideal(t, center, center)
+    assert exc.value.payload == {"stage": "ideal check"}
 
 
 def _swap_pair():
