@@ -19,7 +19,9 @@ Its ``summary`` gives, per workload and end-to-end metric, the median and
 interquartile range of each side (linear quantiles), the number of pairs in
 which the change is better, and the relative change of the medians.  For a
 traced workload it lists each layer metric per round (the metric summed
-over the run, divided by the run's rounds) for both sides.
+over the run, divided by the run's rounds) for both sides.  Its
+``src_lines`` gives each side's line count of ``src/mlacalc/*.py`` (what
+``cat src/mlacalc/*.py | wc -l`` prints).
 """
 
 from __future__ import annotations
@@ -70,6 +72,10 @@ def build(parent: str) -> dict[str, Path]:
             dst.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, dst)
     return dirs
+
+
+def src_lines(root: Path) -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "mlacalc").glob("*.py"))
 
 
 def run(cwd: Path, workload: str, seed: int, trace: int) -> list[dict]:
@@ -152,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
             f"program does not build, inside tensor.build; compare tensor.presentation.busy_s and "
             f"coset.enumerate.busy_s between the sides, not tensor.build.busy_s."
         ),
-        "summary": {},
+        "summary": {"src_lines": {side: src_lines(d) for side, d in dirs.items()}},
         "runs": {},
         "traced": [],
     }

@@ -468,10 +468,11 @@ def _bfs_words(K: FiniteGroup, letters: list[Letter], values: list[int]) -> dict
     """A shortest word over the letters for each element right products of the
     letter values reach from the identity.  In a finite group those elements
     are the subgroup the values generate, so the keys need no closure."""
-    parent, col, order = spanning_tree(K.table[:, values], K.identity)
+    parent, col, levels = spanning_tree(K.table[:, values], K.identity)
     words: dict[int, Word] = {K.identity: ()}
-    for x in order[1:]:
-        words[x] = words[int(parent[x])] + (letters[col[x]],)
+    for level in levels[1:]:
+        for x, q, c in zip(level.tolist(), parent[level].tolist(), col[level].tolist()):
+            words[x] = words[q] + (letters[c],)
     return words
 
 

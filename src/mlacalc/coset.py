@@ -356,18 +356,20 @@ def coset_enumerate(
     _check_relators_close(pres, eng.by_length, tbl)
 
     # normal forms: BFS over forward letters; then right multiplication by
-    # each element, one gather from its parent's column
-    parent, letter, order = spanning_tree(tbl[:, 0::2], 0)
-    if len(order) != m:
+    # the elements of one word length at a time, each column one gather from
+    # its parent's
+    parent, letter, levels = spanning_tree(tbl[:, 0::2], 0)
+    if sum(map(len, levels)) != m:
         raise InputError("generator images do not generate the enumerated group")
-    parent, letter, gl = parent.tolist(), letter.tolist(), pres.generator_labels
+    gl = pres.generator_labels
     cols = np.empty((m, m), dtype=np.int64)  # cols[b] = (x -> x·b)
     cols[0] = np.arange(m)
     labels = [identity_label] * m
-    for b in order[1:]:
-        q, g = parent[b], letter[b]
-        cols[b] = tbl[cols[q], 2 * g]
-        labels[b] = gl[g] if q == 0 else f"{labels[q]}·{gl[g]}"
+    for level in levels[1:]:
+        q, g = parent[level], letter[level]
+        cols[level] = tbl[cols[q], 2 * g[:, None]]
+        for b, qb, gb in zip(level.tolist(), q.tolist(), g.tolist()):
+            labels[b] = gl[gb] if qb == 0 else f"{labels[qb]}·{gl[gb]}"
     group = validate_cayley(labels, cols.T)
     stats = EnumerationStats(eng.defined, eng.collapsed, m)
     return EnumerationResult(pres, group, tbl[0, 0::2].copy(), stats)

@@ -125,27 +125,27 @@ def least_generators(table: np.ndarray, identity: int) -> np.ndarray:
     return np.asarray(gens, dtype=np.int64)
 
 
-def spanning_tree(succ: np.ndarray, root: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def spanning_tree(succ: np.ndarray, root: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Breadth-first tree of the graph x -> succ[x, j] from ``root``: the
     normal-form (shortlex-least) words in the letter order j.
 
-    Returns (parent, letter, order): x = succ[parent[x], letter[x]] for each
+    Returns (parent, letter, levels): x = succ[parent[x], letter[x]] for each
     reached x but the root (whose parent is itself and letter -1; unreached
-    nodes keep -1), and ``order`` lists reached nodes parents first."""
+    nodes keep -1), and ``levels[d]`` holds the nodes whose words have length
+    d, the root alone first, so every parent lies in the level before."""
     n, k = succ.shape
     parent, letter = np.full((2, n), -1, dtype=np.int64)
     parent[root] = root
-    level = np.array([root], dtype=np.int64)
-    order = [level]
-    while level.size:
-        cand = succ[level].ravel()  # a level's edges in queue order
+    levels = [np.array([root], dtype=np.int64)]
+    while True:
+        cand = succ[levels[-1]].ravel()  # a level's edges in queue order
         first = np.unique(cand, return_index=True)[1]
         first = np.sort(first[parent[cand[first]] < 0])
-        parent[cand[first]] = level[first // k]
+        if not first.size:
+            return parent, letter, levels
+        parent[cand[first]] = levels[-1][first // k]
         letter[cand[first]] = first % k
-        level = cand[first]
-        order.append(level)
-    return parent, letter, np.concatenate(order).tolist()
+        levels.append(cand[first])
 
 
 def validate_cayley(labels: Sequence[str], table) -> FiniteGroup:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable, Mapping
 
 from .actions import (
@@ -183,7 +184,8 @@ class Statement:
     kind: str  # minimum instance kind able to run it
     suite: str
     summary: str
-    runner: Callable[[Instance], CheckReport] = field(repr=False)
+    # receives the instance's algebras, pair or tensor, as ``kind`` says
+    runner: Callable[[Any], CheckReport] = field(repr=False)
 
 
 # --- runners ----------------------------------------------------------------
@@ -191,9 +193,9 @@ class Statement:
 _IDENTITY_ARITY = {1: 1, 2: 2, 3: 3, 4: 3, 5: 3, 6: 2, 7: 4}
 
 
-def _run_axioms(inst: Instance) -> CheckReport:
+def _run_axioms(algebras: Iterable[tuple[str, MultLieAlg]]) -> CheckReport:
     total = 0
-    for label, M in inst.algebras:
+    for label, M in algebras:
         try:
             check_axioms(M)
         except MathViolation as exc:
@@ -204,70 +206,39 @@ def _run_axioms(inst: Instance) -> CheckReport:
     return CheckReport("star-axioms", True, total)
 
 
-def _identity_runner(num: int):
-    def run(inst: Instance) -> CheckReport:
-        total = 0
-        for label, M in inst.algebras:
-            wit = check_lie_identities(M, only=(num,)).get(num)
-            if wit is not None:
-                names = ", ".join(M.group.labels[i] for i in wit)
-                raise IdentityViolation(
-                    f"defect identity {num} ({IDENTITY_NAMES[num]}) fails on the "
-                    f"{label} algebra at ({names})",
-                    identity=num,
-                    algebra=label,
-                    witness=wit,
-                )
-            total += M.group.order ** _IDENTITY_ARITY[num]
-        return CheckReport(f"defect-identity-{num}", True, total)
-
-    return run
+def _run_identity(num: int, algebras: Iterable[tuple[str, MultLieAlg]]) -> CheckReport:
+    total = 0
+    for label, M in algebras:
+        wit = check_lie_identities(M, only=(num,)).get(num)
+        if wit is not None:
+            names = ", ".join(M.group.labels[i] for i in wit)
+            raise IdentityViolation(
+                f"defect identity {num} ({IDENTITY_NAMES[num]}) fails on the "
+                f"{label} algebra at ({names})",
+                identity=num,
+                algebra=label,
+                witness=wit,
+            )
+        total += M.group.order ** _IDENTITY_ARITY[num]
+    return CheckReport(f"defect-identity-{num}", True, total)
 
 
-def _on_pair(fn):
-    def run(inst: Instance) -> CheckReport:
-        return fn(inst.pair)
-
-    return run
-
-
-def _level_runner(level: int):
-    def run(inst: Instance) -> CheckReport:
-        return check_star_to_bracket_level(inst.pair, level)
-
-    return run
+def _run_ideal_family(name: str, build, carrier_of, pair: CompatiblePair) -> CheckReport:
+    total = 0
+    notes = []
+    for side in SIDES:
+        check_budget("ideal construction")
+        sub = carrier_of(build(pair, side))
+        total += 3 * sub.parent.order * sub.order
+        notes.append(f"{side}: order {sub.order}")
+    return CheckReport(name, True, total, detail="; ".join(notes))
 
 
-def _ideal_family_runner(name: str, build, carrier_of):
-    def run(inst: Instance) -> CheckReport:
-        total = 0
-        notes = []
-        for side in SIDES:
-            check_budget("ideal construction")
-            sub = carrier_of(build(inst.pair, side))
-            total += 3 * sub.parent.order * sub.order
-            notes.append(f"{side}: order {sub.order}")
-        return CheckReport(name, True, total, detail="; ".join(notes))
-
-    return run
+def _run_tensor_identity(num: int, t: TensorAlgebra) -> CheckReport:
+    return check_tensor_identities(t, only=num)[num]
 
 
-def _on_tensor(fn):
-    def run(inst: Instance) -> CheckReport:
-        return fn(inst.tensor)
-
-    return run
-
-
-def _tensor_identity_runner(num: int):
-    def run(inst: Instance) -> CheckReport:
-        return check_tensor_identities(inst.tensor, only=num)[num]
-
-    return run
-
-
-def _run_canonical_tensor_ideal(inst: Instance) -> CheckReport:
-    t = inst.tensor
+def _run_canonical_tensor_ideal(t: TensorAlgebra) -> CheckReport:
     I, J, ideal = canonical_tensor_ideal(t)
     m = len(ideal.members)
     return CheckReport(
@@ -295,7 +266,7 @@ CATALOGUE: tuple[Statement, ...] = (
             "algebra",
             "identities",
             f"defect identity: {IDENTITY_NAMES[k]}",
-            _identity_runner(k),
+            partial(_run_identity, k),
         )
         for k in range(1, 8)
     ),
@@ -304,7 +275,7 @@ CATALOGUE: tuple[Statement, ...] = (
         "tensor",
         "tensor",
         "both factors act on the tensor by the slotwise symbol formulas",
-        _on_tensor(check_induced_action_formulas),
+        check_induced_action_formulas,
     ),
     *(
         Statement(
@@ -312,7 +283,7 @@ CATALOGUE: tuple[Statement, ...] = (
             "tensor",
             "tensor",
             f"symbol identity: {TENSOR_IDENTITY_NAMES[k]}",
-            _tensor_identity_runner(k),
+            partial(_run_tensor_identity, k),
         )
         for k in range(1, 7)
     ),
@@ -322,7 +293,7 @@ CATALOGUE: tuple[Statement, ...] = (
         "compat",
         "both actions: star-preserving automorphisms, multiplicative in the "
         "actor, all four bracket laws",
-        _on_pair(check_action_laws),
+        check_action_laws,
     ),
     Statement(
         "prop-2.10",
@@ -330,29 +301,29 @@ CATALOGUE: tuple[Statement, ...] = (
         "compat",
         "conjugating one bracket value by another matches bracketing the "
         "mixed-commutator conjugates",
-        _on_pair(check_bracket_conjugation),
+        check_bracket_conjugation,
     ),
     Statement(
         "def-3.1",
         "pair",
         "compat",
         "the five mutual-compatibility laws hold on both displays",
-        _on_pair(check_pair_conditions),
+        check_pair_conditions,
     ),
     Statement(
         "lem-3.2",
         "pair",
         "compat",
         "commutators of bracket values reduce to bracket and star forms",
-        _on_pair(check_lemma_commutator_bracket),
+        check_lemma_commutator_bracket,
     ),
     Statement(
         "prop-3.3.1",
         "pair",
         "compat",
         "the relative commutators ^g h · h^-1 generate an ideal, both sides",
-        _ideal_family_runner(
-            "derived-action-ideal", derived_action_ideal, lambda ideal: ideal.subgroup
+        partial(
+            _run_ideal_family, "derived-action-ideal", derived_action_ideal, lambda ideal: ideal.subgroup
         ),
     ),
     Statement(
@@ -360,7 +331,7 @@ CATALOGUE: tuple[Statement, ...] = (
         "pair",
         "compat",
         "the bracket values <g,h> generate an ideal, both sides",
-        _ideal_family_runner("bracket-ideal", bracket_ideal, lambda ideal: ideal.subgroup),
+        partial(_run_ideal_family, "bracket-ideal", bracket_ideal, lambda ideal: ideal.subgroup),
     ),
     Statement(
         "prop-3.3.3",
@@ -368,14 +339,14 @@ CATALOGUE: tuple[Statement, ...] = (
         "compat",
         "the mixed defects ^L[g,h] generate an ideal with a witness word "
         "for every element, both sides",
-        _ideal_family_runner("mixed-defect-ideal", mixed_lie_ideal, lambda wit: wit.carrier),
+        partial(_run_ideal_family, "mixed-defect-ideal", mixed_lie_ideal, lambda wit: wit.carrier),
     ),
     Statement(
         "prop-3.4",
         "pair",
         "compat",
         "single-defect partners act identically on both groups",
-        _on_pair(check_partner_generators),
+        check_partner_generators,
     ),
     Statement(
         "prop-3.5",
@@ -383,35 +354,35 @@ CATALOGUE: tuple[Statement, ...] = (
         "compat",
         "every witnessed defect-ideal element has an identically acting "
         "partner built from its word",
-        _on_pair(check_partner_words),
+        check_partner_words,
     ),
     Statement(
         "cor-3.6",
         "pair",
         "compat",
         "partner agreement survives inverses and commutators",
-        _on_pair(check_partner_closure_ops),
+        check_partner_closure_ops,
     ),
     Statement(
         "lem-3.7",
         "pair",
         "compat",
         "star equals partnered bracket on level-0 defect witnesses",
-        _level_runner(0),
+        partial(check_star_to_bracket_level, level=0),
     ),
     Statement(
         "lem-3.8",
         "pair",
         "compat",
         "defects of agreeing pairs act identically on both groups",
-        _on_pair(check_lie_conjugation_transfer),
+        check_lie_conjugation_transfer,
     ),
     Statement(
         "lem-3.9",
         "pair",
         "compat",
         "star equals partnered bracket on level-1 defect witnesses",
-        _level_runner(1),
+        partial(check_star_to_bracket_level, level=1),
     ),
     Statement(
         "prop-3.10",
@@ -419,7 +390,7 @@ CATALOGUE: tuple[Statement, ...] = (
         "compat",
         "nilpotency class and solvable length transfer between the two "
         "defect ideals with slack one",
-        _on_pair(check_transfer_bounds),
+        check_transfer_bounds,
     ),
     Statement(
         "thm-3.11",
@@ -433,7 +404,7 @@ CATALOGUE: tuple[Statement, ...] = (
         "tensor",
         "tensor",
         "the tensor defect of two symbols factors through mixed defects",
-        _on_tensor(check_tensor_lie_commutator),
+        check_tensor_lie_commutator,
     ),
     Statement(
         "thm-3.13",
@@ -441,21 +412,21 @@ CATALOGUE: tuple[Statement, ...] = (
         "tensor",
         "quotient by the canonical defect-bracket ideal raises the right "
         "factor's nilpotency class by at most one",
-        _on_tensor(quotient_nilpotency_bound),
+        quotient_nilpotency_bound,
     ),
     Statement(
         "rem-3.14.1",
         "pair",
         "compat",
         "defect-ideal elements group-commute with the bracket ideal",
-        _on_pair(check_defect_centralizes_bracket_ideal),
+        check_defect_centralizes_bracket_ideal,
     ),
     Statement(
         "rem-3.14.2",
         "pair",
         "compat",
         "defect-ideal elements act trivially on the opposite bracket ideal",
-        _on_pair(check_defect_fixes_opposite_bracket_ideal),
+        check_defect_fixes_opposite_bracket_ideal,
     ),
     Statement(
         "rem-3.15.1",
@@ -463,7 +434,7 @@ CATALOGUE: tuple[Statement, ...] = (
         "tensor",
         "quotient by the canonical defect-bracket ideal raises the right "
         "factor's solvable length by at most one",
-        _on_tensor(quotient_solvability_bound),
+        quotient_solvability_bound,
     ),
     Statement(
         "rem-3.15.2",
@@ -471,7 +442,7 @@ CATALOGUE: tuple[Statement, ...] = (
         "tensor",
         "self-paired star-as-bracket: the canonical tensor quotient "
         "inherits nilpotency and solvability",
-        _on_tensor(self_pair_quotient_check),
+        self_pair_quotient_check,
     ),
     Statement(
         "rem-3.15.3",
@@ -479,7 +450,7 @@ CATALOGUE: tuple[Statement, ...] = (
         "tensor",
         "self-paired star-as-bracket: quotient by the squared defect ideal "
         "has exactly the factor's class",
-        _on_tensor(defect_square_bound),
+        defect_square_bound,
     ),
 )
 
@@ -499,9 +470,10 @@ def _ms(t0: float) -> int:
 
 
 def _evaluate(st: Statement, inst: Instance) -> Verdict:
+    subject = {"algebra": inst.algebras, "pair": inst.pair, "tensor": inst.tensor}[st.kind]
     t0 = time.perf_counter()
     try:
-        report = st.runner(inst)
+        report = st.runner(subject)
     except Inapplicable as ex:
         return Verdict(st.ident, INAPPLICABLE, detail=str(ex), wall_ms=_ms(t0))
     except ResourceError as ex:

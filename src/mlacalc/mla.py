@@ -529,20 +529,14 @@ def _run_series(
     step: Callable[[tuple[int, ...]], Ideal],
     kind: str,
 ) -> SeriesReport:
-    G = M.group
-    terms: list[tuple[int, ...]] = [tuple(range(G.order))]
-    while True:
+    terms: list[tuple[int, ...]] = [tuple(range(M.order))]
+    while len(terms[-1]) > 1:
         check_budget(f"{kind} series")
-        nxt = step(terms[-1])
-        ms = tuple(sorted(nxt.members))
+        ms = tuple(sorted(step(terms[-1]).members))
         if ms == terms[-1]:
-            if len(ms) == 1:
-                # whole algebra was already trivial
-                return SeriesReport(kind, tuple(terms), "terminated-at-trivial", len(terms) - 1, 0)
             return SeriesReport(kind, tuple(terms), "stabilized-nontrivial", len(terms) - 1, None)
         terms.append(ms)
-        if len(ms) == 1:
-            return SeriesReport(kind, tuple(terms), "terminated-at-trivial", len(terms) - 1, len(terms) - 1)
+    return SeriesReport(kind, tuple(terms), "terminated-at-trivial", len(terms) - 1, len(terms) - 1)
 
 
 def derived_series(M: MultLieAlg) -> SeriesReport:
@@ -600,26 +594,17 @@ def quotient_algebra(M: MultLieAlg, I: Ideal) -> tuple[MultLieAlg, GroupMap]:
         validate_ideal(M, I.subgroup)  # accept foreign but equivalent ideals
     Q, pi = quotient(M.group, I.subgroup)
     img = pi.image
-    Sq = np.full((Q.order, Q.order), -1, dtype=np.int64)
-    src = M.star
-    # fill by first occurrence, then verify every occurrence agrees
-    for a in range(M.order):
-        qa = img[a]
-        row = Sq[qa]
-        vals = img[src[a]]
-        cols = img
-        cur = row[cols]
-        fresh = cur < 0
-        row[cols[fresh]] = vals[fresh]
-        clash = first_true((~fresh) & (cur != vals))
-        if clash is not None:
-            (b,) = clash
-            raise QuotientStarIllDefined(
-                "star does not descend: representatives disagree",
-                witness=[a, b],
-            )
-    # second pass: all pairs must agree with the filled table
-    at = first_true(img[src] != Sq[img[:, None], img[None, :]])
+    # Sq from each coset's least element against each coset's last one; the
+    # choice of representatives only decides the witness when * does not
+    # descend, and a disagreement in the row of a coset's later element is
+    # reported before one inside a least element's row
+    least = np.unique(img, return_index=True)[1]
+    last = M.order - 1 - np.unique(img[::-1], return_index=True)[1]
+    Sq = img[M.star[least[:, None], last]]
+    bad = img[M.star] != Sq[img[:, None], img]
+    at = first_true(bad & (np.arange(M.order) != least[img])[:, None])
+    if at is None:
+        at = first_true(bad)
     if at is not None:
         raise QuotientStarIllDefined(
             "star does not descend: representatives disagree", witness=list(at)

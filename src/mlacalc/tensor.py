@@ -172,15 +172,15 @@ def _letter_order(ngen: int, seed_order: str) -> range:
 def _normal_forms(K: FiniteGroup, images: np.ndarray, seed_order: str):
     """Right-append BFS words over generator images.
 
-    Returns (parent, letter, order): element i != identity satisfies
-    i = parent[i] · images[letter[i]], and `order` lists elements with every
-    parent before its children.
+    Returns (parent, letter, levels): element i != identity satisfies
+    i = parent[i] · images[letter[i]], and ``levels[d]`` holds the elements
+    whose words have length d, the identity alone first (see spanning_tree).
     """
     letters = np.asarray(_letter_order(len(images), seed_order), dtype=np.int64)
-    parent, col, order = spanning_tree(K.table[:, images[letters]], int(K.identity))
-    if len(order) != K.order:
+    parent, col, levels = spanning_tree(K.table[:, images[letters]], int(K.identity))
+    if sum(map(len, levels)) != K.order:
         raise InputError("generator images do not generate the enumerated group")
-    return parent, np.where(col < 0, -1, letters[col]), order
+    return parent, np.where(col < 0, -1, letters[col]), levels
 
 
 def _extend_star(
@@ -189,8 +189,9 @@ def _extend_star(
     seed_elem: np.ndarray,
     seed_order: str,
 ) -> np.ndarray:
-    """Star on all of K from the generator seed, by peeling normal-form words."""
-    parent, letter, order = _normal_forms(K, images, seed_order)
+    """Star on all of K from the generator seed, by peeling normal-form words,
+    one word length at a time."""
+    parent, letter, levels = _normal_forms(K, images, seed_order)
     T, C = K.table, K.conj_table
     e = K.identity
     ngen = len(images)
@@ -200,16 +201,16 @@ def _extend_star(
     # a ⋆ (q·w) = (a ⋆ q) · ^q(a ⋆ w)
     genrows = np.empty((ngen, n), dtype=np.int64)
     genrows[:, e] = e
-    for v in order[1:]:
-        q, b = parent[v], letter[v]
-        genrows[:, v] = T[genrows[:, q], C[q, seed_elem[:, b]]]
+    for level in levels[1:]:
+        q, b = parent[level], letter[level]
+        genrows[:, level] = T[genrows[:, q], C[q, seed_elem[:, b]]]
 
     # u ⋆ v peeling the last letter of u: (q·w) ⋆ v = ^q(w ⋆ v) · (q ⋆ v)
     star = np.empty((n, n), dtype=np.int64)
     star[e, :] = e
-    for u in order[1:]:
-        q, b = parent[u], letter[u]
-        star[u, :] = T[C[q, genrows[b]], star[q, :]]
+    for level in levels[1:]:
+        q, b = parent[level], letter[level]
+        star[level] = T[C[q[:, None], genrows[b]], star[q]]
     return star
 
 
@@ -295,15 +296,16 @@ def _extend_hom(
     gen_targets: np.ndarray,
     parent: np.ndarray,
     letter: np.ndarray,
-    order: list[int],
+    levels: list[np.ndarray],
 ) -> np.ndarray:
-    """The map into ``target`` sending the normal-form word of each element
-    (see _normal_forms) to the same word over ``gen_targets``."""
-    row = np.empty(len(order), dtype=np.int64)
-    row[order[0]] = target.identity
-    for v in order[1:]:
-        row[v] = target.table[row[parent[v]], gen_targets[letter[v]]]
-    return row
+    """Row a of the result is the map into ``target`` sending the normal-form
+    word of each element (see _normal_forms) to the same word over
+    ``gen_targets[a]``; all rows grow one word length at a time."""
+    rows = np.empty((len(gen_targets), len(parent)), dtype=np.int64)
+    rows[:, levels[0]] = target.identity
+    for level in levels[1:]:
+        rows[:, level] = target.table[rows[:, parent[level]], gen_targets[:, letter[level]]]
+    return rows
 
 
 _ILL_DEFINED = {
@@ -316,21 +318,20 @@ _ILL_DEFINED = {
 def induce_actions(t: TensorAlgebra) -> TensorAlgebra:
     """Install the factor actions ^g(x⊗y) = (^g x ⊗ ^g y), ^h(x⊗y) = (^h x ⊗ ^h y)."""
     pair = t.pair
-    act, co = pair.g_on_h, pair.h_on_g
     G, H = pair.G.group, pair.H.group
     K = t.group
-    parent, letter, order = _normal_forms(K, t.result.gen_image, t.seed_order)
-    tmap = t.tensor_map
+    tree = _normal_forms(K, t.result.gen_image, t.seed_order)
+    tm = t.tensor_map
+    # each actor's images of the symbols, as in check_induced_action_formulas
+    sym_g = tm[G.conj_table[:, :, None], pair.g_on_h.phi[:, None, :]]
+    sym_h = tm[pair.h_on_g.phi[:, :, None], H.conj_table[:, None, :]]
+    act_g = _extend_hom(K, sym_g.reshape(G.order, -1), *tree)
+    act_h = _extend_hom(K, sym_h.reshape(H.order, -1), *tree)
+    sides = (("left-factor", G, act_g), ("right-factor", H, act_h))
 
-    def build(side: str, m: int, targets_of) -> np.ndarray:
-        rows = np.empty((m, K.order), dtype=np.int64)
-
-        def slabs() -> Iterator:
-            for a in range(m):
-                rows[a] = _extend_hom(K, targets_of(a), parent, letter, order)
-                yield from star_iso_slabs(t.algebra, t.algebra, rows[a], (a,))
-
-        hit = scan("induced actions", slabs())[0]
+    for side, _, rows in sides:
+        slabs = (s for a, row in enumerate(rows) for s in star_iso_slabs(t.algebra, t.algebra, row, (a,)))
+        hit = scan("induced actions", slabs)[0]
         if hit is not None:
             a, *at = hit
             reason, at = star_iso_reason(at)
@@ -340,16 +341,8 @@ def induce_actions(t: TensorAlgebra) -> TensorAlgebra:
                 element=a,
                 **({} if at is None else {"witness": at}),
             )
-        return rows
 
-    act_g = build("left-factor", G.order, lambda g: tmap[G.conj_table[g]][
-        np.arange(G.order)[:, None], act.phi[g][None, :]
-    ].reshape(-1))
-    act_h = build("right-factor", H.order, lambda h: tmap[co.phi[h]][
-        np.arange(G.order)[:, None], H.conj_table[h][None, :]
-    ].reshape(-1))
-
-    for side, group, rows in (("left-factor", G, act_g), ("right-factor", H, act_h)):
+    for side, group, rows in sides:
         # the maps must compose as a group action: rows[a·b] == rows[a] ∘ rows[b]
         bad = compose_failure(group, rows, "induced actions")
         if bad is not None:
@@ -722,8 +715,8 @@ def compare_seed_orders(
     Kd, Ka = td.group, ta.group
     if td.order == 1:
         return CheckReport("seed-order-independence", True, 1)
-    parent, letter, order = _normal_forms(Kd, td.result.gen_image, "default")
-    psi = _extend_hom(Ka, ta.result.gen_image, parent, letter, order)
+    tree = _normal_forms(Kd, td.result.gen_image, "default")
+    psi = _extend_hom(Ka, ta.result.gen_image[None, :], *tree)[0]
     bad = star_iso_failure(td.algebra, ta.algebra, psi)
     if bad is not None:
         reason, w = bad

@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 
 from mlacalc.corpus import all_groups, get_group, group_names
 from mlacalc.errors import InputError, MathViolation, NotAssociative
-from mlacalc.groups import Subgroup, normal_closure, quotient, subgroup_closure, validate_cayley
+from mlacalc.groups import (
+    Subgroup,
+    normal_closure,
+    quotient,
+    spanning_tree,
+    subgroup_closure,
+    validate_cayley,
+)
 from mlacalc.mla import check_lie_identities, ideal_closure, make_trivial_star
 
 EXPECTED_ORDERS = {
@@ -155,6 +162,42 @@ def test_subgroup_closure_matches_naive_oracle(data):
     seed = data.draw(st.sets(st.integers(0, G.order - 1), max_size=3))
     got = subgroup_closure(G, seed)
     assert got.members == frozenset(naive_closure(G.table, seed))
+
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_spanning_tree_levels_are_the_word_lengths(data):
+    n = data.draw(st.integers(1, 12))
+    k = data.draw(st.integers(1, 3))
+    succ = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n * k, max_size=n * k))).reshape(n, k)
+    root = data.draw(st.integers(0, n - 1))
+    parent, letter, levels = spanning_tree(succ, root)
+
+    # naive BFS distances from the root
+    dist, frontier = {root: 0}, [root]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in succ[x].tolist():
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+
+    assert levels[0].tolist() == [root]
+    assert parent[root] == root and letter[root] == -1
+    flat = np.concatenate(levels).tolist()
+    assert len(flat) == len(set(flat)) and set(flat) == set(dist)  # a partition of the reached nodes
+    for depth, level in enumerate(levels):
+        assert level.size and level.dtype == np.int64
+        for x in level.tolist():
+            assert dist[x] == depth
+            if depth:
+                assert parent[x] in levels[depth - 1]
+                assert succ[parent[x], letter[x]] == x
+    unreached = sorted(set(range(n)) - set(dist))
+    assert (parent[unreached] == -1).all() and (letter[unreached] == -1).all()
 
 
 def test_out_of_range_seed_names_the_least_bad_value():

@@ -17,9 +17,16 @@ from hypothesis import strategies as st
 
 from mlacalc.actions import bracket_ideal, mixed_lie_ideal
 from mlacalc.corpus import direct_product, get_group, group_names
-from mlacalc.errors import AxiomViolation, BudgetExceeded, IdealityFailure, MathViolation
+from mlacalc.errors import (
+    AxiomViolation,
+    BudgetExceeded,
+    IdealityFailure,
+    MathViolation,
+    QuotientStarIllDefined,
+)
 from mlacalc.mla import (
     AXIOM_NAMES,
+    Ideal,
     MultLieAlg,
     axiom_sides,
     broken_axioms,
@@ -478,6 +485,12 @@ def test_series_s3_trivial_frozen():
     assert solvable_length(M) == 2
 
 
+def test_series_of_the_order_one_algebra_end_at_once():
+    M = make_trivial_star(get_group("C1"))
+    for series, kind in ((derived_series, "derived"), (lower_central_series, "lower-central")):
+        assert series(M) == mla.SeriesReport(kind, ((0,),), "terminated-at-trivial", 0, 0)
+
+
 def test_series_q8_trivial_frozen():
     M = make_trivial_star(get_group("Q8"))
     assert nilpotency_class(M) == 2
@@ -558,6 +571,86 @@ def test_quotient_by_full_algebra_is_trivial():
     I = ideal_closure(M, range(M.order))
     Q, _ = quotient_algebra(M, I)
     assert Q.order == 1
+
+
+def oracle_quotient_star(img, S, q):
+    """The pushed-forward star by two loops, or the witness (a, b) of the
+    first disagreement: row by row, a coset's least element fills its row
+    (a later b of the same coset overwriting an earlier one) and every later
+    element of the coset is read against it; only then is every pair read."""
+    n = len(img)
+    Sq = np.full((q, q), -1, dtype=np.int64)
+    for a in range(n):
+        qa = img[a]
+        if (Sq[qa] < 0).all():
+            for b in range(n):
+                Sq[qa, img[b]] = img[S[a, b]]
+            continue
+        for b in range(n):
+            if Sq[qa, img[b]] != img[S[a, b]]:
+                return [a, b]
+    for a, b in product(range(n), repeat=2):
+        if Sq[img[a], img[b]] != img[S[a, b]]:
+            return [a, b]
+    return Sq
+
+
+@pytest.mark.parametrize(
+    "cells, witness",
+    [
+        ({(2, 1): 1}, [2, 1]),  # a later element of a coset clashes with the least one
+        ({(0, 0): 1}, [0, 0]),  # the least element's own row disagrees with itself
+        ({(0, 0): 1, (2, 1): 1}, [2, 1]),  # a clash at a later element is reported first
+        ({(0, 2): 1}, [2, 0]),  # the least element's row is filled from each coset's last element
+    ],
+)
+def test_quotient_star_that_does_not_descend_names_its_witness(cells, witness):
+    # C4 over {0, 2}: the cosets are {0, 2} and {1, 3}
+    G = get_group("C4")
+    S = np.zeros((4, 4), dtype=np.int64)
+    for at, v in cells.items():
+        S[at] = v
+    M = MultLieAlg(G, S)
+    with pytest.raises(QuotientStarIllDefined) as exc:
+        quotient_algebra(M, Ideal(M, Subgroup(G, frozenset({0, 2}))))
+    assert str(exc.value) == "star does not descend: representatives disagree"
+    assert exc.value.payload == {"witness": witness}
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_quotient_star_matches_the_loop_oracle(data):
+    G = get_group(data.draw(st.sampled_from(["C4", "V4", "S3", "D4", "Q8", "C6xC2"])))
+    n = G.order
+    N = groups.normal_closure(G, data.draw(st.sets(st.integers(0, n - 1), max_size=2)))
+    Q, pi = groups.quotient(G, N)
+    img = pi.image
+    # a star lifted from a random quotient star through random coset members,
+    # then a few cells overwritten
+    lifted = data.draw(st.lists(st.integers(0, Q.order - 1), min_size=Q.order**2, max_size=Q.order**2))
+    cosets = [np.flatnonzero(img == c) for c in range(Q.order)]
+    S = np.array(
+        [[data.draw(st.sampled_from(cosets[lifted[img[a] * Q.order + img[b]]].tolist())) for b in range(n)]
+         for a in range(n)],
+        dtype=np.int64,
+    )
+    for _ in range(data.draw(st.integers(0, 2))):
+        S[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] = data.draw(
+            st.integers(0, n - 1)
+        )
+    M = MultLieAlg(G, S)
+    expected = oracle_quotient_star(img, S, Q.order)
+    ideal = Ideal(M, N)
+    if isinstance(expected, list):
+        with pytest.raises(QuotientStarIllDefined) as exc:
+            quotient_algebra(M, ideal)
+        assert exc.value.payload == {"witness": expected}
+    else:
+        # the pushed-forward table itself, before the axiom scan of the quotient
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mla, "_image_algebra", lambda M, G, star: star)
+            star, _ = quotient_algebra(M, ideal)
+        assert (star == expected).all()
 
 
 # --- proof-carrying algebras ---------------------------------------------------------

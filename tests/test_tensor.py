@@ -31,6 +31,7 @@ from mlacalc.errors import (
     BudgetExceeded,
     CosetCapExceeded,
     Inapplicable,
+    InducedActionIllDefined,
     InputError,
     PreconditionFailed,
 )
@@ -60,6 +61,7 @@ from mlacalc.tensor import (
     check_tensor_lie_commutator,
     compare_seed_orders,
     defect_square_bound,
+    induce_actions,
     quotient_nilpotency_bound,
     quotient_solvability_bound,
     self_pair_quotient_check,
@@ -239,6 +241,77 @@ def test_relator_order_does_not_change_the_group(pairs):
     pres = build_tensor_presentation(pairs["s3-improper-star"])
     flipped = make_presentation(pres.generator_labels, list(reversed(pres.relators)))
     assert coset_enumerate(flipped).group.order == coset_enumerate(pres).group.order == 6
+
+
+def _swap_symbols(t, i, j):
+    """t with the symbols at flat positions i and j of its tensor map swapped."""
+    tm = t.tensor_map.reshape(-1).copy()
+    tm[[i, j]] = tm[[j, i]]
+    return replace(t, tensor_map=tm.reshape(t.tensor_map.shape))
+
+
+def _reindex_action(t, side, rows):
+    """t whose pair's ``side`` action reads phi[rows[g]] for each actor g."""
+    act = getattr(t.pair, side)
+    return replace(t, pair=replace(t.pair, **{side: replace(act, phi=act.phi[rows])}))
+
+
+def _null_action_row(t, side, g):
+    """t whose pair's ``side`` action sends everything to 1 under actor g."""
+    act = getattr(t.pair, side)
+    phi = act.phi.copy()
+    phi[g] = act.acted.group.identity
+    return replace(t, pair=replace(t.pair, **{side: replace(act, phi=phi)}))
+
+
+def _constant_star(t, c):
+    """t whose tensor algebra has the (axiom-breaking) constant star c."""
+    K = t.group
+    return replace(t, algebra=MultLieAlg(K, np.full((K.order, K.order), c)))
+
+
+_INDUCED_FAILURES = [
+    ("z2-trivial", lambda t: _swap_symbols(t, 0, 3),
+     "induced map of left-factor element 0 is not a bijection",
+     {"side": "left-factor", "element": 0}),
+    ("q8-trivial", lambda t: _swap_symbols(t, 0, 9),
+     "induced map of left-factor element 0 is not a bijection",
+     {"side": "left-factor", "element": 0}),
+    ("s3-improper-star", lambda t: _null_action_row(t, "h_on_g", 1),
+     "induced map of right-factor element 1 is not a bijection",
+     {"side": "right-factor", "element": 1}),
+    ("q8-trivial", lambda t: _swap_symbols(t, 9, 11),
+     "induced map of left-factor element 0 breaks multiplication",
+     {"side": "left-factor", "element": 0, "witness": (1, 4)}),
+    ("s3-improper-star", lambda t: _reindex_action(t, "g_on_h", [0, 1, 2, 3, 5, 4]),
+     "induced map of left-factor element 4 breaks multiplication",
+     {"side": "left-factor", "element": 4, "witness": (3, 3)}),
+    ("s3-improper-star", lambda t: _reindex_action(t, "h_on_g", [0, 1, 2, 3, 5, 4]),
+     "induced map of right-factor element 4 breaks multiplication",
+     {"side": "right-factor", "element": 4, "witness": (3, 3)}),
+    ("q8-trivial", lambda t: _constant_star(t, 4),
+     "induced map of left-factor element 1 breaks the star",
+     {"side": "left-factor", "element": 1, "witness": (0, 0)}),
+    ("q8-trivial", lambda t: _constant_star(_reindex_action(t, "h_on_g", [5, 0, 1, 4, 2, 6, 3, 7]), 1),
+     "induced map of right-factor element 0 breaks the star",
+     {"side": "right-factor", "element": 0, "witness": (0, 0)}),
+    ("q8-trivial", lambda t: _reindex_action(t, "g_on_h", [2, 4, 3, 6, 5, 0, 1, 7]),
+     "left-factor images do not compose as a group action",
+     {"side": "left-factor", "witness": (1, 1)}),
+    ("q8-trivial", lambda t: _reindex_action(t, "h_on_g", [0, 4, 1, 6, 3, 2, 5, 7]),
+     "right-factor images do not compose as a group action",
+     {"side": "right-factor", "witness": (1, 1)}),
+]
+
+
+@pytest.mark.parametrize("name, spoil, message, payload", _INDUCED_FAILURES)
+def test_ill_defined_induced_actions_name_side_element_and_witness(tensors, name, spoil, message, payload):
+    # each failure kind on each side: a bijection, multiplication, the star,
+    # then composition of the rows
+    with pytest.raises(InducedActionIllDefined) as exc:
+        induce_actions(spoil(tensors[name]))
+    assert str(exc.value) == message
+    assert exc.value.payload == payload
 
 
 def test_tiny_coset_cap_raises(pairs):
