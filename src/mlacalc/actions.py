@@ -811,43 +811,28 @@ def check_defect_fixes_opposite_bracket_ideal(pair: CompatiblePair) -> CheckRepo
     return CheckReport("defect-fixes-opposite-bracket-ideal", True, checked)
 
 
-@dataclass(frozen=True)
-class TransferBounds:
-    cl_gh: int | None
-    cl_hg: int | None
-    l_gh: int | None
-    l_hg: int | None
-
-
 def check_transfer_bounds(pair: CompatiblePair) -> CheckReport:
     """Nilpotency class / solvable length transfer between the two defect
     ideals with slack one, in both directions."""
-    subs = {}
-    for side in SIDES:
-        act = pair.action(side)
-        subs[side] = sub_algebra(act.acted, mixed_lie_ideal(pair, side).carrier)
-    cl = {side: nilpotency_class(subs[side]) for side in SIDES}
-    ln = {side: solvable_length(subs[side]) for side in SIDES}
-    bounds = TransferBounds(cl["g-on-h"], cl["h-on-g"], ln["g-on-h"], ln["h-on-g"])
-
-    def demand(kind: str, a_side: str, b_side: str, vals: dict) -> None:
-        a, b = vals[a_side], vals[b_side]
-        if a is None:
-            return
-        if b is None or b > a + 1:
-            raise BoundViolation(
-                f"{kind} transfer bound fails: {b_side} vs {a_side}+1",
-                kind=kind,
-                from_side=a_side,
-                to_side=b_side,
-                values=[a, b],
-            )
-
+    subs = {s: sub_algebra(pair.action(s).acted, mixed_lie_ideal(pair, s).carrier) for s in SIDES}
+    vals = {
+        "class": {side: nilpotency_class(subs[side]) for side in SIDES},
+        "length": {side: solvable_length(subs[side]) for side in SIDES},
+    }
     for a_side, b_side in (("g-on-h", "h-on-g"), ("h-on-g", "g-on-h")):
-        demand("class", a_side, b_side, cl)
-        demand("length", a_side, b_side, ln)
-    detail = (
-        f"cl(defect g-on-h)={bounds.cl_gh} cl(defect h-on-g)={bounds.cl_hg} "
-        f"l(defect g-on-h)={bounds.l_gh} l(defect h-on-g)={bounds.l_hg}"
+        for kind, by_side in vals.items():
+            a, b = by_side[a_side], by_side[b_side]
+            if a is not None and (b is None or b > a + 1):
+                raise BoundViolation(
+                    f"{kind} transfer bound fails: {b_side} vs {a_side}+1",
+                    kind=kind,
+                    from_side=a_side,
+                    to_side=b_side,
+                    values=[a, b],
+                )
+    detail = " ".join(
+        f"{abbr}(defect {side})={vals[kind][side]}"
+        for kind, abbr in (("class", "cl"), ("length", "l"))
+        for side in SIDES
     )
     return CheckReport("transfer-bounds", True, 4, detail=detail)

@@ -14,10 +14,11 @@ One hand-authorable format covers three kinds of instance:
 All tables are written with element names, never indices; ``table[i][j]``
 is the name of the product of the i-th and j-th declared elements, and an
 action table is indexed actor-major.  Shorthands expand here, before any
-core module sees the data; "conjugation" and "star" require the two pair
-factors to be the same algebra (their nodes must match element for
-element), in which case a single shared object is built so downstream
-self-pair detection works.
+core module sees the data, and one reader (_read_table) reads every star,
+phi and bracket table: a table of names, or a shorthand that names a builder.
+"conjugation" and "star" require the two pair factors to be the same algebra
+(their nodes must match element for element), in which case a single shared
+object is built so downstream self-pair detection works.
 
 Parsing separates structural problems (bad JSON, unknown names, shape
 mismatches: InputError) from mathematical ones (a table that is not a
@@ -39,13 +40,8 @@ import numpy as np
 from .actions import CompatiblePair, MlaAction, check_compatibility, validate_action
 from .errors import InputError
 from .groups import FiniteGroup, validate_cayley
+from .harness import KINDS
 from .mla import MultLieAlg, make_algebra
-
-KINDS = ("algebra", "pair", "tensor")
-
-STAR_SHORTHANDS = ("trivial", "improper")
-PHI_SHORTHANDS = ("trivial", "conjugation")
-BRACKET_SHORTHANDS = ("trivial", "star")
 
 
 @dataclass(frozen=True)
@@ -152,6 +148,16 @@ def _name_table(node: Any, rows: Mapping[str, int], cols: Mapping[str, int], whe
     return out
 
 
+def _read_table(
+    node: Any, rows: Mapping[str, int], cols: Mapping[str, int], where: str, shorthands: Mapping
+) -> np.ndarray:
+    """A table of names, or the table that ``shorthands[node]()`` builds: one
+    zero-argument builder per shorthand string, so only the one used is made."""
+    if isinstance(node, str) and node in shorthands:
+        return shorthands[node]()
+    return _name_table(node, rows, cols, where)
+
+
 def _parse_algebra(node: Mapping[str, Any], where: str, check: bool = False) -> MultLieAlg:
     elements = node.get("elements")
     if not isinstance(elements, list) or not all(isinstance(s, str) for s in elements):
@@ -164,15 +170,14 @@ def _parse_algebra(node: Mapping[str, Any], where: str, check: bool = False) -> 
     table = _name_table(node.get("table"), index, index, f"{where}.table")
     group = validate_cayley(elements, table)
 
-    star_node = node.get("star")
-    if star_node == "trivial":
-        star = np.full((group.order, group.order), group.identity, dtype=np.int64)
-    elif star_node == "improper":
-        star = group.comm_table.copy()
-    elif star_node is None:
+    if node.get("star") is None:
         raise InputError(f"{where}.star is required (a table, 'trivial', or 'improper')")
-    else:
-        star = _name_table(star_node, index, index, f"{where}.star")
+    n = group.order
+    shorthands = {
+        "trivial": lambda: np.full((n, n), group.identity, dtype=np.int64),
+        "improper": lambda: group.comm_table.copy(),
+    }
+    star = _read_table(node["star"], index, index, f"{where}.star", shorthands)
     if check:
         return make_algebra(group, star)
     return MultLieAlg(group, star)
@@ -185,32 +190,9 @@ def _algebra_key(node: Mapping[str, Any]) -> Any:
     )
 
 
-def _expand_phi(node: Any, actor: MultLieAlg, acted: MultLieAlg, selfpair: bool, where: str) -> np.ndarray:
-    ng, nh = actor.order, acted.order
-    if node == "trivial":
-        return np.tile(np.arange(nh, dtype=np.int64), (ng, 1))
-    if node == "conjugation":
-        if not selfpair:
-            raise InputError(
-                f"{where}: 'conjugation' needs both factors to be the same algebra"
-            )
-        return acted.group.conj_table.copy()
-    cols = {s: i for i, s in enumerate(acted.group.labels)}
-    rows = {s: i for i, s in enumerate(actor.group.labels)}
-    return _name_table(node, rows, cols, where)
-
-
-def _expand_bracket(node: Any, actor: MultLieAlg, acted: MultLieAlg, selfpair: bool, where: str) -> np.ndarray:
-    ng, nh = actor.order, acted.order
-    if node == "trivial":
-        return np.full((ng, nh), acted.group.identity, dtype=np.int64)
-    if node == "star":
-        if not selfpair:
-            raise InputError(f"{where}: 'star' needs both factors to be the same algebra")
-        return acted.star.copy()
-    cols = {s: i for i, s in enumerate(acted.group.labels)}
-    rows = {s: i for i, s in enumerate(actor.group.labels)}
-    return _name_table(node, rows, cols, where)
+def _refuse(where: str, name: str) -> np.ndarray:
+    """What a self-pair-only shorthand builds on a pair of two algebras: an error."""
+    raise InputError(f"{where}: '{name}' needs both factors to be the same algebra")
 
 
 def _parse_action(
@@ -220,8 +202,20 @@ def _parse_action(
         raise InputError(f"{where} must be an object with 'phi' and 'bracket'")
     if "phi" not in node or "bracket" not in node:
         raise InputError(f"{where} needs both 'phi' and 'bracket'")
-    phi = _expand_phi(node["phi"], actor, acted, selfpair, f"{where}.phi")
-    bracket = _expand_bracket(node["bracket"], actor, acted, selfpair, f"{where}.bracket")
+    H = acted.group
+    rows = {s: i for i, s in enumerate(actor.group.labels)}
+    cols = {s: i for i, s in enumerate(H.labels)}
+    phi_at, bracket_at = f"{where}.phi", f"{where}.bracket"
+    phi_shorthands = {
+        "trivial": lambda: np.tile(np.arange(H.order, dtype=np.int64), (actor.order, 1)),
+        "conjugation": lambda: H.conj_table if selfpair else _refuse(phi_at, "conjugation"),
+    }
+    bracket_shorthands = {
+        "trivial": lambda: np.full((actor.order, H.order), H.identity, dtype=np.int64),
+        "star": lambda: acted.star if selfpair else _refuse(bracket_at, "star"),
+    }
+    phi = _read_table(node["phi"], rows, cols, phi_at, phi_shorthands)
+    bracket = _read_table(node["bracket"], rows, cols, bracket_at, bracket_shorthands)
     return validate_action(actor, acted, phi, bracket)
 
 

@@ -121,7 +121,3 @@ class BoundViolation(MathViolation):
 
 class Inapplicable(MlaError):
     """Statement hypotheses do not hold for this instance (not a failure)."""
-
-    def __init__(self, reason: str, **payload: Any) -> None:
-        super().__init__(reason, **payload)
-        self.reason = reason

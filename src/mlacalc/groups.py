@@ -46,9 +46,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.labels)
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 

@@ -7,6 +7,8 @@ are opaque keys; the summary next to each one says what is checked.
 
 An Instance wraps whatever was supplied (a single algebra, a compatible
 pair, or a built tensor) and exposes the pieces each statement needs.
+Neither declares a kind: an instance's kind is the richest piece it holds,
+and a statement's is the one its suite fixes (SUITE_KIND).
 Statements requiring a richer instance than the one supplied come back
 ``inapplicable`` under suite selection and raise SelectionMismatch when
 selected explicitly by id.
@@ -68,6 +70,8 @@ from .tensor import (
 from .util import CheckReport, check_budget, run_budget
 
 SUITES = ("axioms", "identities", "compat", "tensor", "all")
+KINDS = ("algebra", "pair", "tensor")
+SUITE_KIND = {"axioms": "algebra", "identities": "algebra", "compat": "pair", "tensor": "tensor"}
 
 PASS = "pass"
 FAIL = "fail"
@@ -82,36 +86,38 @@ class Instance:
     cap so tensor statements can report skipped instead of inapplicable."""
 
     name: str
-    kind: str  # "algebra" | "pair" | "tensor"
     algebras: tuple[tuple[str, MultLieAlg], ...]
     pair: CompatiblePair | None = None
     tensor: TensorAlgebra | None = None
     tensor_error: str | None = None
 
     @property
-    def capabilities(self) -> frozenset[str]:
-        return {
-            "algebra": frozenset(["algebra"]),
-            "pair": frozenset(["algebra", "pair"]),
-            "tensor": frozenset(["algebra", "pair", "tensor"]),
-        }[self.kind]
+    def kind(self) -> str:
+        """The richest of KINDS that the instance holds."""
+        if self.tensor is not None or self.tensor_error is not None:
+            return "tensor"
+        return "algebra" if self.pair is None else "pair"
+
+    @property
+    def capabilities(self) -> tuple[str, ...]:
+        return KINDS[: KINDS.index(self.kind) + 1]
 
     @staticmethod
     def from_algebra(M: MultLieAlg, name: str = "algebra") -> "Instance":
-        return Instance(name, "algebra", (("supplied", M),))
+        return Instance(name, (("supplied", M),))
 
     @staticmethod
     def from_pair(pair: CompatiblePair, name: str = "pair") -> "Instance":
-        return Instance(name, "pair", _pair_algebras(pair), pair=pair)
+        return Instance(name, _pair_algebras(pair), pair=pair)
 
     @staticmethod
     def from_tensor(t: TensorAlgebra, name: str = "tensor") -> "Instance":
         algs = _pair_algebras(t.pair) + (("tensor", t.algebra),)
-        return Instance(name, "tensor", algs, pair=t.pair, tensor=t)
+        return Instance(name, algs, pair=t.pair, tensor=t)
 
     @staticmethod
     def from_failed_tensor(pair: CompatiblePair, reason: str, name: str = "tensor") -> "Instance":
-        return Instance(name, "tensor", _pair_algebras(pair), pair=pair, tensor_error=reason)
+        return Instance(name, _pair_algebras(pair), pair=pair, tensor_error=reason)
 
 
 def _pair_algebras(pair: CompatiblePair) -> tuple[tuple[str, MultLieAlg], ...]:
@@ -181,11 +187,15 @@ class VerdictLedger:
 @dataclass(frozen=True)
 class Statement:
     ident: str
-    kind: str  # minimum instance kind able to run it
     suite: str
     summary: str
     # receives the instance's algebras, pair or tensor, as ``kind`` says
     runner: Callable[[Any], CheckReport] = field(repr=False)
+
+    @property
+    def kind(self) -> str:
+        """The least instance kind able to run it, fixed by its suite."""
+        return SUITE_KIND[self.suite]
 
 
 # --- runners ----------------------------------------------------------------
@@ -255,7 +265,6 @@ def _run_canonical_tensor_ideal(t: TensorAlgebra) -> CheckReport:
 CATALOGUE: tuple[Statement, ...] = (
     Statement(
         "def-2.1",
-        "algebra",
         "axioms",
         "the five star axioms hold on every algebra in the instance",
         _run_axioms,
@@ -263,7 +272,6 @@ CATALOGUE: tuple[Statement, ...] = (
     *(
         Statement(
             f"prop-2.3.{k}",
-            "algebra",
             "identities",
             f"defect identity: {IDENTITY_NAMES[k]}",
             partial(_run_identity, k),
@@ -273,14 +281,12 @@ CATALOGUE: tuple[Statement, ...] = (
     Statement(
         "prop-2.6",
         "tensor",
-        "tensor",
         "both factors act on the tensor by the slotwise symbol formulas",
         check_induced_action_formulas,
     ),
     *(
         Statement(
             f"prop-2.7.{k}",
-            "tensor",
             "tensor",
             f"symbol identity: {TENSOR_IDENTITY_NAMES[k]}",
             partial(_run_tensor_identity, k),
@@ -289,7 +295,6 @@ CATALOGUE: tuple[Statement, ...] = (
     ),
     Statement(
         "def-2.8",
-        "pair",
         "compat",
         "both actions: star-preserving automorphisms, multiplicative in the "
         "actor, all four bracket laws",
@@ -297,7 +302,6 @@ CATALOGUE: tuple[Statement, ...] = (
     ),
     Statement(
         "prop-2.10",
-        "pair",
         "compat",
         "conjugating one bracket value by another matches bracketing the "
         "mixed-commutator conjugates",
@@ -305,21 +309,18 @@ CATALOGUE: tuple[Statement, ...] = (
     ),
     Statement(
         "def-3.1",
-        "pair",
         "compat",
         "the five mutual-compatibility laws hold on both displays",
         check_pair_conditions,
     ),
     Statement(
         "lem-3.2",
-        "pair",
         "compat",
         "commutators of bracket values reduce to bracket and star forms",
         check_lemma_commutator_bracket,
     ),
     Statement(
         "prop-3.3.1",
-        "pair",
         "compat",
         "the relative commutators ^g h · h^-1 generate an ideal, both sides",
         partial(
@@ -328,14 +329,12 @@ CATALOGUE: tuple[Statement, ...] = (
     ),
     Statement(
         "prop-3.3.2",
-        "pair",
         "compat",
         "the bracket values <g,h> generate an ideal, both sides",
         partial(_run_ideal_family, "bracket-ideal", bracket_ideal, lambda ideal: ideal.subgroup),
     ),
     Statement(
         "prop-3.3.3",
-        "pair",
         "compat",
         "the mixed defects ^L[g,h] generate an ideal with a witness word "
         "for every element, both sides",
@@ -343,14 +342,12 @@ CATALOGUE: tuple[Statement, ...] = (
     ),
     Statement(
         "prop-3.4",
-        "pair",
         "compat",
         "single-defect partners act identically on both groups",
         check_partner_generators,
     ),
     Statement(
         "prop-3.5",
-        "pair",
         "compat",
         "every witnessed defect-ideal element has an identically acting "
         "partner built from its word",
@@ -358,35 +355,30 @@ CATALOGUE: tuple[Statement, ...] = (
     ),
     Statement(
         "cor-3.6",
-        "pair",
         "compat",
         "partner agreement survives inverses and commutators",
         check_partner_closure_ops,
     ),
     Statement(
         "lem-3.7",
-        "pair",
         "compat",
         "star equals partnered bracket on level-0 defect witnesses",
         partial(check_star_to_bracket_level, level=0),
     ),
     Statement(
         "lem-3.8",
-        "pair",
         "compat",
         "defects of agreeing pairs act identically on both groups",
         check_lie_conjugation_transfer,
     ),
     Statement(
         "lem-3.9",
-        "pair",
         "compat",
         "star equals partnered bracket on level-1 defect witnesses",
         partial(check_star_to_bracket_level, level=1),
     ),
     Statement(
         "prop-3.10",
-        "pair",
         "compat",
         "nilpotency class and solvable length transfer between the two "
         "defect ideals with slack one",
@@ -395,13 +387,11 @@ CATALOGUE: tuple[Statement, ...] = (
     Statement(
         "thm-3.11",
         "tensor",
-        "tensor",
         "mutually invariant ideal factors generate an ideal of the tensor",
         _run_canonical_tensor_ideal,
     ),
     Statement(
         "lem-3.12",
-        "tensor",
         "tensor",
         "the tensor defect of two symbols factors through mixed defects",
         check_tensor_lie_commutator,
@@ -409,28 +399,24 @@ CATALOGUE: tuple[Statement, ...] = (
     Statement(
         "thm-3.13",
         "tensor",
-        "tensor",
         "quotient by the canonical defect-bracket ideal raises the right "
         "factor's nilpotency class by at most one",
         quotient_nilpotency_bound,
     ),
     Statement(
         "rem-3.14.1",
-        "pair",
         "compat",
         "defect-ideal elements group-commute with the bracket ideal",
         check_defect_centralizes_bracket_ideal,
     ),
     Statement(
         "rem-3.14.2",
-        "pair",
         "compat",
         "defect-ideal elements act trivially on the opposite bracket ideal",
         check_defect_fixes_opposite_bracket_ideal,
     ),
     Statement(
         "rem-3.15.1",
-        "tensor",
         "tensor",
         "quotient by the canonical defect-bracket ideal raises the right "
         "factor's solvable length by at most one",
@@ -439,14 +425,12 @@ CATALOGUE: tuple[Statement, ...] = (
     Statement(
         "rem-3.15.2",
         "tensor",
-        "tensor",
         "self-paired star-as-bracket: the canonical tensor quotient "
         "inherits nilpotency and solvability",
         self_pair_quotient_check,
     ),
     Statement(
         "rem-3.15.3",
-        "tensor",
         "tensor",
         "self-paired star-as-bracket: quotient by the squared defect ideal "
         "has exactly the factor's class",

@@ -183,18 +183,13 @@ def _normal_forms(K: FiniteGroup, images: np.ndarray, seed_order: str):
     return parent, np.where(col < 0, -1, letters[col]), levels
 
 
-def _extend_star(
-    K: FiniteGroup,
-    images: np.ndarray,
-    seed_elem: np.ndarray,
-    seed_order: str,
-) -> np.ndarray:
-    """Star on all of K from the generator seed, by peeling normal-form words,
-    one word length at a time."""
-    parent, letter, levels = _normal_forms(K, images, seed_order)
+def _extend_star(K: FiniteGroup, tree: tuple, seed_elem: np.ndarray) -> np.ndarray:
+    """Star on all of K from the generator seed, by peeling the normal-form
+    words of ``tree`` (see _normal_forms), one word length at a time."""
+    parent, letter, levels = tree
     T, C = K.table, K.conj_table
     e = K.identity
-    ngen = len(images)
+    ngen = len(seed_elem)
     n = K.order
 
     # a ⋆ v for each generator symbol a, peeling the last letter of v:
@@ -266,7 +261,8 @@ def induce_star(
         K = res.group
         images = res.gen_image
         seed_elem = images[seed_idx]
-        star = _extend_star(K, images, seed_elem, seed_order)
+        tree = _normal_forms(K, images, seed_order)
+        star = _extend_star(K, tree, seed_elem)
         bad = _offending_values(K, star, images, seed_elem)
         if bad.size == 0:
             # the checks that found nothing to collect proved all five axioms
@@ -282,7 +278,7 @@ def induce_star(
                 pending=int(bad.size),
                 order=int(K.order),
             )
-        parent, letter, _ = _normal_forms(K, images, seed_order)
+        parent, letter, _ = tree
         new_rels = [_word_of(parent, letter, int(K.identity), int(v)) for v in bad]
         pres = make_presentation(
             res.presentation.generator_labels, res.presentation.relators + tuple(new_rels)

@@ -48,6 +48,7 @@ from mlacalc.actions import (
 from mlacalc.corpus import get_group
 from mlacalc.errors import (
     ActionViolation,
+    BoundViolation,
     CompatibilityViolation,
     IdealityFailure,
     IdentityViolation,
@@ -546,3 +547,31 @@ def test_transfer_bounds_detail_mentions_both_sides(pairs):
     for pair in pairs.values():
         rep = check_transfer_bounds(pair)
         assert "g-on-h" in rep.detail and "h-on-g" in rep.detail
+
+
+# (class g-on-h, class h-on-g), (length g-on-h, length h-on-g) -> the first failing demand
+TRANSFER_VIOLATIONS = [
+    ((1, 3), (1, 1), ("class", "g-on-h", "h-on-g", [1, 3])),
+    ((1, 1), (5, 1), ("length", "h-on-g", "g-on-h", [1, 5])),
+    ((3, 1), (1, 3), ("length", "g-on-h", "h-on-g", [1, 3])),
+    ((None, 2), (1, 1), ("class", "h-on-g", "g-on-h", [2, None])),
+]
+
+
+@pytest.mark.parametrize("classes,lengths,want", TRANSFER_VIOLATIONS)
+def test_transfer_bound_violations_name_the_first_failing_demand(
+    pairs, monkeypatch, classes, lengths, want
+):
+    # both sides' classes are computed before their lengths, g-on-h first
+    monkeypatch.setattr(actions, "nilpotency_class", lambda _, it=iter(classes): next(it))
+    monkeypatch.setattr(actions, "solvable_length", lambda _, it=iter(lengths): next(it))
+    with pytest.raises(BoundViolation) as exc:
+        check_transfer_bounds(pairs["s3-improper-star"])
+    kind, a_side, b_side, values = want
+    assert str(exc.value) == f"{kind} transfer bound fails: {b_side} vs {a_side}+1"
+    assert exc.value.payload == {
+        "kind": kind,
+        "from_side": a_side,
+        "to_side": b_side,
+        "values": values,
+    }

@@ -6,6 +6,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -250,6 +251,22 @@ def test_subprocess_never_tracebacks(fixtures_dir, argv):
     )
     assert proc.returncode in (0, 1, 2, 3)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("script", ["tensor_demo.py", "run_corpus_suite.py"])
+def test_readme_scripts_run(fixtures_dir, script):
+    root = fixtures_dir.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / script)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if script == "run_corpus_suite.py":
+        for name in ("z2-trivial", "s3-improper-star", "q8-trivial"):
+            assert re.search(rf"(?m)^{name} +full ledger: pass ", proc.stdout), name
 
 
 def test_console_script_entry_point(fixtures_dir):

@@ -114,6 +114,40 @@ def test_self_shorthands_need_identical_factors(pairs):
     assert "star" in str(exc.value)
 
 
+def test_shorthand_error_messages_are_frozen(fixtures_dir):
+    def message(doc):
+        with pytest.raises(InputError) as exc:
+            parse_document(doc)
+        return str(exc.value)
+
+    doc = _c4_doc("trivial")
+    del doc["star"]
+    assert message(doc) == "algebra.star is required (a table, 'trivial', or 'improper')"
+    for star in ("foo", "conjugation"):
+        assert message(_c4_doc(star)) == "algebra.star must be a list of 4 rows"
+
+    z2 = json.loads((fixtures_dir / "pairs" / "z2-trivial.json").read_text(encoding="utf-8"))
+    cases = [
+        (
+            "conjugation",
+            "trivial",
+            "pair.g_on_h.phi: 'conjugation' needs both factors to be the same algebra",
+        ),
+        (
+            "trivial",
+            "star",
+            "pair.g_on_h.bracket: 'star' needs both factors to be the same algebra",
+        ),
+        ("star", "trivial", "pair.g_on_h.phi must be a list of 2 rows"),
+        ("star", "improper", "pair.g_on_h.phi must be a list of 2 rows"),
+        ("trivial", "improper", "pair.g_on_h.bracket must be a list of 2 rows"),
+    ]
+    for phi, bracket, want in cases:
+        doc = json.loads(json.dumps(z2))
+        doc["g_on_h"] = {"phi": phi, "bracket": bracket}
+        assert message(doc) == want
+
+
 # --- kind inference and structural errors ----------------------------------------------
 
 

@@ -59,6 +59,38 @@ def test_catalogue_suite_partition():
     assert got == SUITE_SIZES
 
 
+STATEMENT_KINDS = {
+    "algebra": ("def-2.1", *(f"prop-2.3.{k}" for k in range(1, 8))),
+    "pair": (
+        "def-2.8", "prop-2.10", "def-3.1", "lem-3.2", "prop-3.3.1", "prop-3.3.2",
+        "prop-3.3.3", "prop-3.4", "prop-3.5", "cor-3.6", "lem-3.7", "lem-3.8",
+        "lem-3.9", "prop-3.10", "rem-3.14.1", "rem-3.14.2",
+    ),
+    "tensor": (
+        "prop-2.6", *(f"prop-2.7.{k}" for k in range(1, 7)), "thm-3.11", "lem-3.12",
+        "thm-3.13", "rem-3.15.1", "rem-3.15.2", "rem-3.15.3",
+    ),
+}
+
+
+def test_statement_kinds_are_frozen():
+    got = {ident: statement(ident).kind for ident in CATALOGUE_IDS}
+    want = {ident: kind for kind, ids in STATEMENT_KINDS.items() for ident in ids}
+    assert got == want
+
+
+def test_instance_kinds_follow_what_the_instance_holds(pairs, tensors, corpus_algebras):
+    cases = [
+        (Instance.from_algebra(corpus_algebras["S3-trivial"]), "algebra"),
+        (Instance.from_pair(pairs["z2-trivial"]), "pair"),
+        (Instance.from_tensor(tensors["z2-trivial"]), "tensor"),
+        (Instance.from_failed_tensor(pairs["z2-trivial"], "cap"), "tensor"),
+    ]
+    for inst, kind in cases:
+        assert inst.kind == kind
+        assert run_suite(inst, ["def-2.1"]).kind == kind
+
+
 def test_statement_lookup():
     st = statement("thm-3.13")
     assert st.kind == "tensor" and st.suite == "tensor"

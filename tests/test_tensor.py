@@ -35,7 +35,7 @@ from mlacalc.errors import (
     InputError,
     PreconditionFailed,
 )
-from mlacalc.groups import subgroup_closure
+from mlacalc.groups import subgroup_closure, validate_cayley
 from mlacalc.harness import Instance, run_suite
 from mlacalc.mla import (
     MultLieAlg,
@@ -232,6 +232,35 @@ def test_trivial_factor_short_circuits():
     assert t.order == 1 and t.rounds == 0
     assert check_defining_relations(t).passed
     assert check_tensor_lie_commutator(t).passed
+
+
+def _gl2_f2_self_pair():
+    """gl2(F2): the 2x2 matrices over F2 under addition (C2^4 under XOR, a
+    matrix read from the bits of its index), star [A, B] = AB + BA, paired
+    with itself by conjugation and bracket = star."""
+    idx = np.arange(16)
+    mats = ((idx[:, None] >> np.arange(4)) & 1).reshape(16, 2, 2)
+    ab = mats[:, None] @ mats[None, :]
+    star = (((ab + ab.transpose(1, 0, 2, 3)) % 2).reshape(16, 16, 4) << np.arange(4)).sum(-1)
+    G = validate_cayley([f"m{i}" for i in idx], idx[:, None] ^ idx[None, :])
+    M = mla.make_algebra(G, star)
+    act = conjugation_self_action(M, M.star)
+    return check_compatibility(act, act)
+
+
+def test_gl2_star_fixpoint_takes_a_second_round():
+    # the first enumeration is too large for the star: the axioms force
+    # three relators, and the second round's group carries a valid star
+    pair = _gl2_f2_self_pair()
+    t = build_tensor_algebra(pair)
+    assert (t.order, t.rounds) == (16, 2)
+    assert t.extra_relators == ((35,), (69,), (103,))
+    assert check_defining_relations(t).passed
+    assert compare_seed_orders(pair).passed
+    ledger = run_suite(Instance.from_tensor(t, "gl2"))
+    assert ledger.counts() == {"pass": 36, "fail": 0, "inapplicable": 1, "skipped": 0}
+    assert ledger.get("thm-3.13").status == "inapplicable"
+    assert "not Lie nilpotent" in ledger.get("thm-3.13").detail
 
 
 # --- presentation robustness ----------------------------------------------------------
