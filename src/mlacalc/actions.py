@@ -464,7 +464,7 @@ def _eval_word(pair: CompatiblePair, side: str, word: Word, partner: bool) -> in
     return x
 
 
-def _bfs_words(K: FiniteGroup, letters: list[Letter], values: list[int]) -> dict[int, Word]:
+def _bfs_words(K: FiniteGroup, letters: list[Letter], values: np.ndarray) -> dict[int, Word]:
     """A shortest word over the letters for each element right products of the
     letter values reach from the identity.  In a finite group those elements
     are the subgroup the values generate, so the keys need no closure."""
@@ -485,18 +485,9 @@ def mixed_lie_ideal(pair: CompatiblePair, side: str = "g-on-h") -> WitnessedIdea
 def _mixed_lie_ideal(pair: CompatiblePair, side: str) -> WitnessedIdeal:
     act = pair.action(side)
     G, H = act.actor.group, act.acted.group
-    letters: list[Letter] = []
-    values: list[int] = []
-    for g in range(G.order):
-        for h in range(H.order):
-            for sgn in (1, -1):
-                letters.append(("gen", g, h, sgn))
-                values.append(
-                    int(act.mixed_defect_table[g, h])
-                    if sgn > 0
-                    else H.inv(int(act.mixed_defect_table[g, h]))
-                )
-    words = _bfs_words(H, letters, values)
+    letters = [("gen", g, h, sgn) for g in range(G.order) for h in range(H.order) for sgn in (1, -1)]
+    D = act.mixed_defect_table.ravel()
+    words = _bfs_words(H, letters, np.stack([D, H.inverses[D]], axis=-1).ravel())
     what = f"mixed defect ideal ({side})"
     ideal = _checked_ideal(act.acted, Subgroup(H, frozenset(words)), what)
     return WitnessedIdeal(pair, side, 0, ideal, words)
@@ -512,16 +503,11 @@ def witnessed_derived_terms(pair: CompatiblePair, side: str, depth: int) -> list
     for level in range(len(terms), depth + 1):
         check_budget("derived terms")
         prev = terms[-1]
-        members = sorted(prev.carrier.members)
-        letters: list[Letter] = []
-        values: list[int] = []
-        for u in members:
-            for v in members:
-                for sgn in (1, -1):
-                    val = alg.lie_defect(u, v)
-                    letters.append(("lie", prev.words[u], prev.words[v], sgn))
-                    values.append(val if sgn > 0 else H.inv(val))
-        words = _bfs_words(H, letters, values)
+        mem = sorted(prev.carrier.members)
+        w = prev.words
+        letters = [("lie", w[u], w[v], sgn) for u in mem for v in mem for sgn in (1, -1)]
+        D = alg.lie_defect_table[np.ix_(mem, mem)].ravel()
+        words = _bfs_words(H, letters, np.stack([D, H.inverses[D]], axis=-1).ravel())
         sub = Subgroup(H, frozenset(words))
         terms.append(WitnessedIdeal(pair, side, level, Ideal(alg, sub), words))
     return terms[: max(depth, 0) + 1]

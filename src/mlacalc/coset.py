@@ -328,11 +328,7 @@ def _check_relators_close(pres: Presentation, by_length, tbl: np.ndarray) -> Non
         raise InputError("relator fails to close after enumeration", relator=[*pres.relators[min(bad)]])
 
 
-def coset_enumerate(
-    pres: Presentation,
-    max_cosets: int = DEFAULT_MAX_COSETS,
-    identity_label: str = "1",
-) -> EnumerationResult:
+def coset_enumerate(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> EnumerationResult:
     """Realize the presented group; raises CosetCapExceeded when it cannot."""
     if max_cosets < 1:
         raise InputError("max_cosets must be at least 1")
@@ -364,7 +360,7 @@ def coset_enumerate(
     gl = pres.generator_labels
     cols = np.empty((m, m), dtype=np.int64)  # cols[b] = (x -> x·b)
     cols[0] = np.arange(m)
-    labels = [identity_label] * m
+    labels = ["1"] * m
     for level in levels[1:]:
         q, g = parent[level], letter[level]
         cols[level] = tbl[cols[q], 2 * g[:, None]]

@@ -233,12 +233,12 @@ def _run_identity(num: int, algebras: Iterable[tuple[str, MultLieAlg]]) -> Check
     return CheckReport(f"defect-identity-{num}", True, total)
 
 
-def _run_ideal_family(name: str, build, carrier_of, pair: CompatiblePair) -> CheckReport:
+def _run_ideal_family(name: str, build, pair: CompatiblePair) -> CheckReport:
     total = 0
     notes = []
     for side in SIDES:
         check_budget("ideal construction")
-        sub = carrier_of(build(pair, side))
+        sub = build(pair, side).subgroup
         total += 3 * sub.parent.order * sub.order
         notes.append(f"{side}: order {sub.order}")
     return CheckReport(name, True, total, detail="; ".join(notes))
@@ -323,22 +323,22 @@ CATALOGUE: tuple[Statement, ...] = (
         "prop-3.3.1",
         "compat",
         "the relative commutators ^g h · h^-1 generate an ideal, both sides",
-        partial(
-            _run_ideal_family, "derived-action-ideal", derived_action_ideal, lambda ideal: ideal.subgroup
-        ),
+        partial(_run_ideal_family, "derived-action-ideal", derived_action_ideal),
     ),
     Statement(
         "prop-3.3.2",
         "compat",
         "the bracket values <g,h> generate an ideal, both sides",
-        partial(_run_ideal_family, "bracket-ideal", bracket_ideal, lambda ideal: ideal.subgroup),
+        partial(_run_ideal_family, "bracket-ideal", bracket_ideal),
     ),
     Statement(
         "prop-3.3.3",
         "compat",
         "the mixed defects ^L[g,h] generate an ideal with a witness word "
         "for every element, both sides",
-        partial(_run_ideal_family, "mixed-defect-ideal", mixed_lie_ideal, lambda wit: wit.carrier),
+        partial(
+            _run_ideal_family, "mixed-defect-ideal", lambda pair, side: mixed_lie_ideal(pair, side).ideal
+        ),
     ),
     Statement(
         "prop-3.4",

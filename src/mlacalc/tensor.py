@@ -109,46 +109,43 @@ def _pair_labels(pair: CompatiblePair) -> list[str]:
     return [f"({G.label(g)}⊗{H.label(h)})" for g in range(G.order) for h in range(H.order)]
 
 
-def build_tensor_presentation(pair: CompatiblePair) -> Presentation:
-    """Relator instantiations of the four defining relations over all tuples."""
+def _defining_relations(pair: CompatiblePair) -> Iterator[tuple[str, np.ndarray]]:
+    """The four defining relations as (detail, relators): each array is indexed
+    by the relation's tuple, (x, y, y') or (x, x', y), and ends in an axis of
+    3 signed 1-based generator numbers, a relator whose product is 1."""
     act, co = pair.g_on_h, pair.h_on_g
     G, H = pair.G.group, pair.H.group
-    ng, nh = G.order, H.order
-    TG, TH = G.table, H.table
+    nh = H.order
     CG, CH = G.conj_table, H.conj_table
-    SG, SH = pair.G.star, pair.H.star
     aphi, abrk = act.phi, act.bracket
     cphi, cbrk = co.phi, co.bracket
+    x, y = np.arange(G.order)[:, None, None], np.arange(nh)
 
-    def idx(a, b):
-        return a * nh + b
+    def gen(a, b):  # the generator number of a ⊗ b
+        return a * nh + b + 1
 
-    rows = []
+    def rel(*cols):
+        return np.stack(np.broadcast_arrays(*cols), axis=-1)
 
     # x ⊗ (y y') = (x ⊗ y) · (^y x ⊗ ^y y')   over (x, y, y')
-    a = idx(np.arange(ng)[:, None, None], TH[None, :, :])
-    b = np.broadcast_to(idx(np.arange(ng)[:, None, None], np.arange(nh)[None, :, None]), a.shape)
-    c = idx(cphi.T[:, :, None], CH[None, :, :])
-    rows.append(np.stack([-(a + 1), b + 1, c + 1], axis=-1).reshape(-1, 3))
-
+    a, b, c = gen(x, H.table[None]), gen(x, y[:, None]), gen(cphi.T[:, :, None], CH[None])
+    yield "product in the right slot", rel(-a, b, c)
     # (x x') ⊗ y = (^x x' ⊗ ^x y) · (x ⊗ y)   over (x, x', y)
-    a = idx(TG[:, :, None], np.arange(nh)[None, None, :])
-    b = idx(CG[:, :, None], aphi[:, None, :])
-    c = np.broadcast_to(idx(np.arange(ng)[:, None, None], np.arange(nh)[None, None, :]), a.shape)
-    rows.append(np.stack([-(a + 1), b + 1, c + 1], axis=-1).reshape(-1, 3))
-
+    a, b, c = gen(G.table[:, :, None], y), gen(CG[:, :, None], aphi[:, None, :]), gen(x, y)
+    yield "product in the left slot", rel(-a, b, c)
     # ((x⋆x') ⊗ ^{x'}y) · (^y x ⊗ ⟨x',y⟩)⁻¹ · (^x x' ⊗ ⟨x,y⟩⁻¹)⁻¹ = 1   over (x, x', y)
-    a = idx(SG[:, :, None], aphi[None, :, :])
-    b = idx(cphi.T[:, None, :], abrk[None, :, :])
-    c = idx(CG[:, :, None], H.inverses[abrk][:, None, :])
-    rows.append(np.stack([a + 1, -(b + 1), -(c + 1)], axis=-1).reshape(-1, 3))
-
+    a, b = gen(pair.G.star[:, :, None], aphi[None]), gen(cphi.T[:, None, :], abrk[None])
+    c = gen(CG[:, :, None], H.inverses[abrk][:, None, :])
+    yield "left star relation", rel(a, -b, -c)
     # (^{y'}x ⊗ (y⋆y')) · (⟨y,x⟩⁻¹ ⊗ ^y y')⁻¹ · (⟨y',x⟩ ⊗ ^x y)⁻¹ = 1   over (x, y, y')
-    a = idx(cphi.T[:, None, :], SH[None, :, :])
-    b = idx(G.inverses[cbrk].T[:, :, None], CH[None, :, :])
-    c = idx(cbrk.T[:, None, :], aphi[:, :, None])
-    rows.append(np.stack([a + 1, -(b + 1), -(c + 1)], axis=-1).reshape(-1, 3))
+    a, b = gen(cphi.T[:, None, :], pair.H.star[None]), gen(G.inverses[cbrk].T[:, :, None], CH[None])
+    c = gen(cbrk.T[:, None, :], aphi[:, :, None])
+    yield "right star relation", rel(a, -b, -c)
 
+
+def build_tensor_presentation(pair: CompatiblePair) -> Presentation:
+    """Relator instantiations of the four defining relations over all tuples."""
+    rows = [rel.reshape(-1, 3) for _, rel in _defining_relations(pair)]
     return make_presentation(_pair_labels(pair), np.concatenate(rows))
 
 
@@ -362,38 +359,19 @@ def _first_failing(name: str, slabs: Iterator) -> CheckReport:
 
 
 def check_defining_relations(t: TensorAlgebra) -> CheckReport:
-    """All four defining relations, re-evaluated directly on the symbol table."""
-    pair = t.pair
-    act, co = pair.g_on_h, pair.h_on_g
-    G, H = pair.G.group, pair.H.group
+    """All four defining relations, evaluated on the symbol table, and the star seed."""
     K = t.group
-    T = K.table
-    tm = t.tensor_map
+    syms = t.tensor_map.ravel()
 
     def slabs() -> Iterator:
-        rhs = T[tm[:, :, None], tm[co.phi.T[:, :, None], H.conj_table[None, :, :]]]
-        yield ("product in the right slot",), tm[:, H.table] != rhs
-
-        rhs = T[
-            tm[G.conj_table[:, :, None], act.phi[:, None, :]],
-            np.broadcast_to(tm[:, None, :], (G.order, G.order, H.order)),
-        ]
-        yield ("product in the left slot",), tm[G.table] != rhs
-
-        SG, SH = pair.G.star, pair.H.star
-        a = tm[SG[:, :, None], act.phi[None, :, :]]
-        b = tm[co.phi.T[:, None, :], act.bracket[None, :, :]]
-        c = tm[G.conj_table[:, :, None], H.inverses[act.bracket][:, None, :]]
-        yield ("left star relation",), T[T[a, K.inverses[b]], K.inverses[c]] != K.identity
-
-        a = tm[co.phi.T[:, None, :], SH[None, :, :]]
-        b = tm[G.inverses[co.bracket].T[:, :, None], H.conj_table[None, :, :]]
-        c = tm[co.bracket.T[:, None, :], act.phi[:, :, None]]
-        yield ("right star relation",), T[T[a, K.inverses[b]], K.inverses[c]] != K.identity
+        for detail, rel in _defining_relations(t.pair):
+            v = syms[np.abs(rel) - 1]
+            v = np.where(rel < 0, K.inverses[v], v)
+            yield (detail,), K.table[K.table[v[..., 0], v[..., 1]], v[..., 2]] != K.identity
 
         img = t.result.gen_image
         lhs = t.algebra.star[img[:, None], img[None, :]]
-        yield ("star seed",), lhs != img[star_seed_indices(pair)]
+        yield ("star seed",), lhs != img[star_seed_indices(t.pair)]
 
     return _first_failing("tensor-defining-relations", slabs())
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import copy
+import functools
 import importlib.util
 import io
 import json
@@ -10,10 +12,15 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlacalc.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(argv):
@@ -251,6 +258,73 @@ def test_subprocess_never_tracebacks(fixtures_dir, argv):
     )
     assert proc.returncode in (0, 1, 2, 3)
     assert "Traceback" not in proc.stderr
+
+
+# every bundled document with one to three mutations, under every budget form;
+# a mutation replaces a value by a fixed JSON value or by a string of the
+# document (often an element name, so a table stays well formed), deletes a
+# key or drops a list item
+MUTANT_VALUES = [None, True, 0, -1, 2.5, 10**6, "", "zz", [], [[]], {}, {"kind": "algebra"}, "trivial"]
+BUDGETS = [None, "abc", "-1", "nan", "0", "1e-9", "inf"]
+COMMANDS = ["validate", "series", "action-check", "tensor", "verify"]
+
+
+def _json_or_none(path):
+    try:
+        return json.loads(path.read_text())
+    except ValueError:  # bad/malformed.json is not JSON at all
+        return None
+
+
+DOCUMENTS = {
+    str(p.relative_to(ROOT / "fixtures")): doc
+    for p in sorted((ROOT / "fixtures").rglob("*.json"))
+    if (doc := _json_or_none(p)) is not None
+}
+
+
+def _nodes(node, at=()):
+    """(path, value) of every value in a JSON document, the document itself first."""
+    yield at, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, (*at, key))
+
+
+def _mutate(doc, data):
+    nodes = list(_nodes(doc))
+    strings = sorted({v for _, v in nodes if isinstance(v, str)})
+    path = data.draw(st.sampled_from([p for p, _ in nodes]))
+    # a copy, since a later mutation may edit the value in place
+    value = copy.deepcopy(data.draw(st.sampled_from(MUTANT_VALUES + strings)))
+    if not path:
+        return value
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+    if data.draw(st.booleans()):
+        parent[path[-1]] = value
+    else:
+        del parent[path[-1]]  # a key of an object or an item of a list
+    return doc
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_never_crash(tmp_path_factory, data):
+    doc = copy.deepcopy(DOCUMENTS[data.draw(st.sampled_from(sorted(DOCUMENTS)))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(doc, data)
+    path = tmp_path_factory.getbasetemp() / "mutant.json"
+    path.write_text(json.dumps(doc))
+    budget = data.draw(st.sampled_from(BUDGETS))
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is None:
+            mp.delenv("MLACALC_BUDGET_SECS", raising=False)
+        else:
+            mp.setenv("MLACALC_BUDGET_SECS", budget)
+        for command in COMMANDS:
+            rc, out, _ = run_cli([command, path, "--json"])
+            assert rc in (0, 1, 2, 3), command
+            assert isinstance(json.loads(out), dict), command
 
 
 @pytest.mark.parametrize("script", ["tensor_demo.py", "run_corpus_suite.py"])

@@ -87,8 +87,6 @@ def test_quaternion_presentation():
 def test_trivial_presentations():
     res = coset_enumerate(make_presentation((), ()))
     assert res.group.order == 1 and res.group.labels == ("1",)
-    res = coset_enumerate(make_presentation((), ()), identity_label="e")
-    assert res.group.labels == ("e",)
     res = coset_enumerate(make_presentation(("a",), [(1,)]))
     assert res.group.order == 1
 

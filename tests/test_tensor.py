@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import replace
+from itertools import product
 from math import gcd, log, prod
 
 import numpy as np
@@ -24,7 +25,7 @@ from mlacalc.actions import (
     trivial_action,
     validate_action,
 )
-from mlacalc import mla, util
+from mlacalc import mla, tensor, util
 from mlacalc.corpus import cyclic, direct_product, get_group, group_names
 from mlacalc.errors import (
     AxiomViolation,
@@ -194,6 +195,13 @@ def test_abelian_tensor_matches_gcd_oracle(a, b):
     assert check_defining_relations(t).passed
 
 
+def _self_pair(name, star):
+    G = get_group(name)
+    M = (make_trivial_star if star == "trivial" else make_improper_star)(G)
+    act = conjugation_self_action(M, np.full((G.order, G.order), G.identity) if star == "trivial" else M.star)
+    return check_compatibility(act, act)
+
+
 ABELIAN_GROUPS = [name for name in group_names() if get_group(name).is_abelian]
 
 
@@ -204,10 +212,7 @@ def test_abelian_self_tensor_matches_gcd_oracle(name, star):
     # the order is checked here by a formula that needs no enumeration.
     # C2xC2xC2 gives the order-512 tensor C2^9.
     G = get_group(name)
-    M = (make_trivial_star if star == "trivial" else make_improper_star)(G)
-    act = conjugation_self_action(M, np.full((G.order, G.order), G.identity) if star == "trivial" else M.star)
-    t = build_tensor_algebra(check_compatibility(act, act))
-    assert t.order == _gcd_order(G, G)
+    assert build_tensor_algebra(_self_pair(name, star)).order == _gcd_order(G, G)
 
 
 # G ⊗ G for the conjugation action with the trivial star and bracket, i.e. the
@@ -270,6 +275,49 @@ def test_relator_order_does_not_change_the_group(pairs):
     pres = build_tensor_presentation(pairs["s3-improper-star"])
     flipped = make_presentation(pres.generator_labels, list(reversed(pres.relators)))
     assert coset_enumerate(flipped).group.order == coset_enumerate(pres).group.order == 6
+
+
+def _paper_relators(pair):
+    """The four defining relations, tuple by tuple, as words a·b·c = 1 over the
+    symbols x⊗y numbered x·|H| + y + 1; a negative number is an inverse."""
+    G, H = pair.G.group, pair.H.group
+    act, co = pair.g_on_h, pair.h_on_g
+    Gs, Hs = range(G.order), range(H.order)
+
+    def s(x, y):  # x ⊗ y
+        return x * H.order + y + 1
+
+    rows = []
+    # x ⊗ (y y') = (x ⊗ y) · (^y x ⊗ ^y y')
+    for x, y, yp in product(Gs, Hs, Hs):
+        rows.append((-s(x, H.mul(y, yp)), s(x, y), s(co.act(y, x), H.conjugate(y, yp))))
+    # (x x') ⊗ y = (^x x' ⊗ ^x y) · (x ⊗ y)
+    for x, xp, y in product(Gs, Gs, Hs):
+        rows.append((-s(G.mul(x, xp), y), s(G.conjugate(x, xp), act.act(x, y)), s(x, y)))
+    # (x⋆x') ⊗ ^{x'}y = (^x x' ⊗ ⟨x,y⟩⁻¹) · (^y x ⊗ ⟨x',y⟩)
+    for x, xp, y in product(Gs, Gs, Hs):
+        a = s(pair.G.op(x, xp), act.act(xp, y))
+        rows.append((a, -s(co.act(y, x), act.brk(xp, y)), -s(G.conjugate(x, xp), H.inv(act.brk(x, y)))))
+    # ^{y'}x ⊗ (y⋆y') = (⟨y',x⟩ ⊗ ^x y) · (⟨y,x⟩⁻¹ ⊗ ^y y')
+    for x, y, yp in product(Gs, Hs, Hs):
+        a = s(co.act(yp, x), pair.H.op(y, yp))
+        rows.append((a, -s(G.inv(co.brk(y, x)), H.conjugate(y, yp)), -s(co.brk(yp, x), act.act(x, y))))
+    return rows
+
+
+SELF_PAIRS = [(n, s) for n in group_names() for s in ("trivial", "improper")]
+
+
+@pytest.mark.parametrize("name,star", [*SELF_PAIRS, *((n, None) for n in FROZEN)])
+def test_presentation_rows_are_the_paper_relations(pairs, name, star, monkeypatch):
+    # the rows build_tensor_presentation hands to make_presentation, against
+    # the relations written out tuple by tuple
+    pair = pairs[name] if star is None else _self_pair(name, star)
+    got = []
+    monkeypatch.setattr(tensor, "make_presentation", lambda labels, rows: got.append(rows))
+    build_tensor_presentation(pair)
+    assert got[0].dtype.kind == "i"
+    assert got[0].tolist() == [list(r) for r in _paper_relators(pair)]
 
 
 def _swap_symbols(t, i, j):
