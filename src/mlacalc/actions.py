@@ -479,38 +479,35 @@ def _bfs_words(K: FiniteGroup, letters: list[Letter], values: np.ndarray) -> dic
 def mixed_lie_ideal(pair: CompatiblePair, side: str = "g-on-h") -> WitnessedIdeal:
     """Ideal of the acted algebra generated by the defects ^L[g,h], with a
     shortest witness word stored for every carrier element."""
-    return memoized(pair._ideals, ("mixed", side), lambda: _mixed_lie_ideal(pair, side))
-
-
-def _mixed_lie_ideal(pair: CompatiblePair, side: str) -> WitnessedIdeal:
-    act = pair.action(side)
-    G, H = act.actor.group, act.acted.group
-    letters = [("gen", g, h, sgn) for g in range(G.order) for h in range(H.order) for sgn in (1, -1)]
-    D = act.mixed_defect_table.ravel()
-    words = _bfs_words(H, letters, np.stack([D, H.inverses[D]], axis=-1).ravel())
-    what = f"mixed defect ideal ({side})"
-    ideal = _checked_ideal(act.acted, Subgroup(H, frozenset(words)), what)
-    return WitnessedIdeal(pair, side, 0, ideal, words)
+    return witnessed_derived_terms(pair, side, 0)[0]
 
 
 def witnessed_derived_terms(pair: CompatiblePair, side: str, depth: int) -> list[WitnessedIdeal]:
     """Terms 0..depth of the derived series of the mixed defect ideal, each
-    carried with witness words over that level's defect letters.  The pair
-    keeps the terms built so far and grows them to the deepest level asked."""
-    terms = memoized(pair._ideals, ("derived", side), lambda: [mixed_lie_ideal(pair, side)])
-    alg = pair.action(side).acted
-    H = alg.group
+    carried with witness words over that level's defect letters: the defects
+    ^L[g,h] at level 0, which generate it as an ideal (checked), and the
+    defects of the previous term's members after.  The pair keeps the terms
+    built so far and grows them to the deepest level asked."""
+    if depth < 0:
+        raise InputError(f"derived term level {depth} is negative", level=depth)
+    act = pair.action(side)
+    terms = memoized(pair._ideals, ("derived", side), list)
+    alg, H = act.acted, act.acted.group
     for level in range(len(terms), depth + 1):
-        check_budget("derived terms")
-        prev = terms[-1]
-        mem = sorted(prev.carrier.members)
-        w = prev.words
-        letters = [("lie", w[u], w[v], sgn) for u in mem for v in mem for sgn in (1, -1)]
-        D = alg.lie_defect_table[np.ix_(mem, mem)].ravel()
+        if level == 0:
+            D = act.mixed_defect_table
+            letters = [("gen", g, h, sgn) for g, h in np.ndindex(D.shape) for sgn in (1, -1)]
+        else:
+            check_budget("derived terms")
+            mem, w = sorted(terms[-1].carrier.members), terms[-1].words
+            letters = [("lie", w[u], w[v], sgn) for u in mem for v in mem for sgn in (1, -1)]
+            D = alg.lie_defect_table[np.ix_(mem, mem)]
         words = _bfs_words(H, letters, np.stack([D, H.inverses[D]], axis=-1).ravel())
         sub = Subgroup(H, frozenset(words))
-        terms.append(WitnessedIdeal(pair, side, level, Ideal(alg, sub), words))
-    return terms[: max(depth, 0) + 1]
+        what = f"mixed defect ideal ({side})"
+        ideal = _checked_ideal(alg, sub, what) if level == 0 else Ideal(alg, sub)
+        terms.append(WitnessedIdeal(pair, side, level, ideal, words))
+    return terms[: depth + 1]
 
 
 def partner_element(pair: CompatiblePair, side: str, word: Word) -> tuple[int, int]:

@@ -229,12 +229,12 @@ def cmd_action_check(args: argparse.Namespace) -> int:
 
 
 def _caps(args: argparse.Namespace, pd: ParsedDocument) -> tuple[int, int]:
-    job = pd.job  # a flag of 0 is refused below, not replaced; document caps are never 0
+    # a flag of 0 is refused below, not replaced; document caps are never 0
     max_cosets, max_rounds = args.max_cosets, args.max_rounds
     if max_cosets is None:
-        max_cosets = (job and job.max_cosets) or DEFAULT_MAX_COSETS
+        max_cosets = pd.max_cosets or DEFAULT_MAX_COSETS
     if max_rounds is None:
-        max_rounds = (job and job.max_rounds) or DEFAULT_MAX_ROUNDS
+        max_rounds = pd.max_rounds or DEFAULT_MAX_ROUNDS
     if max_cosets < 1 or max_rounds < 1:
         raise InputError("caps must be positive", max_cosets=max_cosets, max_rounds=max_rounds)
     return max_cosets, max_rounds

@@ -44,23 +44,16 @@ from .harness import KINDS
 from .mla import MultLieAlg, make_algebra
 
 
-@dataclass(frozen=True)
-class TensorJob:
-    """A tensor build request; cap fields of None defer to CLI defaults."""
-
-    pair: CompatiblePair
-    name: str
-    max_cosets: int | None = None
-    max_rounds: int | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class ParsedDocument:
+    """A parsed document; a tensor document's caps of None defer to CLI defaults."""
+
     kind: str
     name: str
     algebra: MultLieAlg | None = None
     pair: CompatiblePair | None = None
-    job: TensorJob | None = None
+    max_cosets: int | None = None
+    max_rounds: int | None = None
 
 
 def load_document(path: str) -> ParsedDocument:
@@ -94,14 +87,13 @@ def parse_document(data: str | Mapping[str, Any]) -> ParsedDocument:
     node = data.get("pair")
     if not isinstance(node, Mapping):
         raise InputError("tensor document needs a 'pair' object")
-    pair = _parse_pair(node, "tensor.pair")
-    job = TensorJob(
-        pair,
+    return ParsedDocument(
+        kind,
         name,
+        pair=_parse_pair(node, "tensor.pair"),
         max_cosets=_get_cap(data, "max_cosets"),
         max_rounds=_get_cap(data, "max_rounds"),
     )
-    return ParsedDocument(kind, name, pair=pair, job=job)
 
 
 def _infer_kind(data: Mapping[str, Any]) -> str:

@@ -568,72 +568,56 @@ def quotient_solvability_bound(t: TensorAlgebra) -> CheckReport:
     return _quotient_bound(t, solvable_length, "solvable", "solvability", "length")
 
 
-def _self_star_pair_measures(pair: CompatiblePair) -> tuple[int | None, int | None]:
-    """Class and length of the factor of a self pair whose two actions are
-    conjugation with the star as bracket; Inapplicable for any other pair or
-    when the factor has neither."""
-    M = pair.G
-    if pair.H is not M or any(
+def _square_bound(t: TensorAlgebra, name: str, what: str, quotient, class_kept: bool) -> CheckReport:
+    """Square of a self-paired algebra whose bracket is its star, modulo the
+    ideal that ``quotient()`` divides out: the quotient stays Lie nilpotent
+    (with ``class_kept``, of at most the factor's class) and Lie solvable when
+    the factor is.  Inapplicable, before any quotient is built, for any other
+    pair or when the factor is neither."""
+    M = t.pair.G
+    if t.pair.H is not M or any(
         (a.phi != M.group.conj_table).any() or (a.bracket != M.star).any()
-        for a in (pair.g_on_h, pair.h_on_g)
+        for a in (t.pair.g_on_h, t.pair.h_on_g)
     ):
         raise Inapplicable("requires a self pair whose bracket is the star")
     n_cl, n_sl = nilpotency_class(M), solvable_length(M)
     if n_cl is None and n_sl is None:
         raise Inapplicable("the factor is neither Lie nilpotent nor Lie solvable")
-    return n_cl, n_sl
+    Q = quotient()
+    notes = []
+    if n_cl is not None:
+        q = nilpotency_class(Q)
+        if class_kept and (q is None or q > n_cl):
+            raise BoundViolation(f"{what} exceeds the class of the factor", claimed=n_cl, computed=q)
+        if q is None:
+            raise BoundViolation(f"{what} lost nilpotency", claimed="nilpotent", computed=None)
+        notes.append(f"class {q} <= {n_cl}" if class_kept else f"class {q}")
+    if n_sl is not None:
+        q = solvable_length(Q)
+        if q is None:
+            raise BoundViolation(f"{what} lost solvability", claimed="solvable", computed=None)
+        notes.append(f"length {q}")
+    return CheckReport(name, True, Q.order, None, ", ".join(notes))
 
 
 def self_pair_quotient_check(t: TensorAlgebra) -> CheckReport:
     """Square of a self-paired algebra whose bracket is its star: the standard
     quotient inherits nilpotency and solvability outright."""
-    n_cl, n_sl = _self_star_pair_measures(t.pair)
-    Q, _ = _nilpotency_quotient(t)
-    notes = []
-    if n_cl is not None:
-        q = nilpotency_class(Q)
-        if q is None:
-            raise BoundViolation(
-                "square quotient lost nilpotency", claimed="nilpotent", computed=None
-            )
-        notes.append(f"class {q}")
-    if n_sl is not None:
-        q = solvable_length(Q)
-        if q is None:
-            raise BoundViolation(
-                "square quotient lost solvability", claimed="solvable", computed=None
-            )
-        notes.append(f"length {q}")
-    return CheckReport("tensor-square-closure", True, Q.order, None, ", ".join(notes))
+    return _square_bound(
+        t, "tensor-square-closure", "square quotient", lambda: _nilpotency_quotient(t)[0], False
+    )
 
 
 def defect_square_bound(t: TensorAlgebra) -> CheckReport:
     """Square of a self-paired algebra, quotient by (defect ideal ⊗ defect ideal):
     the class does not grow at all."""
-    n_cl, n_sl = _self_star_pair_measures(t.pair)
-    M = t.pair.G
-    everything = range(M.order)
-    D = lie_commutator_ideal(M, everything, everything).subgroup
-    ideal = tensor_ideal(t, D, D)
-    Q, _ = quotient_algebra(t.algebra, ideal)
-    notes = []
-    if n_cl is not None:
-        q = nilpotency_class(Q)
-        if q is None or q > n_cl:
-            raise BoundViolation(
-                "defect-square quotient exceeds the class of the factor",
-                claimed=n_cl,
-                computed=q,
-            )
-        notes.append(f"class {q} <= {n_cl}")
-    if n_sl is not None:
-        q = solvable_length(Q)
-        if q is None:
-            raise BoundViolation(
-                "defect-square quotient lost solvability", claimed="solvable", computed=None
-            )
-        notes.append(f"length {q}")
-    return CheckReport("tensor-defect-square", True, Q.order, None, ", ".join(notes))
+
+    def quotient() -> MultLieAlg:
+        everything = range(t.pair.G.order)
+        D = lie_commutator_ideal(t.pair.G, everything, everything).subgroup
+        return quotient_algebra(t.algebra, tensor_ideal(t, D, D))[0]
+
+    return _square_bound(t, "tensor-defect-square", "defect-square quotient", quotient, True)
 
 
 def _trivial_tensor(pair: CompatiblePair, seed_order: str) -> TensorAlgebra:

@@ -540,6 +540,25 @@ def test_star_to_bracket_error_paths(pairs):
         star_to_bracket(pair, word, outside)
 
 
+@pytest.mark.parametrize("level", [-1, -3, -5])
+def test_negative_levels_are_refused(pairs, level):
+    # a negative level once read as level 0, or as a term counted from the end
+    pair = pairs["q8-trivial"]
+    term = mixed_lie_ideal(pair, "g-on-h")
+    x = max(term.carrier.members)
+    calls = (
+        lambda: witnessed_derived_terms(pair, "g-on-h", level),
+        lambda: star_to_bracket(pair, term.words[x], x, level=level),
+        lambda: check_star_to_bracket_level(pair, level),
+    )
+    for call in calls:
+        with pytest.raises(InputError) as exc:
+            call()
+        assert type(exc.value) is InputError
+        assert str(exc.value) == f"derived term level {level} is negative"
+        assert exc.value.payload == {"level": level}
+
+
 # --- transfer bounds ----------------------------------------------------------------
 
 

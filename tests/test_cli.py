@@ -343,6 +343,69 @@ def test_readme_scripts_run(fixtures_dir, script):
             assert re.search(rf"(?m)^{name} +full ledger: pass ", proc.stdout), name
 
 
+# --- README examples ----------------------------------------------------------------
+
+
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_quick_start_prints_its_comments():
+    code = re.search(r"## Library quick start\n+```python\n(.*?)```", README, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    printed = iter(out.getvalue().splitlines())
+    commented = 0
+    for line in code.splitlines():
+        if line.startswith("print("):
+            shown = next(printed)
+            if "#" in line:  # the comment's value, before any ": explanation"
+                assert shown == line.split("#", 1)[1].strip().split(": ")[0], line
+                commented += 1
+    assert commented == 4 and next(printed, None) is None
+
+
+def _readme_transcripts():
+    """(command, shown lines, exit code) for every `$ mlacalc ...` example in
+    the README; a transcript ending in "..." shows only its first lines."""
+    found = []
+    for block in re.findall(r"```text\n(.*?)```", README, re.S):
+        for chunk in block.strip().split("\n\n"):
+            first, *lines = chunk.splitlines()
+            if first.startswith("$ mlacalc "):
+                exit_at = re.fullmatch(r"(.*?)\s+# exit (\d)", lines[-1])
+                if exit_at:
+                    lines[-1] = exit_at.group(1)
+                command = first[len("$ mlacalc ") :]
+                code = int(exit_at.group(2)) if exit_at else 0
+                found.append(pytest.param(command, lines, code, id=command))
+    return found
+
+
+README_TRANSCRIPTS = _readme_transcripts()
+
+
+def test_readme_shows_seven_transcripts():
+    assert [p.values[0].split()[0] for p in README_TRANSCRIPTS] == [
+        "validate", "series", "action-check", "tensor", "verify", "validate", "tensor"
+    ]
+
+
+@pytest.mark.parametrize("command,shown,code", README_TRANSCRIPTS)
+def test_readme_transcripts_hold(monkeypatch, command, shown, code):
+    monkeypatch.chdir(ROOT)  # the README's paths are relative to the repository
+    argv, _, pipe = command.partition(" | ")
+    rc, out, err = run_cli(argv.split())
+    assert rc == code
+    got = (out + err).splitlines()
+    if pipe:
+        assert pipe == "tail -1"
+        got = got[-1:]
+    if shown[-1] == "...":
+        shown, got = shown[:-1], got[: len(shown) - 1]
+    assert got == shown
+
+
 def test_console_script_entry_point(fixtures_dir):
     proc = subprocess.run(
         ["mlacalc", "validate", str(fixtures_dir / "algebras/C12-trivial.json")],

@@ -55,8 +55,8 @@ def test_pair_round_trip(pairs):
 def test_tensor_job_round_trip(pairs):
     doc = tensor_job_document(pairs["s3-improper-star"], name="job", max_cosets=500)
     pd = parse_document(document_to_json(doc))
-    assert pd.kind == "tensor" and pd.job.name == "job"
-    assert pd.job.max_cosets == 500 and pd.job.max_rounds is None
+    assert pd.kind == "tensor" and pd.name == "job"
+    assert pd.max_cosets == 500 and pd.max_rounds is None
     _same_pair(pd.pair, pairs["s3-improper-star"])
 
 

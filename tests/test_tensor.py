@@ -29,6 +29,7 @@ from mlacalc import mla, tensor, util
 from mlacalc.corpus import cyclic, direct_product, get_group, group_names
 from mlacalc.errors import (
     AxiomViolation,
+    BoundViolation,
     BudgetExceeded,
     CosetCapExceeded,
     Inapplicable,
@@ -515,6 +516,111 @@ def test_self_pair_checks_applicability(tensors):
     for name in ("s3-improper-star", "q8-trivial"):
         assert self_pair_quotient_check(tensors[name]).passed
         assert defect_square_bound(tensors[name]).passed
+
+
+# statement, the measures it takes in order as (measure, algebra, value) with
+# "quotient" where it builds the quotient, then the error it raises:
+# class, message, payload.  The canonical ideal of s3-improper-star has order 1.
+QUOTIENT_FAILURES = {
+    "thm-3.13-inapplicable": (
+        quotient_nilpotency_bound,
+        [("class", "factor", None)],
+        Inapplicable, "the right factor is not Lie nilpotent", {},
+    ),
+    "thm-3.13-bound": (
+        quotient_nilpotency_bound,
+        [("class", "factor", 1), "quotient", ("class", "quotient", 3)],
+        BoundViolation, "tensor quotient exceeds the nilpotency bound",
+        {"claimed": 2, "computed": 3, "ideal_order": 1},
+    ),
+    "rem-3.15.1-bound": (
+        quotient_solvability_bound,
+        [("length", "factor", 2), "quotient", ("length", "quotient", None)],
+        BoundViolation, "tensor quotient exceeds the solvability bound",
+        {"claimed": 3, "computed": None, "ideal_order": 1},
+    ),
+    "rem-3.15.2-inapplicable": (
+        self_pair_quotient_check,
+        [("class", "factor", None), ("length", "factor", None)],
+        Inapplicable, "the factor is neither Lie nilpotent nor Lie solvable", {},
+    ),
+    "rem-3.15.2-nilpotency": (
+        self_pair_quotient_check,
+        [("class", "factor", 2), ("length", "factor", 1), "quotient", ("class", "quotient", None)],
+        BoundViolation, "square quotient lost nilpotency",
+        {"claimed": "nilpotent", "computed": None},
+    ),
+    "rem-3.15.2-solvability": (
+        self_pair_quotient_check,
+        [("class", "factor", 2), ("length", "factor", 1), "quotient",
+         ("class", "quotient", 5), ("length", "quotient", None)],
+        BoundViolation, "square quotient lost solvability",
+        {"claimed": "solvable", "computed": None},
+    ),
+    "rem-3.15.3-inapplicable": (
+        defect_square_bound,
+        [("class", "factor", None), ("length", "factor", None)],
+        Inapplicable, "the factor is neither Lie nilpotent nor Lie solvable", {},
+    ),
+    "rem-3.15.3-class": (
+        defect_square_bound,
+        [("class", "factor", 1), ("length", "factor", 1), "quotient", ("class", "quotient", 2)],
+        BoundViolation, "defect-square quotient exceeds the class of the factor",
+        {"claimed": 1, "computed": 2},
+    ),
+    "rem-3.15.3-solvability": (
+        defect_square_bound,
+        [("class", "factor", None), ("length", "factor", 1), "quotient",
+         ("length", "quotient", None)],
+        BoundViolation, "defect-square quotient lost solvability",
+        {"claimed": "solvable", "computed": None},
+    ),
+}
+
+
+def _logged_measures(monkeypatch, t, calls):
+    """Patch the tensor module's class and length measures to answer from
+    ``calls`` in turn; log (measure, algebra) for each measure taken and
+    "quotient" for each quotient built."""
+    log, values = [], iter(c[2] for c in calls if c != "quotient")
+
+    def measure(kind):
+        def answer(M):
+            log.append((kind, "factor" if M is t.pair.G else "quotient"))
+            return next(values)
+
+        return answer
+
+    def quotient(*args):
+        log.append("quotient")
+        return real(*args)
+
+    real = tensor.quotient_algebra
+    monkeypatch.setattr(tensor, "nilpotency_class", measure("class"))
+    monkeypatch.setattr(tensor, "solvable_length", measure("length"))
+    monkeypatch.setattr(tensor, "quotient_algebra", quotient)
+    return log
+
+
+@pytest.mark.parametrize("case", QUOTIENT_FAILURES)
+def test_quotient_statements_fail_with_their_messages(tensors, monkeypatch, case):
+    check, calls, error, message, payload = QUOTIENT_FAILURES[case]
+    t = replace(tensors["s3-improper-star"])  # a copy builds its quotients afresh
+    log = _logged_measures(monkeypatch, t, calls)
+    with pytest.raises(error) as exc:
+        check(t)
+    assert str(exc.value) == message and exc.value.payload == payload
+    assert log == [c if c == "quotient" else c[:2] for c in calls]
+
+
+def test_square_checks_refuse_other_pairs_before_any_work(tensors, monkeypatch):
+    t = replace(tensors["z2-trivial"])
+    log = _logged_measures(monkeypatch, t, [])
+    for check in (self_pair_quotient_check, defect_square_bound):
+        with pytest.raises(Inapplicable) as exc:
+            check(t)
+        assert str(exc.value) == "requires a self pair whose bracket is the star"
+    assert log == []
 
 
 # --- the star fixpoint's collector ---------------------------------------------------
