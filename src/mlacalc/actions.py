@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -33,12 +32,13 @@ from .errors import (
     IdealityFailure,
     IdentityViolation,
     InputError,
+    MathViolation,
     NotAutomorphism,
     NotInIdeal,
     NotInTerm,
     WitnessRequired,
 )
-from .groups import FiniteGroup, Subgroup, _freeze, spanning_tree, subgroup_closure
+from .groups import Subgroup, _freeze, spanning_tree, subgroup_closure, tree_words
 from .mla import (
     Ideal,
     MultLieAlg,
@@ -46,8 +46,7 @@ from .mla import (
     compose_failure,
     nilpotency_class,
     solvable_length,
-    star_iso_reason,
-    star_iso_slabs,
+    star_iso_failure,
     sub_algebra,
     validate_ideal,
 )
@@ -134,11 +133,9 @@ def validate_action(actor: MultLieAlg, acted: MultLieAlg, phi, bracket) -> MlaAc
         raise InputError("action table entry out of range")
     phi, bracket = _freeze(phi.copy()), _freeze(bracket.copy())
 
-    rows = chain.from_iterable(star_iso_slabs(acted, acted, phi[g], (g,)) for g in range(G.order))
-    hit = scan("action validation", rows)[0]
-    if hit is not None:
-        g, *at = hit
-        reason, at = star_iso_reason(at)
+    bad = star_iso_failure(acted, acted, phi, "action validation")
+    if bad is not None:
+        g, reason, at = bad
         raise NotAutomorphism(
             f"phi[{G.labels[g]}] {_NOT_AUTOMORPHISM[reason]}",
             g=g,
@@ -161,28 +158,9 @@ def validate_action(actor: MultLieAlg, acted: MultLieAlg, phi, bracket) -> MlaAc
 def _require_bracket_laws(
     act: MlaAction, co: MlaAction | None, which: Iterable[int], side: str | None = None
 ) -> None:
-    """Raise ActionViolation on the least witness of the given bracket laws;
-    the message and payload name the side when one is given."""
-    hit = _bracket_condition_witness(act, co, which)
-    if hit:
-        cond, witness = hit
-        on = {} if side is None else {"side": side}
-        raise ActionViolation(
-            f"bracket law {cond} ({BRACKET_CONDITION_NAMES[cond]}) fails"
-            + ("" if side is None else f" on {side}"),
-            condition=cond,
-            **on,
-            witness=witness,
-        )
-
-
-def _bracket_condition_witness(
-    act: MlaAction,
-    co: MlaAction | None,
-    which: Iterable[int],
-) -> tuple[int, list[int]] | None:
-    """Least witness (x-major, then in law order 2, 1, 3, 4) of a failing
-    bracket law, or None."""
+    """Raise ActionViolation on the least failure (x-major, then in law order
+    2, 1, 3, 4) of the given bracket laws; the message and payload name the
+    side when one is given."""
     G, H = act.actor.group, act.acted.group
     B, P = act.bracket, act.phi
     Gs, Hs = act.actor.star, act.acted.star
@@ -212,7 +190,15 @@ def _bracket_condition_witness(
                 yield (4, x), prod != H.identity
 
     at = scan("bracket laws", slabs())[0]
-    return None if at is None else (at[0], list(at[1:]))
+    if at is not None:
+        cond, *witness = at
+        raise ActionViolation(
+            f"bracket law {cond} ({BRACKET_CONDITION_NAMES[cond]}) fails"
+            + ("" if side is None else f" on {side}"),
+            condition=cond,
+            **({} if side is None else {"side": side}),
+            witness=witness,
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,13 +248,18 @@ def check_compatibility(g_on_h: MlaAction, h_on_g: MlaAction) -> CompatiblePair:
 def check_action_laws(pair: CompatiblePair) -> CheckReport:
     """Both actions: phi structure plus all four bracket laws.  A verified
     pair carries the proof; any other pair is checked from its raw tables,
-    each action by validate_action and then against its companion."""
+    each action by validate_action and then against its companion, and a
+    failure names that action's side in its payload."""
     tuples = 0
     for side in SIDES:
         act, co = pair.action(side), pair.companion(side)
         if not pair._verified:
-            validate_action(act.actor, act.acted, act.phi, act.bracket)
-            _require_bracket_laws(act, co, (1, 3, 4))
+            try:
+                validate_action(act.actor, act.acted, act.phi, act.bracket)
+                _require_bracket_laws(act, co, (1, 3, 4))
+            except MathViolation as exc:
+                exc.payload.setdefault("side", side)
+                raise
         na, nb = act.actor.group.order, act.acted.group.order
         tuples += na * nb + 3 * na * nb * nb + 3 * na * na * nb
     return CheckReport("action-laws", True, tuples)
@@ -284,24 +275,9 @@ def check_pair_conditions(pair: CompatiblePair) -> CheckReport:
 
 
 def _require_pair_conditions(gh: MlaAction, hg: MlaAction) -> None:
-    """Raise CompatibilityViolation on the first failing pair condition."""
-    for cond in (1, 2, 3, 4, 5):
-        hit = _pair_condition_witness(gh, hg, cond)
-        if hit:
-            side, witness = hit
-            raise CompatibilityViolation(
-                f"pair condition {cond} ({PAIR_CONDITION_NAMES[cond]}) fails on the {side} display",
-                condition=cond,
-                side=side,
-                witness=witness,
-            )
-
-
-def _pair_condition_witness(
-    gh: MlaAction, hg: MlaAction, cond: int
-) -> tuple[str, list[int]] | None:
-    """Check one pair condition on both displays, in this order; the least
-    failure comes back as (display, [a, b, primed]).
+    """Raise CompatibilityViolation at the least failure of the five pair
+    conditions, scanned in order, each on its two displays in turn; the
+    payload names the condition, the display and [a, b, primed].
 
     Each display scans a outer-major, one (b, primed) failure slab per a.
     (a, b) is (g, h) or (h, g), and primed runs over the display's group:
@@ -347,11 +323,21 @@ def _pair_condition_witness(
              != Gs[hg.mixed_comm_table[h]]),
         ),
     }
-    if cond not in displays:
-        raise InputError(f"no pair condition {cond}")
-    slabs = (((side, a), fails(a)) for side, n, fails in displays[cond] for a in range(n))
+    slabs = (
+        ((cond, side, a), fails(a))
+        for cond, both in displays.items()
+        for side, n, fails in both
+        for a in range(n)
+    )
     at = scan("pair conditions", slabs)[0]
-    return None if at is None else (at[0], list(at[1:]))
+    if at is not None:
+        cond, side, *witness = at
+        raise CompatibilityViolation(
+            f"pair condition {cond} ({PAIR_CONDITION_NAMES[cond]}) fails on the {side} display",
+            condition=cond,
+            side=side,
+            witness=witness,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +450,6 @@ def _eval_word(pair: CompatiblePair, side: str, word: Word, partner: bool) -> in
     return x
 
 
-def _bfs_words(K: FiniteGroup, letters: list[Letter], values: np.ndarray) -> dict[int, Word]:
-    """A shortest word over the letters for each element right products of the
-    letter values reach from the identity.  In a finite group those elements
-    are the subgroup the values generate, so the keys need no closure."""
-    parent, col, levels = spanning_tree(K.table[:, values], K.identity)
-    words: dict[int, Word] = {K.identity: ()}
-    for level in levels[1:]:
-        for x, q, c in zip(level.tolist(), parent[level].tolist(), col[level].tolist()):
-            words[x] = words[q] + (letters[c],)
-    return words
-
-
 def mixed_lie_ideal(pair: CompatiblePair, side: str = "g-on-h") -> WitnessedIdeal:
     """Ideal of the acted algebra generated by the defects ^L[g,h], with a
     shortest witness word stored for every carrier element."""
@@ -502,7 +476,11 @@ def witnessed_derived_terms(pair: CompatiblePair, side: str, depth: int) -> list
             mem, w = sorted(terms[-1].carrier.members), terms[-1].words
             letters = [("lie", w[u], w[v], sgn) for u in mem for v in mem for sgn in (1, -1)]
             D = alg.lie_defect_table[np.ix_(mem, mem)]
-        words = _bfs_words(H, letters, np.stack([D, H.inverses[D]], axis=-1).ravel())
+        # a shortest word for each element that right products of the letter
+        # values reach from 1: in a finite group, the subgroup they generate
+        values = np.stack([D, H.inverses[D]], axis=-1).ravel()
+        tree = tree_words(*spanning_tree(H.table[:, values], H.identity))
+        words = {x: tuple(letters[c] for c in w) for x, w in tree.items()}
         sub = Subgroup(H, frozenset(words))
         what = f"mixed defect ideal ({side})"
         ideal = _checked_ideal(alg, sub, what) if level == 0 else Ideal(alg, sub)

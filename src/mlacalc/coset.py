@@ -43,7 +43,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import CosetCapExceeded, InputError
-from .groups import FiniteGroup, check_order_cap, spanning_tree, validate_cayley
+from .groups import FiniteGroup, check_order_cap, spanning_tree, tree_words, validate_cayley
 from .util import check_budget
 
 DEFAULT_MAX_COSETS = 200_000
@@ -357,15 +357,13 @@ def coset_enumerate(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) ->
     parent, letter, levels = spanning_tree(tbl[:, 0::2], 0)
     if sum(map(len, levels)) != m:
         raise InputError("generator images do not generate the enumerated group")
-    gl = pres.generator_labels
     cols = np.empty((m, m), dtype=np.int64)  # cols[b] = (x -> x·b)
     cols[0] = np.arange(m)
-    labels = ["1"] * m
     for level in levels[1:]:
-        q, g = parent[level], letter[level]
-        cols[level] = tbl[cols[q], 2 * g[:, None]]
-        for b, qb, gb in zip(level.tolist(), q.tolist(), g.tolist()):
-            labels[b] = gl[gb] if qb == 0 else f"{labels[qb]}·{gl[gb]}"
+        cols[level] = tbl[cols[parent[level]], 2 * letter[level][:, None]]
+    words = tree_words(parent, letter, levels)
+    gl = pres.generator_labels
+    labels = ["·".join(gl[c] for c in words[b]) if words[b] else "1" for b in range(m)]
     group = validate_cayley(labels, cols.T)
     stats = EnumerationStats(eng.defined, eng.collapsed, m)
     return EnumerationResult(pres, group, tbl[0, 0::2].copy(), stats)

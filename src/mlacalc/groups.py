@@ -145,6 +145,18 @@ def spanning_tree(succ: np.ndarray, root: int) -> tuple[np.ndarray, np.ndarray, 
         levels.append(cand[first])
 
 
+def tree_words(
+    parent: np.ndarray, letter: np.ndarray, levels: list[np.ndarray]
+) -> dict[int, tuple[int, ...]]:
+    """Each node of a spanning_tree with its word, the letters on its path
+    from the root; the nodes in level order, the root's word empty."""
+    words: dict[int, tuple[int, ...]] = {int(levels[0][0]): ()}
+    for level in levels[1:]:
+        for x, q, c in zip(level.tolist(), parent[level].tolist(), letter[level].tolist()):
+            words[x] = words[q] + (c,)
+    return words
+
+
 def validate_cayley(labels: Sequence[str], table) -> FiniteGroup:
     """Check the group axioms and return a frozen FiniteGroup.
 

@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import ne
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -323,35 +323,32 @@ def make_algebra(G: FiniteGroup, star) -> MultLieAlg:
 _ISO_FAILURES = ("not-bijective", "product", "star")
 
 
-def star_iso_slabs(M: MultLieAlg, N: MultLieAlg, row: np.ndarray, prefix: tuple) -> Iterator:
-    """The checks of star_iso_failure on ``row`` as scan slabs, each prefixed
-    by (*prefix, its reason's index in _ISO_FAILURES); a later slab is built
-    only once the earlier ones pass."""
-    yield (*prefix, 0), np.sort(row) != np.arange(N.order)
-    g, A, B = M.group.generators, M.group.table, N.group.table
-    if not (row[A[:, g]] == B[row[:, None], row[g]]).all():
-        yield (*prefix, 1), row[A] != B[row[:, None], row[None, :]]
-    yield (*prefix, 2), row[M.star] != N.star[row[:, None], row[None, :]]
-
-
-def star_iso_reason(at: Sequence[int]) -> tuple[str, tuple[int, ...] | None]:
-    """(reason, least (a, b) or None) from the part of a scan witness that
-    star_iso_slabs yielded."""
-    return _ISO_FAILURES[at[0]], None if at[0] == 0 else tuple(at[1:])
-
-
 def star_iso_failure(
-    M: MultLieAlg, N: MultLieAlg, row: np.ndarray
-) -> tuple[str, tuple[int, ...] | None] | None:
-    """Why ``row`` (x -> row[x]) is not a bijection of M onto N preserving
-    the product and the star: None if it is, ("not-bijective", None), or
-    ("product" | "star", least (a, b) where row(a·b) != row(a)·row(b),
-    respectively row(a*b) != row(a)*row(b)).  Products are first checked
-    with b over the generators only: row(a·g) = row(a)·row(g) for every a and
-    generator g gives row(e) = e (at a = e) and then, by induction on words,
-    every product; only a failure is rescanned over all (a, b)."""
-    at = scan("star isomorphism", star_iso_slabs(M, N, row, ()))[0]
-    return None if at is None else star_iso_reason(at)
+    M: MultLieAlg, N: MultLieAlg, rows: np.ndarray, stage: str
+) -> tuple[int, str, tuple[int, ...] | None] | None:
+    """The first of ``rows`` (row r: x -> rows[r][x]) that is not a bijection
+    of M onto N preserving the product and the star, as (r, reason, least
+    witness); None if every row is one.  Each row is checked in the order of
+    _ISO_FAILURES: (r, "not-bijective", None), then (r, "product" | "star",
+    least (a, b) where row(a·b) != row(a)·row(b), respectively
+    row(a*b) != row(a)*row(b)).  Products are first checked with b over the
+    generators only: row(a·g) = row(a)·row(g) for every a and generator g
+    gives row(e) = e (at a = e) and then, by induction on words, every
+    product; only a failure is rescanned over all (a, b)."""
+    g, A, B = M.group.generators, M.group.table, N.group.table
+
+    def slabs() -> Iterator:
+        for r, row in enumerate(rows):
+            yield (r, 0), np.sort(row) != np.arange(N.order)
+            if not (row[A[:, g]] == B[row[:, None], row[g]]).all():
+                yield (r, 1), row[A] != B[row[:, None], row[None, :]]
+            yield (r, 2), row[M.star] != N.star[row[:, None], row[None, :]]
+
+    at = scan(stage, slabs())[0]
+    if at is None:
+        return None
+    r, reason, *ab = at
+    return r, _ISO_FAILURES[reason], None if reason == 0 else tuple(ab)
 
 
 def compose_failure(G: FiniteGroup, rows: np.ndarray, stage: str) -> tuple[int, ...] | None:

@@ -36,7 +36,8 @@ from .errors import (
     PreconditionFailed,
     StarInconsistent,
 )
-from .groups import FiniteGroup, Subgroup, spanning_tree, subgroup_closure, validate_cayley
+from .groups import FiniteGroup, Subgroup, spanning_tree, subgroup_closure, tree_words
+from .groups import validate_cayley
 from .mla import (
     Ideal,
     MultLieAlg,
@@ -51,8 +52,6 @@ from .mla import (
     quotient_algebra,
     solvable_length,
     star_iso_failure,
-    star_iso_reason,
-    star_iso_slabs,
     validate_ideal,
 )
 from .util import CheckReport, budgeted, check_budget, first_true, memoized, scan
@@ -229,15 +228,6 @@ def _offending_values(
     return vals[vals != K.identity][:RELATOR_BATCH]
 
 
-def _word_of(parent: np.ndarray, letter: np.ndarray, identity: int, v: int) -> tuple[int, ...]:
-    """v's normal-form word, as a relator: 1-based generator numbers."""
-    rev = []
-    while v != identity:
-        rev.append(int(letter[v]) + 1)
-        v = int(parent[v])
-    return tuple(reversed(rev))
-
-
 def induce_star(
     result: EnumerationResult,
     pair: CompatiblePair,
@@ -275,8 +265,8 @@ def induce_star(
                 pending=int(bad.size),
                 order=int(K.order),
             )
-        parent, letter, _ = tree
-        new_rels = [_word_of(parent, letter, int(K.identity), int(v)) for v in bad]
+        words = tree_words(*tree)  # normal forms, as relators of 1-based generator numbers
+        new_rels = [tuple(c + 1 for c in words[v]) for v in bad.tolist()]
         pres = make_presentation(
             res.presentation.generator_labels, res.presentation.relators + tuple(new_rels)
         )
@@ -323,11 +313,9 @@ def induce_actions(t: TensorAlgebra) -> TensorAlgebra:
     sides = (("left-factor", G, act_g), ("right-factor", H, act_h))
 
     for side, _, rows in sides:
-        slabs = (s for a, row in enumerate(rows) for s in star_iso_slabs(t.algebra, t.algebra, row, (a,)))
-        hit = scan("induced actions", slabs)[0]
-        if hit is not None:
-            a, *at = hit
-            reason, at = star_iso_reason(at)
+        bad = star_iso_failure(t.algebra, t.algebra, rows, "induced actions")
+        if bad is not None:
+            a, reason, at = bad
             raise InducedActionIllDefined(
                 f"induced map of {side} element {a} {_ILL_DEFINED[reason]}",
                 side=side,
@@ -675,9 +663,9 @@ def compare_seed_orders(
         return CheckReport("seed-order-independence", True, 1)
     tree = _normal_forms(Kd, td.result.gen_image, "default")
     psi = _extend_hom(Ka, ta.result.gen_image[None, :], *tree)[0]
-    bad = star_iso_failure(td.algebra, ta.algebra, psi)
+    bad = star_iso_failure(td.algebra, ta.algebra, psi[None], "star isomorphism")
     if bad is not None:
-        reason, w = bad
+        _, reason, w = bad
         checked, detail = {
             "not-bijective": (0, "not a bijection"),
             "product": (Kd.order ** 2, "not multiplicative"),

@@ -273,8 +273,8 @@ def test_verified_pairs_restate_their_laws_without_a_scan(
     def no_scan(*args, **kwargs):
         raise AssertionError("a verified pair was scanned")
 
-    monkeypatch.setattr(actions, "_bracket_condition_witness", no_scan)
-    monkeypatch.setattr(actions, "_pair_condition_witness", no_scan)
+    monkeypatch.setattr(actions, "_require_bracket_laws", no_scan)
+    monkeypatch.setattr(actions, "_require_pair_conditions", no_scan)
     for name, pair in pairs.items():
         assert tuple(c(pair).tuples_checked for c in checks) == want[name]
         led = run_suite(Instance.from_pair(pair), ["def-2.8", "def-3.1"])
@@ -294,40 +294,41 @@ LAW_4 = "bracket law 4 (star/bracket exchange in the second slot) fails"
 COND_2 = "pair condition 2 (inverse bracket equals star against the opposite bracket) fails"
 COND_3 = "pair condition 3 (the two brackets act inversely to each other) fails"
 
-# (pair, perturbed action, bracket entry) -> the least failure of each check,
-# as (message, payload); check_compatibility is handed the perturbed actions
+# (pair, perturbed action, table, entry) -> the least failure of each check,
+# as (message, payload), or (error, message, payload) where the error is not
+# that of ERRORS; check_compatibility is handed the perturbed actions
 PERTURBED_BRACKETS = [
     (
-        ("s3-improper-star", "g_on_h", (1, 2)),
+        ("s3-improper-star", "g_on_h", "bracket", (1, 2)),
         {
             "compat": (
                 f"{LAW_2} on g-on-h", {"condition": 2, "side": "g-on-h", "witness": [1, 1, 2]}
             ),
-            "def-2.8": (LAW_2, {"condition": 2, "witness": [1, 1, 2]}),
+            "def-2.8": (LAW_2, {"condition": 2, "witness": [1, 1, 2], "side": "g-on-h"}),
             "def-3.1": (
                 f"{COND_2} on the H display", {"condition": 2, "side": "H", "witness": [1, 2, 3]}
             ),
         },
     ),
     (
-        ("q8-trivial", "h_on_g", (3, 5)),
+        ("q8-trivial", "h_on_g", "bracket", (3, 5)),
         {
             "compat": (
                 f"{LAW_2} on h-on-g", {"condition": 2, "side": "h-on-g", "witness": [1, 2, 5]}
             ),
-            "def-2.8": (LAW_2, {"condition": 2, "witness": [1, 2, 5]}),
+            "def-2.8": (LAW_2, {"condition": 2, "witness": [1, 2, 5], "side": "h-on-g"}),
             "def-3.1": (
                 f"{COND_3} on the H display", {"condition": 3, "side": "H", "witness": [5, 3, 4]}
             ),
         },
     ),
     (
-        ("s3-improper-star", "h_on_g", (4, 1)),
+        ("s3-improper-star", "h_on_g", "bracket", (4, 1)),
         {
             "compat": (
                 f"{LAW_4} on g-on-h", {"condition": 4, "side": "g-on-h", "witness": [1, 3, 4]}
             ),
-            "def-2.8": (LAW_4, {"condition": 4, "witness": [1, 3, 4]}),
+            "def-2.8": (LAW_4, {"condition": 4, "witness": [1, 3, 4], "side": "g-on-h"}),
             "def-3.1": (
                 f"{COND_2} on the H display", {"condition": 2, "side": "H", "witness": [1, 4, 3]}
             ),
@@ -338,18 +339,39 @@ PERTURBED_BRACKETS = [
         },
     ),
     (
-        ("s3-improper-star", "g_on_h", (0, 3)),
+        ("s3-improper-star", "g_on_h", "bracket", (0, 3)),
         {
             "compat": (
                 f"{LAW_2} on g-on-h", {"condition": 2, "side": "g-on-h", "witness": [0, 0, 3]}
             ),
-            "def-2.8": (LAW_2, {"condition": 2, "witness": [0, 0, 3]}),
+            "def-2.8": (LAW_2, {"condition": 2, "witness": [0, 0, 3], "side": "g-on-h"}),
             "def-3.1": (
                 f"{COND_2} on the H display", {"condition": 2, "side": "H", "witness": [0, 0, 3]}
             ),
             "prop-2.10": (
                 "bracket conjugation fails on the H display",
                 {"side": "g-on-h", "witness": [1, 3, 0, 3]},
+            ),
+        },
+    ),
+    (
+        ("s3-improper-star", "g_on_h", "phi", (1, 2)),
+        {
+            "compat": (
+                f"{LAW_2} on g-on-h", {"condition": 2, "side": "g-on-h", "witness": [1, 1, 2]}
+            ),
+            "def-2.8": (
+                NotAutomorphism,
+                "phi[r] is not a permutation",
+                {"g": 1, "reason": "not-bijective", "side": "g-on-h"},
+            ),
+            "def-3.1": (
+                "pair condition 1 (group actions compose compatibly) fails on the G display",
+                {"condition": 1, "side": "G", "witness": [1, 2, 1]},
+            ),
+            "prop-2.10": (
+                "bracket conjugation fails on the H display",
+                {"side": "g-on-h", "witness": [1, 2, 1, 3]},
             ),
         },
     ),
@@ -364,23 +386,23 @@ ERRORS = {
 
 @pytest.mark.parametrize("where,failures", PERTURBED_BRACKETS)
 def test_replaced_pair_is_rescanned_for_its_least_witness(pairs, where, failures):
-    name, field_name, (i, j) = where
+    name, field_name, table, (i, j) = where
     pair = pairs[name]
     act = getattr(pair, field_name)
-    bad = act.bracket.copy()
+    bad = getattr(act, table).copy()
     bad[i, j] = (bad[i, j] + 1) % bad.shape[1]
-    broken = replace(pair, **{field_name: replace(act, bracket=bad)})
+    broken = replace(pair, **{field_name: replace(act, **{table: bad})})
     message, payload = failures["compat"]
     with pytest.raises(ActionViolation) as exc:
         check_compatibility(broken.g_on_h, broken.h_on_g)
     assert (str(exc.value), exc.value.payload) == (message, payload)
     led = run_suite(Instance.from_pair(broken), ["def-2.8", "def-3.1", "prop-2.10"])
     for st in failures.keys() - {"compat"}:
-        message, payload = failures[st]
+        error, message, payload = (ERRORS[st], *failures[st])[-3:]
         v = led.get(st)
         assert (v.status, v.detail) == ("fail", message)
         assert list(v.witness.items()) == [
-            ("error", ERRORS[st].__name__), ("message", message), *payload.items()
+            ("error", error.__name__), ("message", message), *payload.items()
         ]
     assert "prop-2.10" in failures or led.get("prop-2.10").status == "pass"
 

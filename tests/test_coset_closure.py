@@ -18,12 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlacalc import coset, tensor
-from mlacalc.actions import check_compatibility, conjugation_self_action
-from mlacalc.corpus import get_group, group_names
+from mlacalc.corpus import group_names
 from mlacalc.coset import coset_enumerate, make_presentation
 from mlacalc.errors import CosetCapExceeded
-from mlacalc.mla import make_improper_star, make_trivial_star
 from mlacalc.tensor import build_tensor_presentation
+from self_pairs import self_pair
 
 # --- the scalar reference ------------------------------------------------------------
 
@@ -231,24 +230,13 @@ def _assert_same_closure(pres, max_cosets=coset.DEFAULT_MAX_COSETS):
     assert np.array_equal(res.gen_image, gen_image)
 
 
-def _self_pair(name, star):
-    G = get_group(name)
-    if star == "trivial":
-        M, bracket = make_trivial_star(G), np.full((G.order, G.order), G.identity)
-    else:
-        M = make_improper_star(G)
-        bracket = M.star
-    act = conjugation_self_action(M, bracket)
-    return check_compatibility(act, act)
-
-
 # C2xC2xC2 is the order-512 benchmark rung: seconds under the scalar reference
 CORPUS_PAIRS = [(n, s) for n in group_names() if n != "C2xC2xC2" for s in ("trivial", "improper")]
 
 
 @pytest.mark.parametrize("name,star", CORPUS_PAIRS, ids=[f"{n}-{s}" for n, s in CORPUS_PAIRS])
 def test_corpus_pairs_match_the_scalar_closure(name, star):
-    _assert_same_closure(build_tensor_presentation(_self_pair(name, star)))
+    _assert_same_closure(build_tensor_presentation(self_pair(name, star)))
 
 
 @pytest.mark.parametrize("name", group_names())
@@ -257,7 +245,7 @@ def test_tensor_relator_array_matches_its_list(name, monkeypatch):
     rows = []
     monkeypatch.setattr(tensor, "make_presentation", lambda labels, r: rows.append((labels, r)))
     for star in ("trivial", "improper"):
-        build_tensor_presentation(_self_pair(name, star))
+        build_tensor_presentation(self_pair(name, star))
     for labels, r in rows:
         arr, lst = make_presentation(labels, r), make_presentation(labels, r.tolist())
         assert arr.relators == lst.relators
@@ -274,7 +262,7 @@ def test_reference_pairs_match_the_scalar_closure(pairs):
 
 def test_longer_relators_match_the_scalar_closure():
     # fixpoint rounds append words longer than 3; these take the scalar path
-    base = build_tensor_presentation(_self_pair("S3", "improper"))
+    base = build_tensor_presentation(self_pair("S3", "improper"))
     rng = np.random.default_rng(7)
     n = base.generator_count
     extra = [

@@ -20,7 +20,7 @@ import pytest
 from mlacalc.corpus import group_names
 from mlacalc.coset import coset_enumerate
 from mlacalc.tensor import build_tensor_algebra, build_tensor_presentation
-from test_tensor import _gl2_f2_self_pair, _self_pair
+from self_pairs import gl2_f2_self_pair, self_pair
 
 
 MAX_COSETS = 20_000  # the order-512 tensor defines 2,000-5,000 cosets here, dead ones included
@@ -116,7 +116,7 @@ def _assert_matches_hlt(res):
 @pytest.mark.parametrize("name,star", SELF_PAIRS, ids=[f"{n}-{s}" for n, s in SELF_PAIRS])
 def test_corpus_tensors_match_the_hlt_enumerator(name, star):
     # every corpus self tensor takes one star round, so this is its final table
-    _assert_matches_hlt(coset_enumerate(build_tensor_presentation(_self_pair(name, star))))
+    _assert_matches_hlt(coset_enumerate(build_tensor_presentation(self_pair(name, star))))
 
 
 def test_reference_tensors_match_the_hlt_enumerator(tensors):
@@ -125,6 +125,6 @@ def test_reference_tensors_match_the_hlt_enumerator(tensors):
 
 
 def test_second_round_presentation_matches_the_hlt_enumerator():
-    t = build_tensor_algebra(_gl2_f2_self_pair())
+    t = build_tensor_algebra(gl2_f2_self_pair())
     assert t.rounds == 2 and t.extra_relators  # the final round's presentation
     _assert_matches_hlt(t.result)

@@ -21,6 +21,7 @@ from mlacalc.groups import (
     quotient,
     spanning_tree,
     subgroup_closure,
+    tree_words,
     validate_cayley,
 )
 from mlacalc.mla import check_lie_identities, ideal_closure, make_trivial_star
@@ -198,6 +199,16 @@ def test_spanning_tree_levels_are_the_word_lengths(data):
                 assert succ[parent[x], letter[x]] == x
     unreached = sorted(set(range(n)) - set(dist))
     assert (parent[unreached] == -1).all() and (letter[unreached] == -1).all()
+
+    # tree_words: the reached nodes in level order, each with a word of its
+    # level's length that walks from the root to it
+    words = tree_words(parent, letter, levels)
+    assert list(words) == flat
+    for x, word in words.items():
+        y = root
+        for c in word:
+            y = succ[y, c]
+        assert y == x and len(word) == dist[x]
 
 
 def test_out_of_range_seed_names_the_least_bad_value():

@@ -747,8 +747,12 @@ def test_map_checks_match_loops(data):
         else:
             star[i, j] = (star[i, j] + 1) % n
     N = MultLieAlg(G, star)
-    for row in rows:
-        assert star_iso_failure(M, N, row) == oracle_star_iso_failure(M, N, row)
+    # each row alone, then the whole stack: its first failing row
+    each = [oracle_star_iso_failure(M, N, row) for row in rows]
+    for row, want in zip(rows, each):
+        assert star_iso_failure(M, N, row[None], "test") == (want and (0, *want))
+    first = next(((r, *want) for r, want in enumerate(each) if want), None)
+    assert star_iso_failure(M, N, rows, "test") == first
     assert compose_failure(G, rows, "test") == oracle_compose_failure(G, rows)
 
 

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from mlacalc.actions import (
     check_compatibility,
-    conjugation_self_action,
     trivial_action,
     validate_action,
 )
@@ -37,7 +36,7 @@ from mlacalc.errors import (
     InputError,
     PreconditionFailed,
 )
-from mlacalc.groups import subgroup_closure, validate_cayley
+from mlacalc.groups import subgroup_closure
 from mlacalc.harness import Instance, run_suite
 from mlacalc.mla import (
     MultLieAlg,
@@ -71,6 +70,7 @@ from mlacalc.tensor import (
 )
 from mlacalc.coset import coset_enumerate, make_presentation
 from mlacalc.util import first_true
+from self_pairs import gl2_f2_self_pair, self_pair
 
 
 # --- frozen reference values ------------------------------------------------------
@@ -196,13 +196,6 @@ def test_abelian_tensor_matches_gcd_oracle(a, b):
     assert check_defining_relations(t).passed
 
 
-def _self_pair(name, star):
-    G = get_group(name)
-    M = (make_trivial_star if star == "trivial" else make_improper_star)(G)
-    act = conjugation_self_action(M, np.full((G.order, G.order), G.identity) if star == "trivial" else M.star)
-    return check_compatibility(act, act)
-
-
 ABELIAN_GROUPS = [name for name in group_names() if get_group(name).is_abelian]
 
 
@@ -213,7 +206,7 @@ def test_abelian_self_tensor_matches_gcd_oracle(name, star):
     # the order is checked here by a formula that needs no enumeration.
     # C2xC2xC2 gives the order-512 tensor C2^9.
     G = get_group(name)
-    assert build_tensor_algebra(_self_pair(name, star)).order == _gcd_order(G, G)
+    assert build_tensor_algebra(self_pair(name, star)).order == _gcd_order(G, G)
 
 
 # G ⊗ G for the conjugation action with the trivial star and bracket, i.e. the
@@ -226,9 +219,7 @@ TENSOR_SQUARE_ORDERS = {
 
 @pytest.mark.parametrize("name", sorted(TENSOR_SQUARE_ORDERS))
 def test_tensor_squares_match_known_orders(name):
-    G = get_group(name)
-    act = conjugation_self_action(make_trivial_star(G), np.full((G.order, G.order), G.identity))
-    t = build_tensor_algebra(check_compatibility(act, act))
+    t = build_tensor_algebra(self_pair(name, "trivial"))
     assert t.order == TENSOR_SQUARE_ORDERS[name]
     assert check_defining_relations(t).passed
 
@@ -240,24 +231,10 @@ def test_trivial_factor_short_circuits():
     assert check_tensor_lie_commutator(t).passed
 
 
-def _gl2_f2_self_pair():
-    """gl2(F2): the 2x2 matrices over F2 under addition (C2^4 under XOR, a
-    matrix read from the bits of its index), star [A, B] = AB + BA, paired
-    with itself by conjugation and bracket = star."""
-    idx = np.arange(16)
-    mats = ((idx[:, None] >> np.arange(4)) & 1).reshape(16, 2, 2)
-    ab = mats[:, None] @ mats[None, :]
-    star = (((ab + ab.transpose(1, 0, 2, 3)) % 2).reshape(16, 16, 4) << np.arange(4)).sum(-1)
-    G = validate_cayley([f"m{i}" for i in idx], idx[:, None] ^ idx[None, :])
-    M = mla.make_algebra(G, star)
-    act = conjugation_self_action(M, M.star)
-    return check_compatibility(act, act)
-
-
 def test_gl2_star_fixpoint_takes_a_second_round():
     # the first enumeration is too large for the star: the axioms force
     # three relators, and the second round's group carries a valid star
-    pair = _gl2_f2_self_pair()
+    pair = gl2_f2_self_pair()
     t = build_tensor_algebra(pair)
     assert (t.order, t.rounds) == (16, 2)
     assert t.extra_relators == ((35,), (69,), (103,))
@@ -313,7 +290,7 @@ SELF_PAIRS = [(n, s) for n in group_names() for s in ("trivial", "improper")]
 def test_presentation_rows_are_the_paper_relations(pairs, name, star, monkeypatch):
     # the rows build_tensor_presentation hands to make_presentation, against
     # the relations written out tuple by tuple
-    pair = pairs[name] if star is None else _self_pair(name, star)
+    pair = pairs[name] if star is None else self_pair(name, star)
     got = []
     monkeypatch.setattr(tensor, "make_presentation", lambda labels, rows: got.append(rows))
     build_tensor_presentation(pair)
@@ -390,6 +367,16 @@ def test_ill_defined_induced_actions_name_side_element_and_witness(tensors, name
         induce_actions(spoil(tensors[name]))
     assert str(exc.value) == message
     assert exc.value.payload == payload
+
+
+def test_every_isomorphism_check_runs_before_any_composition_check(tensors):
+    # the left factor fails only composition, the right one a bijection:
+    # the right factor's isomorphism failure is the one raised
+    t = _reindex_action(tensors["q8-trivial"], "g_on_h", [2, 4, 3, 6, 5, 0, 1, 7])
+    with pytest.raises(InducedActionIllDefined) as exc:
+        induce_actions(_null_action_row(t, "h_on_g", 1))
+    assert str(exc.value) == "induced map of right-factor element 1 is not a bijection"
+    assert exc.value.payload == {"side": "right-factor", "element": 1}
 
 
 def test_tiny_coset_cap_raises(pairs):
@@ -709,9 +696,7 @@ def test_offending_values_scan_only_broken_axioms_and_lose_nothing(data):
 
 
 def _self_tensor(name):
-    G = get_group(name)
-    act = conjugation_self_action(make_trivial_star(G), np.full((G.order, G.order), G.identity))
-    return build_tensor_algebra(check_compatibility(act, act)).algebra
+    return build_tensor_algebra(self_pair(name, "trivial")).algebra
 
 
 def _heisenberg_c2_5():
