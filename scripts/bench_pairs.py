@@ -39,6 +39,7 @@ BUILD = ROOT / ".bench_build"
 END_TO_END = ("setup_s", "wall_s", "instance_p50_ms", "instance_p75_ms", "witness_p50_ms", "peak_rss_mb")
 PAIRS, TRACED_PAIRS, TRACED_SEED = 10, 2, 1
 LAYERS = (
+    "groups.validate_cayley.busy_s",
     "coset.enumerate.busy_s",
     "coset.cosets_defined",
     "coset.cosets_collapsed",
@@ -46,10 +47,13 @@ LAYERS = (
     "tensor.presentation.busy_s",
     "tensor.presentation.relators",
     "tensor.presentation.letters",
+    "tensor.induce_actions.busy_s",
+    "tensor.order",
     "cli.subprocess.busy_s",
     "harness.compat.busy_s",
     "harness.tensor.busy_s",
     "harness.tuples",
+    "harness.statements_run",
 )
 
 

@@ -131,28 +131,37 @@ def validate_action(actor: MultLieAlg, acted: MultLieAlg, phi, bracket) -> MlaAc
         raise InputError(f"bracket table shape {bracket.shape} does not match {shape}")
     if ((phi < 0) | (phi >= H.order)).any() or ((bracket < 0) | (bracket >= H.order)).any():
         raise InputError("action table entry out of range")
-    phi, bracket = _freeze(phi.copy()), _freeze(bracket.copy())
+    action = MlaAction(actor, acted, _freeze(phi.copy()), _freeze(bracket.copy()))
+    _require_automorphisms(action)
+    _require_bracket_laws(action, None, (2,))
+    return _record_verified(action)
 
-    bad = star_iso_failure(acted, acted, phi, "action validation")
+
+def _require_automorphisms(act: MlaAction, side: str | None = None) -> None:
+    """Raise NotAutomorphism at the first row of phi that is not a
+    star-preserving automorphism, else ActionViolation where phi is not
+    multiplicative in the actor; the message and payload name the side when
+    one is given."""
+    G = act.actor.group
+    on, where = ({}, "") if side is None else ({"side": side}, f" on {side}")
+    bad = star_iso_failure(act.acted, act.acted, act.phi, "action validation")
     if bad is not None:
         g, reason, at = bad
         raise NotAutomorphism(
-            f"phi[{G.labels[g]}] {_NOT_AUTOMORPHISM[reason]}",
+            f"phi[{G.labels[g]}] {_NOT_AUTOMORPHISM[reason]}{where}",
             g=g,
             reason=reason,
             **({} if at is None else {"witness": list(at)}),
+            **on,
         )
-    bad = compose_failure(G, phi, "action validation")
+    bad = compose_failure(G, act.phi, "action validation")
     if bad is not None:
         raise ActionViolation(
-            "phi is not multiplicative in the actor",
+            f"phi is not multiplicative in the actor{where}",
             condition="phi-homomorphism",
             witness=list(bad),
+            **on,
         )
-
-    action = MlaAction(actor, acted, phi, bracket)
-    _require_bracket_laws(action, None, (2,))
-    return _record_verified(action)
 
 
 def _require_bracket_laws(
@@ -233,12 +242,17 @@ class CompatiblePair:
 
 
 def check_compatibility(g_on_h: MlaAction, h_on_g: MlaAction) -> CompatiblePair:
-    """Verify bracket laws 1-4 on both actions (law 2 only where
+    """Verify the phi rows of each action that validate_action has not
+    proven, then bracket laws 1-4 on both actions (law 2 only where
     validate_action has not proven it) and the five pair conditions.  The
     pair is recorded as verified when both of its actions are."""
     if g_on_h.actor is not h_on_g.acted or g_on_h.acted is not h_on_g.actor:
         raise InputError("actions are not over the same pair of algebras")
-    for side, act, co in (("g-on-h", g_on_h, h_on_g), ("h-on-g", h_on_g, g_on_h)):
+    sides = (("g-on-h", g_on_h, h_on_g), ("h-on-g", h_on_g, g_on_h))
+    for side, act, _ in sides:
+        if not act._verified:
+            _require_automorphisms(act, side)
+    for side, act, co in sides:
         _require_bracket_laws(act, co, (1, 3, 4) if act._verified else (1, 2, 3, 4), side)
     _require_pair_conditions(g_on_h, h_on_g)
     pair = CompatiblePair(g_on_h, h_on_g)

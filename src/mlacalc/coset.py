@@ -22,10 +22,14 @@ differ it forces the missing one, or a coincidence if both are set.  Such
 a fill stays a consequence after the wave's other steps, which only add
 information, between the classes of its cosets (rep() maps them after a
 merge); _drain writes it if its slots are empty, else coincides it with
-what a slot holds, as _scan does at its gap.  One fill per edge is kept:
-the others share its slot, whose write or merge pushes what it changes.
-As every written edge is pushed, the drain still ends at the least fixed
-point.  Longer words go to _scan.
+what a slot holds, as _scan does at its gap (_fill).  One fill per edge is
+kept: the others share its slot, whose write or merge pushes what it
+changes.  As every written edge is pushed, the drain still ends at the
+least fixed point.  When the 2k slots of a wave's k fills, (f, x) and
+(g, x^1), are distinct and empty, no fill is a coincidence or reads a slot
+another writes, so the loop would write each and push (f, x) in turn:
+_drain writes them at once and carries them into the next wave as arrays,
+in that order.  Longer words go to _scan.
 
 Letters encode generators as 2i (forward) and 2i+1 (inverse).  A presentation
 stores its relators once, as rows of signed 1-based generator numbers grouped
@@ -39,6 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from typing import Callable
 
 import numpy as np
 
@@ -192,18 +197,19 @@ class _Enumerator:
                 T[d, l] = -1
                 if T[delta, l ^ 1] == d:
                     T[delta, l ^ 1] = -1
-                u, v = self.rep(d), self.rep(delta)
-                ex = int(T[u, l])
-                if ex >= 0:
-                    self._merge(ex, v)
-                else:
-                    exb = int(T[v, l ^ 1])
-                    if exb >= 0:
-                        self._merge(u, exb)
-                    else:
-                        T[u, l] = v
-                        T[v, l ^ 1] = u
-                        self.deductions.append((u, l))
+                self._fill(self.rep(d), l, self.rep(delta), self._merge)
+
+    def _fill(self, f: int, x: int, g: int, merge: Callable[[int, int], None]) -> None:
+        """T[f, x] = g and T[g, x^1] = f, pushed as a deduction; where either
+        slot is set, merge what it holds with the other end instead."""
+        T = self.table
+        if (h := int(T[f, x])) >= 0:
+            merge(h, g)
+        elif (h := int(T[g, x ^ 1])) >= 0:
+            merge(f, h)
+        else:
+            T[f, x], T[g, x ^ 1] = g, f
+            self.deductions.append((f, x))
 
     def _scan(self, alpha: int, word: tuple[int, ...]) -> None:
         T = self.table
@@ -226,15 +232,9 @@ class _Enumerator:
             b, j = prv, j - 1
         if j > i:
             return  # gap longer than one edge: no information yet
-        exb = int(T[b, word[i] ^ 1])
-        if exb >= 0:
-            self._coincide(f, exb)
-        else:
-            T[f, word[i]] = b
-            T[b, word[i] ^ 1] = f
-            self.deductions.append((f, word[i]))
+        self._fill(f, word[i], b, self._coincide)  # T[f, word[i]] is empty
 
-    def _wave(self, a: np.ndarray, l: np.ndarray) -> list[tuple[int, int, int]]:
+    def _wave(self, a: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fills (f, x, g), meaning T[f, x] = g, forced by the scans from deductions
         (a, l): one per edge, and every one whose slot is set (a coincidence)."""
         nl, Tf, mark = self.nletters, self.table.ravel(), self.mark  # T[i, j] is Tf[i * nl + j]
@@ -245,7 +245,7 @@ class _Enumerator:
         sa = (a * nl)[r] + self.Yinv[k]  # slot (a, y^1)
         C, E = Tf[sb], Tf[sa]
         if not len(i := (C != E).nonzero()[0]):
-            return []
+            return i, i, i
         C, E = C[i], E[i]
         # fill (a, y^1) = C when E is missing, else (b, x) = E (a coincidence if C is set)
         s, g = np.where(E < 0, [sa[i], C], [sb[i], E])
@@ -255,27 +255,35 @@ class _Enumerator:
         fill = (~coincide).nonzero()[0]
         mark[edge[fill]] = fill
         keep = (coincide | (mark[edge] == np.arange(len(i)))).nonzero()[0]
-        return list(zip(f[keep].tolist(), x[keep].tolist(), g[keep].tolist()))
+        return f[keep], x[keep], g[keep]
+
+    def _writable(self, f: np.ndarray, x: np.ndarray, g: np.ndarray) -> bool:
+        """Whether the slots (f, x) and (g, x^1) of the fills are distinct and
+        empty; a coincidence's slot is set, so such a wave holds none."""
+        s = np.concatenate([f * self.nletters + x, g * self.nletters + (x ^ 1)])
+        self.mark[s] = k = np.arange(len(s))
+        return bool((self.mark[s] == k).all() and (self.table.ravel()[s] < 0).all())
 
     def _drain(self) -> None:
         T = self.table
-        while self.deductions:
+        written = np.empty((2, 0), dtype=np.int64)  # the last wave's fills, if written at once
+        while self.deductions or written.size:
             check_budget("coset enumeration")
-            a, l = np.array(self.deductions, dtype=np.int64).reshape(-1, 2).T
-            self.deductions = []
+            pushed = np.array(self.deductions, dtype=np.int64).reshape(-1, 2).T
+            a, l = np.concatenate([written, pushed], axis=1)  # in the order they were pushed
+            self.deductions, written = [], written[:, :0]
             held = T[a, l] >= 0  # a merged coset's row is cleared
             a, l = a[held], l[held]
-            collapsed = self.collapsed
-            for f, x, g in self._wave(a, l):
-                if self.collapsed != collapsed:  # the snapshot's cosets may be dead
-                    f, g = self.rep(f), self.rep(g)
-                if (h := int(T[f, x])) >= 0:
-                    self._coincide(h, g)
-                elif (h := int(T[g, x ^ 1])) >= 0:
-                    self._coincide(f, h)
-                else:
-                    T[f, x], T[g, x ^ 1] = g, f
-                    self.deductions.append((f, x))
+            f, x, g = self._wave(a, l)
+            if self._writable(f, x, g):  # no fill reads a slot another one writes
+                T[f, x], T[g, x ^ 1] = g, f
+                written = np.array([f, x])
+            else:
+                collapsed = self.collapsed
+                for f, x, g in zip(f.tolist(), x.tolist(), g.tolist()):
+                    if self.collapsed != collapsed:  # the snapshot's cosets may be dead
+                        f, g = self.rep(f), self.rep(g)
+                    self._fill(f, x, g, self._coincide)
             if self.longer:
                 for ai, li in zip(a.tolist(), l.tolist()):
                     for word in self.buckets[li]:

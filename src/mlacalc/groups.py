@@ -213,8 +213,9 @@ def validate_cayley(labels: Sequence[str], table) -> FiniteGroup:
     inv = two_sided.argmax(axis=1)
 
     gens = least_generators(arr, e)
-    # (x·g)·y against x·(g·y) at [x, y], one generator g at a time
-    if any((arr[arr[:, g]] != arr[:, arr[g]]).any() for g in gens):
+    # (x·g)·y against x·(g·y) at [x, y] per generator g, read from int32 (< ORDER_CAP)
+    a32 = arr.astype(np.int32)
+    if any((a32.take(a32[:, g], axis=0) != a32.take(a32[g], axis=1)).any() for g in gens):
         for i in range(n):
             at = first_true(arr[arr[i], :] != arr[i][arr])  # (i·j)·k against i·(j·k)
             if at is not None:

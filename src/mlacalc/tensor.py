@@ -346,24 +346,6 @@ def _first_failing(name: str, slabs: Iterator) -> CheckReport:
     return CheckReport(name, False, checked, at[1:], at[0])
 
 
-def check_defining_relations(t: TensorAlgebra) -> CheckReport:
-    """All four defining relations, evaluated on the symbol table, and the star seed."""
-    K = t.group
-    syms = t.tensor_map.ravel()
-
-    def slabs() -> Iterator:
-        for detail, rel in _defining_relations(t.pair):
-            v = syms[np.abs(rel) - 1]
-            v = np.where(rel < 0, K.inverses[v], v)
-            yield (detail,), K.table[K.table[v[..., 0], v[..., 1]], v[..., 2]] != K.identity
-
-        img = t.result.gen_image
-        lhs = t.algebra.star[img[:, None], img[None, :]]
-        yield ("star seed",), lhs != img[star_seed_indices(t.pair)]
-
-    return _first_failing("tensor-defining-relations", slabs())
-
-
 def check_induced_action_formulas(t: TensorAlgebra) -> CheckReport:
     """Induced actions restricted to symbols match the coordinatewise formulas."""
     act_g, act_h = t._require_actions()

@@ -62,6 +62,7 @@ from mlacalc.errors import (
 from mlacalc.docs import load_document
 from mlacalc.harness import Instance, run_suite
 from mlacalc.mla import MultLieAlg, make_trivial_star
+from self_pairs import self_pair
 
 
 # --- oracles -------------------------------------------------------------------
@@ -358,7 +359,9 @@ PERTURBED_BRACKETS = [
         ("s3-improper-star", "g_on_h", "phi", (1, 2)),
         {
             "compat": (
-                f"{LAW_2} on g-on-h", {"condition": 2, "side": "g-on-h", "witness": [1, 1, 2]}
+                NotAutomorphism,
+                "phi[r] is not a permutation on g-on-h",
+                {"g": 1, "reason": "not-bijective", "side": "g-on-h"},
             ),
             "def-2.8": (
                 NotAutomorphism,
@@ -392,8 +395,8 @@ def test_replaced_pair_is_rescanned_for_its_least_witness(pairs, where, failures
     bad = getattr(act, table).copy()
     bad[i, j] = (bad[i, j] + 1) % bad.shape[1]
     broken = replace(pair, **{field_name: replace(act, **{table: bad})})
-    message, payload = failures["compat"]
-    with pytest.raises(ActionViolation) as exc:
+    error, message, payload = (ERRORS["compat"], *failures["compat"])[-3:]
+    with pytest.raises(error) as exc:
         check_compatibility(broken.g_on_h, broken.h_on_g)
     assert (str(exc.value), exc.value.payload) == (message, payload)
     led = run_suite(Instance.from_pair(broken), ["def-2.8", "def-3.1", "prop-2.10"])
@@ -405,6 +408,37 @@ def test_replaced_pair_is_rescanned_for_its_least_witness(pairs, where, failures
             ("error", error.__name__), ("message", message), *payload.items()
         ]
     assert "prop-2.10" in failures or led.get("prop-2.10").status == "pass"
+
+
+# a trivial self pair with h_on_g.phi[1, 1] = 0: phi[1] is not a permutation.
+# Unchecked, C2, C3, C4 and V4 gave tensors of order 1, 1, 1 and 4 (against
+# 2, 3, 4 and 16), and Q8 and S3 reported pair condition 1
+@pytest.mark.parametrize("name", ["C2", "C3", "C4", "V4", "Q8", "S3"])
+def test_hand_built_phi_rows_are_checked_before_any_bracket_law(name):
+    pair = self_pair(name, "trivial")
+    phi = pair.h_on_g.phi.copy()
+    phi[1, 1] = 0
+    label = pair.G.group.labels[1]
+    with pytest.raises(NotAutomorphism) as exc:
+        check_compatibility(pair.g_on_h, replace(pair.h_on_g, phi=phi))
+    assert str(exc.value) == f"phi[{label}] is not a permutation on h-on-g"
+    assert exc.value.payload == {"g": 1, "reason": "not-bijective", "side": "h-on-g"}
+    # and on the other side, where g_on_h is the unverified action
+    with pytest.raises(NotAutomorphism) as exc:
+        check_compatibility(replace(pair.g_on_h, phi=phi), pair.h_on_g)
+    assert exc.value.payload["side"] == "g-on-h"
+
+
+def test_hand_built_phi_that_is_not_multiplicative_names_its_side(pairs):
+    # every row an automorphism, but phi[g] = identity for all g but one
+    pair = pairs["s3-improper-star"]
+    phi = np.broadcast_to(pair.g_on_h.phi[0], pair.g_on_h.phi.shape).copy()
+    phi[1] = pair.g_on_h.phi[1]
+    with pytest.raises(ActionViolation) as exc:
+        check_compatibility(replace(pair.g_on_h, phi=phi), pair.h_on_g)
+    assert str(exc.value) == "phi is not multiplicative in the actor on g-on-h"
+    assert exc.value.payload["condition"] == "phi-homomorphism"
+    assert exc.value.payload["side"] == "g-on-h"
 
 
 def test_swapped_pair_still_compatible(pairs):

@@ -321,3 +321,36 @@ def test_length3_presentations_match_the_scalar_closure(pres, max_cosets):
     # every scan takes the wave path: no relator is longer than 3
     assert {len(r) for r in pres.relators} == {3}
     _assert_same_closure(pres, max_cosets)
+
+
+# --- one-step wave writes ---------------------------------------------------------------
+
+
+def _enumerated(pres):
+    res = coset_enumerate(pres)
+    return res.stats, res.group.labels, res.group.table.tobytes(), res.gen_image.tobytes()
+
+
+ALL_PAIRS = [(n, s) for n in group_names() for s in ("trivial", "improper")]
+
+
+@pytest.mark.parametrize("name,star", ALL_PAIRS, ids=[f"{n}-{s}" for n, s in ALL_PAIRS])
+def test_one_step_wave_writes_match_the_sequential_loop(name, star, monkeypatch):
+    # C2xC2xC2 included: the order-512 rung, where most waves are written at once
+    pres = build_tensor_presentation(self_pair(name, star))
+    at_once = _enumerated(pres)
+    monkeypatch.setattr(coset._Enumerator, "_writable", lambda self, f, x, g: False)
+    assert _enumerated(pres) == at_once
+
+
+def test_a_wave_with_a_coincidence_takes_the_sequential_loop(monkeypatch):
+    writable, seen = coset._Enumerator._writable, []
+
+    def spy(self, f, x, g):
+        seen.append(writable(self, f, x, g))
+        return seen[-1]
+
+    monkeypatch.setattr(coset._Enumerator, "_writable", spy)
+    res = coset_enumerate(build_tensor_presentation(self_pair("D6", "trivial")))
+    assert res.stats.cosets_collapsed == 7
+    assert True in seen and False in seen

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlacalc.corpus import all_groups, get_group, group_names
+from mlacalc.corpus import all_groups, direct_product, get_group, group_names
 from mlacalc.errors import InputError, MathViolation, NotAssociative
 from mlacalc.groups import (
     Subgroup,
@@ -25,6 +25,8 @@ from mlacalc.groups import (
     validate_cayley,
 )
 from mlacalc.mla import check_lie_identities, ideal_closure, make_trivial_star
+from mlacalc.tensor import build_tensor_algebra
+from self_pairs import self_pair
 
 EXPECTED_ORDERS = {
     "C1": 1, "C2": 2, "C3": 3, "C4": 4, "C5": 5, "C6": 6, "C7": 7, "C8": 8,
@@ -125,6 +127,49 @@ def test_perturbed_tables_raise_the_least_associativity_witness(data):
         pass  # closure, identity or inverses fail before associativity is checked
     else:
         assert want is None
+
+
+def _least_associativity_witness(table):
+    """Least (i, j, k) with (i·j)·k != i·(j·k), over every triple in blocks of i."""
+    n, cols = len(table), np.arange(len(table))
+    for lo in range(0, n, 8):
+        rows = table[lo : lo + 8]  # i·j at [i - lo, j]
+        at = np.argwhere(table[rows[:, :, None], cols] != rows[:, table])
+        if len(at):
+            i, j, k = at[0]
+            return [lo + int(i), int(j), int(k)]
+    return None
+
+
+LARGE_TABLES = {
+    "Q8-tensor": lambda: build_tensor_algebra(self_pair("Q8", "trivial")).group,  # 64
+    "C3xC3-tensor": lambda: build_tensor_algebra(self_pair("C3xC3", "trivial")).group,  # 81
+    "A4xC8": lambda: direct_product(get_group("A4"), get_group("C8")),  # 96, not abelian
+    "C2xC2xC2-tensor": lambda: build_tensor_algebra(self_pair("C2xC2xC2", "trivial")).group,  # 512
+}
+
+
+@pytest.mark.parametrize("name", LARGE_TABLES)
+def test_light_test_on_large_tables_keeps_the_least_witness(name):
+    # one entry (i, j) changed, with i, j, the old and the new value all not
+    # the identity: the identity and every inverse survive, so only
+    # associativity can fail, and it must, with the exhaustive least witness
+    G = LARGE_TABLES[name]()
+    n, e = G.order, G.identity
+    assert n >= 64
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        table = G.table.copy()
+        while True:
+            i, j, v = (int(c) for c in rng.integers(0, n, 3))
+            if e not in (i, j, table[i, j], v) and v != table[i, j]:
+                break
+        table[i, j] = v
+        want = _least_associativity_witness(table)
+        assert want is not None
+        with pytest.raises(NotAssociative) as exc:
+            validate_cayley(G.labels, table)
+        assert exc.value.payload["witness"] == want
 
 
 def test_validate_cayley_rejects_shape_and_range():

@@ -47,6 +47,7 @@ from mlacalc.mla import (
     make_improper_star,
     make_trivial_star,
     quotient_algebra,
+    star_iso_failure,
     validate_ideal,
 )
 from mlacalc.tensor import (
@@ -56,7 +57,6 @@ from mlacalc.tensor import (
     build_tensor_algebra,
     canonical_tensor_ideal,
     build_tensor_presentation,
-    check_defining_relations,
     check_induced_action_formulas,
     check_tensor_identities,
     check_tensor_lie_commutator,
@@ -70,6 +70,7 @@ from mlacalc.tensor import (
 )
 from mlacalc.coset import coset_enumerate, make_presentation
 from mlacalc.util import first_true
+from defining_relations import check_defining_relations
 from self_pairs import gl2_f2_self_pair, self_pair
 
 
@@ -377,6 +378,53 @@ def test_every_isomorphism_check_runs_before_any_composition_check(tensors):
         induce_actions(_null_action_row(t, "h_on_g", 1))
     assert str(exc.value) == "induced map of right-factor element 1 is not a bijection"
     assert exc.value.payload == {"side": "right-factor", "element": 1}
+
+
+def _full_star_iso_failure(M, N, rows):
+    """(row, reason, least witness) of the first row failing the bijection,
+    product or star slab, every slab of every row scanned in full."""
+    for r, row in enumerate(rows):
+        if (np.sort(row) != np.arange(N.order)).any():
+            return r, "not-bijective", None
+        for reason, A, B in (("product", M.group.table, N.group.table), ("star", M.star, N.star)):
+            at = np.argwhere(row[A] != B[row[:, None], row[None, :]])
+            if len(at):
+                return r, reason, tuple(int(c) for c in at[0])
+    return None
+
+
+CORPUS_SELF_PAIRS = [(n, s) for n in group_names() for s in ("trivial", "improper")]
+
+
+@pytest.mark.parametrize("name,star", CORPUS_SELF_PAIRS, ids=[f"{n}-{s}" for n, s in CORPUS_SELF_PAIRS])
+def test_star_iso_failure_matches_the_full_scan_on_induced_rows(name, star):
+    # every corpus tensor has the trivial or the commutator star (A4-improper),
+    # so the star slab is skipped; the rows, and the rows with two entries of
+    # one row swapped, must report what the full scan reports
+    t = build_tensor_algebra(self_pair(name, star))
+    K, rng = t.algebra, np.random.default_rng(21)
+    assert K.star_is_trivial or K.star_is_commutator
+    for rows in (t.act_g, t.act_h):
+        assert star_iso_failure(K, K, rows, "test") is None is _full_star_iso_failure(K, K, rows)
+        if K.order < 2:
+            continue
+        swapped = rows.copy()
+        r, (i, j) = rng.integers(len(rows)), rng.choice(K.order, 2, replace=False)
+        swapped[r, [i, j]] = swapped[r, [j, i]]
+        assert star_iso_failure(K, K, swapped, "test") == _full_star_iso_failure(K, K, swapped)
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "A4"])
+def test_star_iso_failure_scans_the_star_when_one_star_is_not_trivial(name):
+    # the trivial and the commutator star of a non-abelian group: the identity
+    # and the conjugations are automorphisms, and only the star slab fails
+    G = get_group(name)
+    T, C = make_trivial_star(G), make_improper_star(G)
+    for M, N in ((T, C), (C, T)):
+        assert M.star_is_trivial != N.star_is_trivial
+        got = star_iso_failure(M, N, G.conj_table, "test")
+        assert got == _full_star_iso_failure(M, N, G.conj_table)
+        assert got[1] == "star"
 
 
 def test_tiny_coset_cap_raises(pairs):

@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 
 from mlacalc.tensor import (
     TENSOR_IDENTITY_NAMES,
-    check_defining_relations,
     check_induced_action_formulas,
     check_tensor_identities,
     check_tensor_lie_commutator,
 )
 from mlacalc.util import CheckReport
+from defining_relations import check_defining_relations
 
 # --- the nested-loop references -------------------------------------------------
 
