@@ -17,7 +17,9 @@ never edited.
 The output keeps each run's two result lines (info and metrics) as printed.
 Its ``summary`` gives, per workload and end-to-end metric, the median and
 interquartile range of each side (linear quantiles), the number of pairs in
-which the change is better, and the relative change of the medians.  For a
+which the change is better, and the relative change of the medians next to
+the metric's ``bound`` as ``BENCHMARK.json`` declares it; the script also
+prints that comparison per metric once a workload's pairs are done.  For a
 traced workload it lists each layer metric per round (the metric summed
 over the run, divided by the run's rounds) for both sides.  Its
 ``src_lines`` gives each side's line count of ``src/mlacalc/*.py`` (what
@@ -36,7 +38,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
-END_TO_END = ("setup_s", "wall_s", "instance_p50_ms", "instance_p75_ms", "witness_p50_ms", "peak_rss_mb")
+# each end-to-end metric's bound on its relative change of medians, as BENCHMARK.json declares it
+BOUNDS = {
+    m["name"]: m["bound"]
+    for m in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+}
 PAIRS, TRACED_PAIRS, TRACED_SEED = 10, 2, 1
 LAYERS = (
     "groups.validate_cayley.busy_s",
@@ -113,7 +119,7 @@ def iqr(xs: list[float]) -> float:
 
 def summarize(runs: list[dict]) -> dict:
     out = {}
-    for metric in END_TO_END:
+    for metric, bound in BOUNDS.items():
         parent, change = values(runs, "parent", metric), values(runs, "change", metric)
         pm, cm = statistics.median(parent), statistics.median(change)
         out[metric] = {
@@ -124,6 +130,7 @@ def summarize(runs: list[dict]) -> dict:
             "change_better_pairs": sum(c < p for p, c in zip(parent, change)),  # all lower-better
             "pairs": len(parent),
             "relative_change": round(cm / pm - 1, 4),
+            "bound": bound,
         }
     out["correct_and_no_failures"] = all(r["lines"][1]["correct"] and not r["lines"][1]["failed"] for r in runs)
     return out
@@ -170,6 +177,10 @@ def main(argv: list[str] | None = None) -> int:
         runs = alternate(dirs, w, args.seed, 0, PAIRS)
         result["runs"][w] = runs
         result["summary"][w] = summarize(runs)
+        for metric in BOUNDS:
+            m = result["summary"][w][metric]
+            print(f"{w} {metric}: {m['relative_change']:+.1%} against a bound of {m['bound']:.0%}, "
+                  f"change better in {m['change_better_pairs']} of {m['pairs']} pairs", file=sys.stderr)
     for w in args.traced:
         runs = alternate(dirs, w, TRACED_SEED, 1, TRACED_PAIRS)
         layers = {}

@@ -28,8 +28,9 @@ changes.  As every written edge is pushed, the drain still ends at the
 least fixed point.  When the 2k slots of a wave's k fills, (f, x) and
 (g, x^1), are distinct and empty, no fill is a coincidence or reads a slot
 another writes, so the loop would write each and push (f, x) in turn:
-_drain writes them at once and carries them into the next wave as arrays,
-in that order.  Longer words go to _scan.
+_drain writes them at once and carries their slots (f, x) and (g, x^1)
+into the next wave, in that order, where T[f, x] = g need not be read
+again.  Longer words go to _scan.
 
 Letters encode generators as 2i (forward) and 2i+1 (inverse).  A presentation
 stores its relators once, as rows of signed 1-based generator numbers grouped
@@ -132,20 +133,23 @@ def _rotations(lets: np.ndarray, n: int) -> np.ndarray:
 def _rotation_words(by_length, nl: int):
     """Distinct cyclic rotations of the relators and their inverses, by first letter.
 
-    Length-3 words come as CSR arrays (X, Yinv, start): the words starting
-    with l are (l, X[k], Yinv[k] ^ 1) for start[l] <= k < start[l + 1].
-    Words of every other length are listed per first letter, as tuples.
+    Length-3 words come as one (2, k) int32 block per first letter l: the
+    words (l, x, y) as the offsets y^1 - l and x - (l^1), from the slots
+    (a, l) and (b, l^1) of a deduction (a, l) = b to the slots (a, y^1) and
+    (b, x) that its scan reads.  Words of every other length are listed per
+    first letter, as tuples.
     """
-    r3 = _rotations(by_length[3][1], 3) if 3 in by_length else np.empty((6, 0, 3), dtype=np.int64)
-    key = np.sort((r3[..., 0] * nl + r3[..., 1]) * nl + r3[..., 2], axis=None)  # by first letter
-    key = key[np.diff(key, prepend=-1) != 0]  # keys are >= 0
-    start = np.searchsorted(key, np.arange(nl + 1) * nl * nl)
-    X, Y = np.divmod(key % (nl * nl), nl)
+    w3 = by_length[3][1] if 3 in by_length else np.empty((0, 3), dtype=np.int64)
+    key = np.sort(_rotations(w3, 3) @ [nl * nl, nl, 1], axis=None)  # (l, x, y) by first letter
+    L, key = np.divmod(key[np.diff(key, prepend=-1) != 0], nl * nl)  # keys are >= 0
+    rel = np.empty((2, len(key)), dtype=np.int32)
+    rel[0], rel[1] = (key % nl ^ 1) - L, key // nl - (L ^ 1)
+    blocks = np.split(rel, np.searchsorted(L, np.arange(1, nl)), axis=1)
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(nl)]
     longer = (_rotations(w, n).reshape(-1, n).tolist() for n, (_, w) in by_length.items() if n != 3)
     for rot in dict.fromkeys(map(tuple, chain.from_iterable(longer))):
         buckets[rot[0]].append(rot)
-    return X, Y ^ 1, start, buckets
+    return blocks, buckets
 
 
 class _Enumerator:
@@ -154,12 +158,13 @@ class _Enumerator:
         self.by_length = {  # letters, grouped as the presentation's relators
             n: (i, np.where(w > 0, 2 * w - 2, -2 * w - 1)) for n, (i, w) in pres.by_length.items()
         }
-        self.X, self.Yinv, self.start, self.buckets = _rotation_words(self.by_length, self.nletters)
+        self.blocks, self.buckets = _rotation_words(self.by_length, self.nletters)
+        self.counts = np.array([b.shape[1] for b in self.blocks], dtype=np.int64)
         self.longer = any(self.buckets)
         self.max_cosets = max_cosets
         # rows below `size` are cosets; the rest is room to grow
         self.table = np.full((min(16, max_cosets), self.nletters), -1, dtype=np.int64)
-        self.mark = np.full_like(self.table, -1, np.int32).ravel()  # _wave's scratch, per slot
+        self.mark = np.full_like(self.table, -1, np.int32).ravel()  # _fills' scratch, per slot
         self.size = 1
         self.p: list[int] = [0]
         self.deductions: list[tuple[int, int]] = []
@@ -234,56 +239,70 @@ class _Enumerator:
             return  # gap longer than one edge: no information yet
         self._fill(f, word[i], b, self._coincide)  # T[f, word[i]] is empty
 
-    def _wave(self, a: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fills (f, x, g), meaning T[f, x] = g, forced by the scans from deductions
-        (a, l): one per edge, and every one whose slot is set (a coincidence)."""
-        nl, Tf, mark = self.nletters, self.table.ravel(), self.mark  # T[i, j] is Tf[i * nl + j]
-        cnt = self.start[l + 1] - self.start[l]
-        k = np.arange(cnt.sum()) + (self.start[l] - cnt.cumsum() + cnt).repeat(cnt)
-        r = np.arange(len(a)).repeat(cnt)  # the deduction of each scan
-        sb = (Tf[a * nl + l] * nl)[r] + self.X[k]  # slot (b, x)
-        sa = (a * nl)[r] + self.Yinv[k]  # slot (a, y^1)
-        C, E = Tf[sb], Tf[sa]
-        if not len(i := (C != E).nonzero()[0]):
-            return i, i, i
-        C, E = C[i], E[i]
+    def _fills(self, E: np.ndarray, C: np.ndarray, sa: np.ndarray, sb: np.ndarray):
+        """The fills forced by a wave's informative scans, where T[a, y^1] = E
+        and T[b, x] = C differ (at slots sa and sb): T[f, x] = g as the slots
+        (f, x) and (g, x^1) and the value g, one per edge (its last scan's) and
+        every coincidence, in scan order; and whether they can be written at
+        once: no coincidence, their 2k slots distinct and each (g, x^1) empty."""
+        nl, k, mark = self.nletters, np.arange(len(C), dtype=np.int32), self.mark
         # fill (a, y^1) = C when E is missing, else (b, x) = E (a coincidence if C is set)
-        s, g = np.where(E < 0, [sa[i], C], [sb[i], E])
-        f, x = np.divmod(s, nl)
-        edge = np.minimum(s, g * nl + (x ^ 1))  # either slot of the edge it writes
-        coincide = np.minimum(C, E) >= 0  # both sides set
-        fill = (~coincide).nonzero()[0]
-        mark[edge[fill]] = fill
-        keep = (coincide | (mark[edge] == np.arange(len(i)))).nonzero()[0]
-        return f[keep], x[keep], g[keep]
+        missing = E < 0
+        fs, g = np.where(missing, sa, sb), np.where(missing, C, E)
+        gs = g * nl + (fs % nl ^ 1)
+        edge, other = np.minimum(fs, gs), np.maximum(fs, gs)
+        coincide = np.minimum(C, E) >= 0
+        # The slot pair {edge, other} names a write.  Each scan's index is
+        # marked at its edge, then at its other, and read back at both: if no
+        # slot lies in two pairs, both hold the pair's last scan.  A slot z of
+        # pairs P != Q breaks that for P or Q: as both edges, their others
+        # hold different scans; as both others, z holds one scan, whose edge
+        # is P's or Q's; as P's edge and Q's other, z and P's other hold
+        # scans with different others.
+        mark[edge], mark[other] = k, k
+        last = mark[edge]
+        if not (coincide | (last != mark[other]) | (self.table.ravel()[gs] >= 0)).any():
+            keep = (last == k).nonzero()[0]
+            return fs[keep], gs[keep], g[keep], True
+        fill = ~coincide
+        mark[edge[fill]] = k[fill]
+        keep = (coincide | (mark[edge] == k)).nonzero()[0]
+        return fs[keep], gs[keep], g[keep], False
 
-    def _writable(self, f: np.ndarray, x: np.ndarray, g: np.ndarray) -> bool:
-        """Whether the slots (f, x) and (g, x^1) of the fills are distinct and
-        empty; a coincidence's slot is set, so such a wave holds none."""
-        s = np.concatenate([f * self.nletters + x, g * self.nletters + (x ^ 1)])
-        self.mark[s] = k = np.arange(len(s))
-        return bool((self.mark[s] == k).all() and (self.table.ravel()[s] < 0).all())
-
-    def _drain(self) -> None:
-        T = self.table
-        written = np.empty((2, 0), dtype=np.int64)  # the last wave's fills, if written at once
-        while self.deductions or written.size:
+    def _drain(self, d: np.ndarray) -> None:
+        """Close the table under the deductions (a, l) = b given as the slots
+        (a, l) and (b, l^1), the columns of d, and those pushed meanwhile."""
+        nl, T = self.nletters, self.table
+        Tf = T.ravel()  # T[i, j] is Tf[i * nl + j]; a drain adds no rows
+        collapsed = self.collapsed
+        while self.deductions or d.size:
             check_budget("coset enumeration")
-            pushed = np.array(self.deductions, dtype=np.int64).reshape(-1, 2).T
-            a, l = np.concatenate([written, pushed], axis=1)  # in the order they were pushed
-            self.deductions, written = [], written[:, :0]
-            held = T[a, l] >= 0  # a merged coset's row is cleared
-            a, l = a[held], l[held]
-            f, x, g = self._wave(a, l)
-            if self._writable(f, x, g):  # no fill reads a slot another one writes
-                T[f, x], T[g, x ^ 1] = g, f
-                written = np.array([f, x])
-            else:
-                collapsed = self.collapsed
-                for f, x, g in zip(f.tolist(), x.tolist(), g.tolist()):
-                    if self.collapsed != collapsed:  # the snapshot's cosets may be dead
-                        f, g = self.rep(f), self.rep(g)
-                    self._fill(f, x, g, self._coincide)
+            if self.deductions or self.collapsed != collapsed:  # else the last wave wrote b
+                a, l = np.array(self.deductions, dtype=np.int64).reshape(-1, 2).T
+                s = np.concatenate([d[0], a * nl + l])  # in the order they were pushed
+                b = Tf[s]
+                s, b = s[b >= 0], b[b >= 0]  # a merged coset's row is cleared
+                d = np.array([s, b * nl + (s % nl ^ 1)])
+                self.deductions, collapsed = [], self.collapsed
+                if not d.size:
+                    continue
+            a, l = divmod(d[0], nl)
+            slots = d.repeat(self.counts[l], axis=1)  # each scan's: (a, y^1) above (b, x)
+            slots += np.concatenate([self.blocks[j] for j in l.tolist()], axis=1)
+            EC = Tf[slots]
+            i = (EC[0] != EC[1]).nonzero()[0]
+            d = d[:, :0]
+            if i.size:
+                fs, gs, g, at_once = self._fills(*EC[:, i], *slots[:, i])
+                if at_once:  # no fill reads a slot another one writes
+                    Tf[fs], Tf[gs] = g, fs // nl
+                    d = np.array([fs, gs])
+                else:
+                    before, (f, x) = self.collapsed, divmod(fs, nl)
+                    for f, x, g in zip(f.tolist(), x.tolist(), g.tolist()):
+                        if self.collapsed != before:  # the snapshot's cosets may be dead
+                            f, g = self.rep(f), self.rep(g)
+                        self._fill(f, x, g, self._coincide)
             if self.longer:
                 for ai, li in zip(a.tolist(), l.tolist()):
                     for word in self.buckets[li]:
@@ -303,18 +322,18 @@ class _Enumerator:
         self.p.append(new)
         self.table[alpha, l] = new
         self.table[new, l ^ 1] = alpha
-        self.deductions.append((alpha, l))
-        self._drain()
+        nl = self.nletters
+        self._drain(np.array([[alpha * nl + l], [new * nl + (l ^ 1)]]))
 
     def run(self) -> None:
-        changed = True
+        changed = self.nletters > 0  # else the one coset has no gap
         while changed:
             changed, alpha = False, 0
             while alpha < self.size:
                 check_budget("coset enumeration")
-                gaps = np.flatnonzero(self.table[alpha] < 0) if self.p[alpha] == alpha else ()
-                if len(gaps):
-                    self._define(alpha, int(gaps[0]))
+                l = int(self.table[alpha].argmin())  # the least gap, if the row has one
+                if self.p[alpha] == alpha and self.table[alpha, l] < 0:
+                    self._define(alpha, l)
                     changed = True
                 else:
                     alpha += 1

@@ -179,8 +179,8 @@ def validate_cayley(labels: Sequence[str], table) -> FiniteGroup:
     if len(set(labels)) != n:
         raise InputError("element labels are not distinct")
     check_order_cap(n)
-    try:
-        arr = np.asarray(table, dtype=np.int64)
+    try:  # a C-order copy of our own, frozen below: Light's test gathers its rows
+        arr = np.array(table, dtype=np.int64, order="C")
     except (TypeError, ValueError) as exc:
         raise InputError(f"table is not an integer matrix: {exc}") from exc
     if arr.shape != (n, n):
@@ -225,7 +225,7 @@ def validate_cayley(labels: Sequence[str], table) -> FiniteGroup:
                     witness=[i, j, k],
                 )
 
-    return FiniteGroup(labels, _freeze(arr.copy()), e, _freeze(inv), _freeze(gens))
+    return FiniteGroup(labels, _freeze(arr), e, _freeze(inv), _freeze(gens))
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,6 +311,8 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupMap]:
     """Quotient by a normal subgroup; coset labels come from least-index reps."""
     if N.parent is not G:
         raise InputError("subgroup does not belong to this group")
+    if N.members == {G.identity}:  # each coset is one element, each element its least rep
+        return G, GroupMap(G, G, _freeze(np.arange(G.order)))
     mem = N.member_array
     at = first_true(~N.mask[G.conj_table[:, mem]])
     if at is not None:

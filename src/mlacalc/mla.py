@@ -566,9 +566,12 @@ def solvable_length(M: MultLieAlg) -> int | None:
 
 
 def _image_algebra(M: MultLieAlg, G: FiniteGroup, star: np.ndarray) -> MultLieAlg:
-    """A quotient or sub-algebra of M: verified with M, else scanned."""
+    """A quotient or sub-algebra of M: verified with M (M itself when it is
+    M's own group and star), else scanned."""
     if not M._verified:
         return make_algebra(G, star)
+    if G is M.group and star is M.star:
+        return M
     return _record_verified(MultLieAlg(G, make_star_table(G, star)))
 
 
@@ -598,6 +601,8 @@ def quotient_algebra(M: MultLieAlg, I: Ideal) -> tuple[MultLieAlg, GroupMap]:
     if I.algebra is not M:
         validate_ideal(M, I.subgroup)  # accept foreign but equivalent ideals
     Q, pi = quotient(M.group, I.subgroup)
+    if Q is M.group:  # the identity projection: * descends as it is
+        return _image_algebra(M, Q, M.star), pi
     img = pi.image
     # Sq from each coset's least element against each coset's last one; the
     # choice of representatives only decides the witness when * does not

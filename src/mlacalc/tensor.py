@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .actions import CompatiblePair, bracket_ideal, mixed_lie_ideal
+from .actions import CompatiblePair, bracket_ideal, check_compatibility, mixed_lie_ideal
 from .coset import (
     DEFAULT_MAX_COSETS,
     EnumerationResult,
@@ -618,7 +618,10 @@ def build_tensor_algebra(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     seed_order: str = "default",
 ) -> TensorAlgebra:
-    """Full pipeline: presentation, enumeration, star fixpoint, induced actions."""
+    """Full pipeline: presentation, enumeration, star fixpoint, induced actions.
+    A pair that check_compatibility has not proven is checked first."""
+    if not pair._verified:
+        check_compatibility(pair.g_on_h, pair.h_on_g)
     if pair.G.order == 1 or pair.H.order == 1:
         return _trivial_tensor(pair, seed_order)
     pres = build_tensor_presentation(pair)

@@ -10,7 +10,9 @@ generator images are byte-identical.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -339,18 +341,33 @@ def test_one_step_wave_writes_match_the_sequential_loop(name, star, monkeypatch)
     # C2xC2xC2 included: the order-512 rung, where most waves are written at once
     pres = build_tensor_presentation(self_pair(name, star))
     at_once = _enumerated(pres)
-    monkeypatch.setattr(coset._Enumerator, "_writable", lambda self, f, x, g: False)
+    fills = coset._Enumerator._fills  # the same fills, each through the loop
+    monkeypatch.setattr(coset._Enumerator, "_fills", lambda self, *scans: (*fills(self, *scans)[:3], False))
     assert _enumerated(pres) == at_once
 
 
 def test_a_wave_with_a_coincidence_takes_the_sequential_loop(monkeypatch):
-    writable, seen = coset._Enumerator._writable, []
+    fills, seen = coset._Enumerator._fills, []
 
-    def spy(self, f, x, g):
-        seen.append(writable(self, f, x, g))
-        return seen[-1]
+    def spy(self, E, C, sa, sb):
+        out = fills(self, E, C, sa, sb)
+        seen.append((bool((np.minimum(E, C) >= 0).any()), out[3]))  # (a coincidence, at once)
+        return out
 
-    monkeypatch.setattr(coset._Enumerator, "_writable", spy)
+    monkeypatch.setattr(coset._Enumerator, "_fills", spy)
     res = coset_enumerate(build_tensor_presentation(self_pair("D6", "trivial")))
     assert res.stats.cosets_collapsed == 7
-    assert True in seen and False in seen
+    assert (True, False) in seen and (False, True) in seen
+    assert (True, True) not in seen
+
+
+def test_the_order_512_enumeration_is_frozen(monkeypatch):
+    # the union-find, Cayley table, generator images and labels as the
+    # enumerator of 89ee6ba left them
+    engines, run = [], coset._Enumerator.run
+    monkeypatch.setattr(coset._Enumerator, "run", lambda self: (engines.append(self), run(self))[1])
+    res = coset_enumerate(build_tensor_presentation(self_pair("C2xC2xC2", "trivial")))
+    assert astuple(res.stats) == (513, 1, 512)
+    parts = (np.array(engines[0].p, dtype=np.int64), res.group.table, res.gen_image)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in parts) + "\n".join(res.group.labels).encode())
+    assert digest.hexdigest() == "534a3f48239256dbdd9df5dbd503faa5415f07256dccaf4accba87fdb5e400e1"

@@ -172,6 +172,56 @@ def test_light_test_on_large_tables_keeps_the_least_witness(name):
         assert exc.value.payload["witness"] == want
 
 
+def _f_order(table):
+    """The same values as a transposed view: F-order, as coset_enumerate's table."""
+    return np.ascontiguousarray(table.T).T
+
+
+def _failure(labels, table):
+    with pytest.raises(MathViolation) as exc:
+        validate_cayley(labels, table)
+    return type(exc.value), exc.value.payload
+
+
+def test_an_f_order_table_validates_as_its_c_order_copy(groups):
+    for G in [G for G in groups.values() if G.order > 1] + [LARGE_TABLES["C2xC2xC2-tensor"]()]:
+        F = _f_order(G.table)
+        assert F.flags.f_contiguous and not F.flags.c_contiguous
+        a, b = validate_cayley(G.labels, F), validate_cayley(G.labels, G.table.copy())
+        assert a.table.flags.c_contiguous and not a.table.flags.writeable
+        assert a.labels == b.labels and a.identity == b.identity
+        for field in ("table", "inverses", "generators"):
+            assert (getattr(a, field) == getattr(b, field)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_an_f_order_table_fails_as_its_c_order_copy(data):
+    name = data.draw(st.sampled_from([n for n in group_names() if EXPECTED_ORDERS[n] >= 2]))
+    G = get_group(name)
+    n = G.order
+    table = G.table.copy()
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    table[i, j] = data.draw(st.integers(0, n - 1).filter(lambda v: v != G.table[i, j]))
+    assert _failure(G.labels, _f_order(table)) == _failure(G.labels, table)
+
+
+@pytest.mark.parametrize("name", ["A4xC8", "C2xC2xC2-tensor"])
+def test_an_f_order_table_breaks_associativity_as_its_c_order_copy(name):
+    # one entry changed away from the identity: only associativity fails
+    G = LARGE_TABLES[name]()
+    table = G.table.copy()
+    rng = np.random.default_rng(24)
+    while True:
+        i, j, v = (int(c) for c in rng.integers(0, G.order, 3))
+        if G.identity not in (i, j, table[i, j], v) and v != table[i, j]:
+            break
+    table[i, j] = v
+    cls, payload = _failure(G.labels, table)
+    assert cls is NotAssociative and payload["witness"] == _least_associativity_witness(table)
+    assert _failure(G.labels, _f_order(table)) == (cls, payload)
+
+
 def test_validate_cayley_rejects_shape_and_range():
     with pytest.raises(InputError):
         validate_cayley(["e"], [[0, 0]])
@@ -296,6 +346,13 @@ def test_quotient_s3_by_a3():
     for a in range(6):
         for b in range(6):
             assert onto.image[s3.table[a, b]] == Q.table[onto.image[a], onto.image[b]]
+
+
+def test_quotient_by_the_trivial_subgroup_is_the_group_itself(groups):
+    for G in groups.values():
+        Q, onto = quotient(G, subgroup_closure(G, []))
+        assert Q is G and onto.source is G and onto.target is G
+        assert (onto.image == np.arange(G.order)).all()
 
 
 def test_quotient_rejects_non_normal():

@@ -670,6 +670,26 @@ def test_series_quotients_and_subalgebras_inherit_verification(groups):
                     assert oracle_axiom_failures(X.group, X.star) == set(), (name, members)
 
 
+def test_a_quotient_by_the_trivial_ideal_is_the_algebra_itself(corpus_algebras):
+    for built in corpus_algebras.values():
+        for M in (make_algebra(built.group, built.star), built):
+            Q, pi = quotient_algebra(M, validate_ideal(M, subgroup_closure(M.group, [])))
+            assert pi.target is M.group and Q._verified
+            assert (Q is M) == M._verified  # a hand-built one is scanned into a new algebra
+    # a hand-built algebra with a broken star is still scanned, and fails as
+    # make_algebra does on its group and star
+    for name, make, (i, j) in (("S3", make_improper_star, (1, 2)), ("Q8", make_trivial_star, (2, 3))):
+        G = get_group(name)
+        S = make(G).star.copy()
+        S[i, j] = (S[i, j] + 1) % G.order
+        M = MultLieAlg(G, S)
+        with pytest.raises(AxiomViolation) as want:
+            make_algebra(G, S)
+        with pytest.raises(AxiomViolation) as exc:
+            quotient_algebra(M, Ideal(M, subgroup_closure(G, [])))
+        assert (str(exc.value), exc.value.payload) == (str(want.value), want.value.payload)
+
+
 def test_canonical_q8_tensor_quotient_holds_the_axioms(tensors):
     t = tensors["q8-trivial"]
     assert t.algebra._verified

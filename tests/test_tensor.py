@@ -34,6 +34,7 @@ from mlacalc.errors import (
     Inapplicable,
     InducedActionIllDefined,
     InputError,
+    NotAutomorphism,
     PreconditionFailed,
 )
 from mlacalc.groups import subgroup_closure
@@ -230,6 +231,28 @@ def test_trivial_factor_short_circuits():
     assert t.order == 1 and t.rounds == 0
     assert check_defining_relations(t).passed
     assert check_tensor_lie_commutator(t).passed
+
+
+# a pair replaced around a broken phi row (h_on_g.phi[1, 1] = 0) was never
+# proven: unchecked, C2, C3, C4 and V4 gave tensors of order 1, 1, 1 and 4
+# (against 2, 3, 4 and 16)
+@pytest.mark.parametrize("name", ["C2", "C3", "C4", "V4", "Q8", "S3"])
+def test_an_unproven_pair_is_checked_before_it_is_enumerated(name):
+    pair = self_pair(name, "trivial")
+    phi = pair.h_on_g.phi.copy()
+    phi[1, 1] = 0
+    bad = replace(pair, h_on_g=replace(pair.h_on_g, phi=phi))
+    assert not bad._verified
+    with pytest.raises(NotAutomorphism) as exc:
+        build_tensor_algebra(bad)
+    assert exc.value.payload == {"g": 1, "reason": "not-bijective", "side": "h-on-g"}
+
+
+def test_a_proven_pair_is_not_checked_again(monkeypatch):
+    pair = self_pair("S3", "trivial")
+    order = build_tensor_algebra(replace(pair)).order  # unproven and intact: checked, then built
+    monkeypatch.setattr(tensor, "check_compatibility", lambda *a: pytest.fail("a proven pair re-checked"))
+    assert build_tensor_algebra(pair).order == order == 6
 
 
 def test_gl2_star_fixpoint_takes_a_second_round():
@@ -532,15 +555,21 @@ def test_quotient_bounds_on_references(tensors):
 
 
 def test_tensor_builds_its_canonical_quotient_once(tensors):
-    t = tensors["q8-trivial"]
+    # gl2(F2)'s canonical ideal has order 2, so its quotient is a new algebra
+    t = build_tensor_algebra(gl2_f2_self_pair())
     Q, ideal = _nilpotency_quotient(t)
+    assert (len(ideal.members), Q.order) == (2, 8)
     assert _nilpotency_quotient(t)[0] is Q and canonical_tensor_ideal(t)[2] is ideal
-    assert quotient_nilpotency_bound(t).passed and self_pair_quotient_check(t).passed
+    assert quotient_solvability_bound(t).passed and self_pair_quotient_check(t).passed
     assert _nilpotency_quotient(t)[0] is Q
     # a copy is a new tensor with its own, equal, quotient
     Q2, ideal2 = _nilpotency_quotient(replace(t))
     assert Q2 is not Q and ideal2.members == ideal.members
     assert (Q2.star == Q.star).all()
+    # q8-trivial's canonical ideal is trivial: the quotient is the tensor itself
+    t = tensors["q8-trivial"]
+    assert _nilpotency_quotient(t)[0] is t.algebra
+    assert quotient_nilpotency_bound(t).passed and self_pair_quotient_check(t).passed
 
 
 def test_self_pair_checks_applicability(tensors):
