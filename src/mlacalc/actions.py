@@ -50,7 +50,7 @@ from .mla import (
     sub_algebra,
     validate_ideal,
 )
-from .util import CheckReport, check_budget, memoized, scan
+from .util import CheckReport, check_budget, distinct, memoized, scan
 
 SIDES = ("g-on-h", "h-on-g")
 
@@ -375,7 +375,7 @@ def _generated_ideal(pair: CompatiblePair, side: str, name: str, table: Callable
     act = pair.action(side)
 
     def build() -> Ideal:
-        S = subgroup_closure(act.acted.group, np.unique(table(act)).tolist())
+        S = subgroup_closure(act.acted.group, distinct(act.acted.order, table(act)))
         return _checked_ideal(act.acted, S, f"{name} ideal ({side})")
 
     return memoized(pair._ideals, (name, side), build)

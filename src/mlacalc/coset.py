@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CosetCapExceeded, InputError
+from .errors import CosetCapExceeded, InputError, MlaError
 from .groups import FiniteGroup, check_order_cap, spanning_tree, tree_words, validate_cayley
 from .util import check_budget
 
@@ -120,6 +120,13 @@ class EnumerationResult:
     group: FiniteGroup
     gen_image: np.ndarray
     stats: EnumerationStats
+    # spanning_tree(tbl[:, 0::2], 0), kept when the coset table is proven the
+    # group's regular representation (_closes_at_identity): it is then the
+    # normal-form tree of the generator images in their own order.  An
+    # enumerated table is always proven (complete, consistent, over the
+    # trivial subgroup, every relator closing everywhere: the regular
+    # representation), so None comes only of a table not made by _Enumerator
+    tree: tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None = None
 
 
 def _rotations(lets: np.ndarray, n: int) -> np.ndarray:
@@ -340,7 +347,9 @@ class _Enumerator:
 
 
 def _check_relators_close(pres: Presentation, by_length, tbl: np.ndarray) -> None:
-    """Defensive: every relator must close at every coset of the finished table."""
+    """Every relator must close at every coset of the finished table; raises
+    InputError naming the least relator that does not.  Exhaustive: it runs
+    only where _closes_at_identity cannot prove closure."""
     m, nl = tbl.shape
     keyed = (tbl * nl).ravel()  # keyed[a * nl + l] = T[a, l] * nl
     bad = []
@@ -355,8 +364,54 @@ def _check_relators_close(pres: Presentation, by_length, tbl: np.ndarray) -> Non
         raise InputError("relator fails to close after enumeration", relator=[*pres.relators[min(bad)]])
 
 
+def _closes_at_identity(by_length, tbl: np.ndarray, K: FiniteGroup) -> bool:
+    """Whether the table is K's right regular representation and every relator
+    closes at coset 0: then every relator closes at every coset.
+
+    K is a group (validate_cayley) with identity 0, the coset of the empty
+    word.  If tbl == K.table[:, tbl[0]], every letter l moves a coset a to
+    a·g_l, g_l = tbl[0, l] being its image at 0, so a relator l1...lk replayed
+    from a ends at a·g_l1···g_lk = a·w, w being where it ends from 0.  As
+    a·w = a exactly when w = 1, a relator closes everywhere iff it closes at
+    0."""
+    if not (tbl == K.table[:, tbl[0]]).all():
+        return False
+    for _, lets in by_length.values():
+        at = np.zeros(len(lets), dtype=np.int64)
+        for col in lets.T:
+            at = tbl[at, col]
+        if at.any():
+            return False
+    return True
+
+
+def _cayley(pres: Presentation, tbl: np.ndarray) -> tuple[FiniteGroup, tuple]:
+    """The group of a complete coset table, labelled by normal forms, and
+    the normal-form tree over its forward letters."""
+    m = len(tbl)
+    # normal forms: BFS over forward letters; then right multiplication by
+    # the elements of one word length at a time, each column one gather from
+    # its parent's
+    tree = parent, letter, levels = spanning_tree(tbl[:, 0::2], 0)
+    if sum(map(len, levels)) != m:
+        raise InputError("generator images do not generate the enumerated group")
+    cols = np.empty((m, m), dtype=np.int64)  # cols[b] = (x -> x·b)
+    cols[0] = np.arange(m)
+    for level in levels[1:]:
+        cols[level] = tbl[cols[parent[level]], 2 * letter[level][:, None]]
+    words = tree_words(*tree)
+    gl = pres.generator_labels
+    labels = ["·".join(gl[c] for c in words[b]) if words[b] else "1" for b in range(m)]
+    return validate_cayley(labels, cols.T), tree
+
+
 def coset_enumerate(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> EnumerationResult:
-    """Realize the presented group; raises CosetCapExceeded when it cannot."""
+    """Realize the presented group; raises CosetCapExceeded when it cannot.
+
+    Relator closure is proven at coset 0 of a table shown to be the group's
+    regular representation (_closes_at_identity).  Where that proof or the
+    Cayley assembly fails, the exhaustive _check_relators_close runs first,
+    so its error and least relator come before any other."""
     if max_cosets < 1:
         raise InputError("max_cosets must be at least 1")
     if pres.generator_count == 0 and pres.by_length:
@@ -376,21 +431,13 @@ def coset_enumerate(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) ->
     while (p[p] != p).any():
         p = p[p]  # every coset to the live coset of its class
     tbl = (np.cumsum(p == np.arange(len(p))) - 1)[p[raw]]
-    _check_relators_close(pres, eng.by_length, tbl)
-
-    # normal forms: BFS over forward letters; then right multiplication by
-    # the elements of one word length at a time, each column one gather from
-    # its parent's
-    parent, letter, levels = spanning_tree(tbl[:, 0::2], 0)
-    if sum(map(len, levels)) != m:
-        raise InputError("generator images do not generate the enumerated group")
-    cols = np.empty((m, m), dtype=np.int64)  # cols[b] = (x -> x·b)
-    cols[0] = np.arange(m)
-    for level in levels[1:]:
-        cols[level] = tbl[cols[parent[level]], 2 * letter[level][:, None]]
-    words = tree_words(parent, letter, levels)
-    gl = pres.generator_labels
-    labels = ["·".join(gl[c] for c in words[b]) if words[b] else "1" for b in range(m)]
-    group = validate_cayley(labels, cols.T)
+    try:
+        group, tree = _cayley(pres, tbl)
+    except MlaError:
+        _check_relators_close(pres, eng.by_length, tbl)
+        raise
+    if not _closes_at_identity(eng.by_length, tbl, group):
+        _check_relators_close(pres, eng.by_length, tbl)
+        tree = None
     stats = EnumerationStats(eng.defined, eng.collapsed, m)
-    return EnumerationResult(pres, group, tbl[0, 0::2].copy(), stats)
+    return EnumerationResult(pres, group, tbl[0, 0::2].copy(), stats, tree)

@@ -91,7 +91,7 @@ def close_mask(
     """The least superset of the boolean mask ``inside`` that holds every
     index ``images(members)`` yields, adding the images of all members a round
     at once; ``inside`` is not written.  Nothing is assumed of the tables read:
-    validate_cayley closes a table under its product before Light's test."""
+    least_generators runs on a table before Light's test proves it associative."""
     while True:
         mem = inside.nonzero()[0]
         grown = inside.copy()
@@ -106,10 +106,12 @@ def least_generators(table: np.ndarray, identity: int) -> np.ndarray:
     """Greedy least generating set of a closed table with an identity.
 
     Each generator is the least element outside the span of the earlier ones,
-    the span being the closure of {identity} and the generators under the
-    table's product alone (no inverses, no associativity assumed; in a finite
-    group it is the subgroup generated).  Every element is therefore a product
-    of generators.  Empty (int64) for the trivial group.
+    the span being the closure of {identity} under right multiplication by
+    them (no inverses, no associativity assumed; in a finite group it is the
+    subgroup generated, as is the closure under all products, so both spans
+    give the same generators).  Every element is therefore a left-normed
+    product (((g1·g2)·g3)···) of generators, which is all Light's test needs.
+    Empty (int64) for the trivial group.
     """
     inside = np.zeros(len(table), dtype=bool)
     inside[identity] = True
@@ -118,7 +120,7 @@ def least_generators(table: np.ndarray, identity: int) -> np.ndarray:
         g = int(inside.argmin())
         gens.append(g)
         inside[g] = True
-        inside = close_mask(inside, lambda mem: (table[mem[:, None], mem],))
+        inside = close_mask(inside, lambda mem: (table[mem[:, None], gens],))
     return np.asarray(gens, dtype=np.int64)
 
 
@@ -314,6 +316,17 @@ def quotient(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupMap]:
     if N.members == {G.identity}:  # each coset is one element, each element its least rep
         return G, GroupMap(G, G, _freeze(np.arange(G.order)))
     mem = N.member_array
+    # a nonempty product-closed subset of a finite group is a subgroup
+    if not N.mask[G.identity]:
+        raise InputError(
+            f"the set does not hold the identity {G.labels[G.identity]}", witness=G.identity
+        )
+    at = first_true(~N.mask[G.table[np.ix_(mem, mem)]])
+    if at is not None:
+        a, b = (int(mem[i]) for i in at)
+        raise InputError(
+            f"the set is not closed: {G.labels[a]}·{G.labels[b]} leaves it", witness=[a, b]
+        )
     at = first_true(~N.mask[G.conj_table[:, mem]])
     if at is not None:
         z, k = at

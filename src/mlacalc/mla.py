@@ -71,7 +71,7 @@ from .errors import (
 )
 from .groups import ORDER_CAP, FiniteGroup, GroupMap, Subgroup, _closure, _freeze, quotient
 from .groups import validate_cayley
-from .util import check_budget, first_true, scan
+from .util import check_budget, distinct, first_true, scan
 
 V = TypeVar("V")
 
@@ -100,8 +100,10 @@ class MultLieAlg:
 
     @cached_property
     def lie_defect_table(self) -> np.ndarray:
-        # L[a,b] = (a*b)^-1 · [a,b]
+        # L[a,b] = (a*b)^-1 · [a,b], which is [a,b] on the trivial star
         G = self.group
+        if self.star_is_trivial:
+            return G.comm_table
         return _freeze(G.table[G.inverses[self.star], G.comm_table])
 
     def lie_defect(self, a: int, b: int) -> int:
@@ -272,10 +274,12 @@ def axiom_sides(
     past it.
     """
     wanted = set(axioms)
-    laws = _axiom_laws(G, S)
-    col, row = _plane(G.order)
     if 1 in wanted:
         yield 1, (), np.diagonal(S), G.identity
+    if not wanted - {1}:
+        return  # no law is built for axiom 1 alone, or for none
+    laws = _axiom_laws(G, S)
+    col, row = _plane(G.order)
     for num in sorted(wanted - {1}):
         yz = (row, col) if num == 5 else (col, row)
         for x in range(G.order):
@@ -464,8 +468,8 @@ def check_lie_identities(
 
     if 7 in wanted:
         # distinct values suffice; recover a least witness pair afterwards
-        stars = np.unique(S)
-        slabs = (((li,), G.comm_table[li, stars] != e) for li in np.unique(L).tolist())
+        stars = np.array(distinct(n, S))
+        slabs = (((li,), G.comm_table[li, stars] != e) for li in distinct(n, L))
         at = scan("identity scan", slabs)[0]  # (an L value, a star value's index)
         results[7] = at and [*first_true(L == at[0]), *first_true(S == stars[at[1]])]
 
@@ -517,7 +521,7 @@ def ideal_closure(M: MultLieAlg, seed: Iterable[int]) -> Ideal:
 def lie_commutator_ideal(M: MultLieAlg, A: Iterable[int], B: Iterable[int]) -> Ideal:
     """Ideal closure of { L[a,b] : a in A, b in B }."""
     rows, cols = (np.fromiter(X, dtype=np.int64) for X in (A, B))
-    return ideal_closure(M, np.unique(M.lie_defect_table[np.ix_(rows, cols)]).tolist())
+    return ideal_closure(M, distinct(M.order, M.lie_defect_table[np.ix_(rows, cols)]))
 
 
 @dataclass(frozen=True)

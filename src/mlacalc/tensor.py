@@ -54,7 +54,7 @@ from .mla import (
     star_iso_failure,
     validate_ideal,
 )
-from .util import CheckReport, budgeted, check_budget, first_true, memoized, scan
+from .util import CheckReport, budgeted, check_budget, distinct, first_true, memoized, scan
 
 DEFAULT_MAX_ROUNDS = 8
 SEED_ORDERS = ("default", "alt")
@@ -179,14 +179,26 @@ def _normal_forms(K: FiniteGroup, images: np.ndarray, seed_order: str):
     return parent, np.where(col < 0, -1, letters[col]), levels
 
 
+def _result_tree(res: EnumerationResult, seed_order: str):
+    """_normal_forms(res.group, res.gen_image, seed_order): for the default
+    order the enumeration's own tree, when it proved its table the group's
+    regular representation (then K.table[:, gen_image] is the table's forward
+    columns, whose tree it is)."""
+    if seed_order == "default" and res.tree is not None:
+        return res.tree
+    return _normal_forms(res.group, res.gen_image, seed_order)
+
+
 def _extend_star(K: FiniteGroup, tree: tuple, seed_elem: np.ndarray) -> np.ndarray:
     """Star on all of K from the generator seed, by peeling the normal-form
     words of ``tree`` (see _normal_forms), one word length at a time."""
+    e, n = K.identity, K.order
+    if (seed_elem == e).all():
+        # by induction on word length, both peelings below give 1 · ^q 1 = 1
+        return np.full((n, n), e, dtype=np.int64)
     parent, letter, levels = tree
     T, C = K.table, K.conj_table
-    e = K.identity
     ngen = len(seed_elem)
-    n = K.order
 
     # a ⋆ v for each generator symbol a, peeling the last letter of v:
     # a ⋆ (q·w) = (a ⋆ q) · ^q(a ⋆ w)
@@ -210,7 +222,7 @@ def _offending_values(
     S: np.ndarray,
     images: np.ndarray,
     seed_elem: np.ndarray,
-) -> np.ndarray:
+) -> list[int]:
     """Elements that the axioms or the generator seed force to be trivial:
     lhs·rhs⁻¹ wherever a side of the seed or of an axiom_sides row differs.
     Only the axioms that broken_axioms finds failing are scanned; an axiom
@@ -224,8 +236,7 @@ def _offending_values(
         bad = lhs != rhs
         if bad.any():
             out.append(T[lhs[bad], inv[np.broadcast_to(rhs, lhs.shape)[bad]]])
-    vals = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *out]))
-    return vals[vals != K.identity][:RELATOR_BATCH]
+    return [v for v in distinct(K.order, *out) if v != K.identity][:RELATOR_BATCH]
 
 
 def induce_star(
@@ -248,10 +259,10 @@ def induce_star(
         K = res.group
         images = res.gen_image
         seed_elem = images[seed_idx]
-        tree = _normal_forms(K, images, seed_order)
+        tree = _result_tree(res, seed_order)
         star = _extend_star(K, tree, seed_elem)
         bad = _offending_values(K, star, images, seed_elem)
-        if bad.size == 0:
+        if not bad:
             # the checks that found nothing to collect proved all five axioms
             alg = _record_verified(MultLieAlg(K, make_star_table(K, star)))
             extra = () if res is result else res.presentation.relators[len(result.presentation.relators) :]
@@ -262,11 +273,11 @@ def induce_star(
             raise StarInconsistent(
                 f"star extension did not stabilize within {max_rounds} rounds",
                 rounds=max_rounds,
-                pending=int(bad.size),
+                pending=len(bad),
                 order=int(K.order),
             )
         words = tree_words(*tree)  # normal forms, as relators of 1-based generator numbers
-        new_rels = [tuple(c + 1 for c in words[v]) for v in bad.tolist()]
+        new_rels = [tuple(c + 1 for c in words[v]) for v in bad]
         pres = make_presentation(
             res.presentation.generator_labels, res.presentation.relators + tuple(new_rels)
         )
@@ -303,7 +314,7 @@ def induce_actions(t: TensorAlgebra) -> TensorAlgebra:
     pair = t.pair
     G, H = pair.G.group, pair.H.group
     K = t.group
-    tree = _normal_forms(K, t.result.gen_image, t.seed_order)
+    tree = _result_tree(t.result, t.seed_order)
     tm = t.tensor_map
     # each actor's images of the symbols, as in check_induced_action_formulas
     sym_g = tm[G.conj_table[:, :, None], pair.g_on_h.phi[:, None, :]]
@@ -482,8 +493,8 @@ def tensor_ideal(t: TensorAlgebra, I: Subgroup, J: Subgroup) -> Ideal:
             which=f"{name}-invariance",
             witness=(actor, int(sub.member_array[k])),
         )
-    gens = np.unique(t.tensor_map[np.ix_(I.member_array, J.member_array)])
-    S = subgroup_closure(t.group, gens.tolist())
+    gens = distinct(t.order, t.tensor_map[np.ix_(I.member_array, J.member_array)])
+    S = subgroup_closure(t.group, gens)
     return validate_ideal(t.algebra, S)
 
 
@@ -646,7 +657,7 @@ def compare_seed_orders(
     Kd, Ka = td.group, ta.group
     if td.order == 1:
         return CheckReport("seed-order-independence", True, 1)
-    tree = _normal_forms(Kd, td.result.gen_image, "default")
+    tree = _result_tree(td.result, "default")
     psi = _extend_hom(Ka, ta.result.gen_image[None, :], *tree)[0]
     bad = star_iso_failure(td.algebra, ta.algebra, psi[None], "star isomorphism")
     if bad is not None:

@@ -75,6 +75,15 @@ def first_true(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(v) for v in np.unravel_index(int(mask.argmax()), mask.shape))
 
 
+def distinct(n: int, *values: np.ndarray) -> list[int]:
+    """The distinct entries of the arrays, each an index below n, in increasing
+    order: np.unique's answer, scattered into a mask instead of sorted."""
+    seen = np.zeros(n, dtype=bool)
+    for v in values:
+        seen[v] = True
+    return seen.nonzero()[0].tolist()
+
+
 def budgeted(stage: str, items: Iterable[T]) -> Iterator[T]:
     """The items in order, with check_budget(stage) before each is pulled, so
     an item built lazily is not built once the budget is spent."""

@@ -1,10 +1,5 @@
 """The corpus self pairs and the gl2(F2) self pair, shared by the tensor and
-coset-enumeration tests.
-
-A plain module rather than conftest.py: tests/ and perfbench/tests/ each hold
-a conftest.py outside a package, so ``import conftest`` reaches whichever one
-pytest loaded last.
-"""
+coset-enumeration tests (``from .self_pairs import self_pair``)."""
 
 from __future__ import annotations
 

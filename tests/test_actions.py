@@ -62,7 +62,7 @@ from mlacalc.errors import (
 from mlacalc.docs import load_document
 from mlacalc.harness import Instance, run_suite
 from mlacalc.mla import MultLieAlg, make_trivial_star
-from self_pairs import self_pair
+from .self_pairs import self_pair
 
 
 # --- oracles -------------------------------------------------------------------

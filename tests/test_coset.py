@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 from mlacalc import coset, groups
 from mlacalc.cli import main
 from mlacalc.coset import Presentation, coset_enumerate, make_presentation
-from mlacalc.errors import BudgetExceeded, CosetCapExceeded, InputError, ResourceError
+from mlacalc.errors import (
+    BudgetExceeded,
+    CosetCapExceeded,
+    InputError,
+    MlaError,
+    NoInverse,
+    ResourceError,
+)
 from mlacalc.groups import subgroup_closure
 from mlacalc.util import run_budget
 
@@ -278,6 +285,79 @@ def test_closure_check_names_the_least_failing_relator():
         coset._check_relators_close(pres, by_length, tbl)
     # the length-3 relators are checked first, but (ab)^2 comes first in input order
     assert exc.value.payload == {"relator": [1, 2, 1, 2]}
+
+
+# --- a finished table handed to coset_enumerate by hand ------------------------------
+#
+# Relator closure is proven at coset 0 once the table is shown to be its
+# group's regular representation.  Wherever that proof or the Cayley assembly
+# fails, the exhaustive check runs first: the outcomes below (values frozen
+# from the enumerator that ran the exhaustive check before the assembly) stay
+# the same whichever step stops first.
+
+
+def _s3_tables():
+    """S3 = <a, b | b^2, (ab)^2, a^3>: its regular table, the table of the
+    relator-closure test with a's image swapped at cosets 0 and 1, and S3
+    acting on the three cosets of <b>."""
+    elems = list(permutations(range(3)))
+    a, b = (1, 2, 0), (1, 0, 2)
+    gens = (a, tuple(a.index(i) for i in range(3)), b, b)
+    regular = np.array([[elems.index(_compose(c, g)) for g in gens] for c in elems])
+    swapped = regular.copy()
+    swapped[[0, 1], 0] = swapped[[1, 0], 0]
+    swapped[swapped[:, 0], 1] = np.arange(6)
+    points = np.array([[g[i] for g in gens] for i in range(3)])
+    return regular, swapped, points
+
+
+_S3 = (("a", "b"), [(2, 2), (2, -1, 1, 2), (1, 2, 1, 2), (1, 1, 1), (-1, -1, -1)])
+_S3_REGULAR, _S3_SWAPPED, _S3_POINTS = _s3_tables()
+_C3_WRONG_INVERSE = [[1, 2], [2, 1], [0, 0]]  # a = (0 1 2), its inverse column no permutation
+_C6_HALF_TURNS = [[(i + 1) % 6, (i - 1) % 6, *[(i + 3) % 6 if i < 3 else i] * 2] for i in range(6)]
+HAND_TABLES = {  # (generators, relators, table): order and exhaustive run, or (error, payload)
+    "s3-regular": (*_S3, _S3_REGULAR, (6, False)),
+    "s3-swapped": (*_S3, _S3_SWAPPED, (InputError, {"relator": [1, 2, 1, 2]})),
+    "s3-on-points": (*_S3, _S3_POINTS, (3, True)),
+    "c3-wrong-inverse": (("a",), [(1, 1, 1)], _C3_WRONG_INVERSE, (3, True)),
+    "c3-wrong-inverse-read": (
+        ("a",), [(1, 1, 1), (1, -1)], _C3_WRONG_INVERSE, (InputError, {"relator": [1, -1]})
+    ),
+    "c3-under-a^2": (
+        ("a",), [(1, 1), (1, 1, 1)], [[1, 2], [2, 0], [0, 1]], (InputError, {"relator": [1, 1]})
+    ),
+    "free-no-inverse": (("a", "b"), [], _C6_HALF_TURNS, (NoInverse, {"witness": 1})),
+    "a^2-before-no-inverse": (
+        ("a", "b"), [(1, 1)], _C6_HALF_TURNS, (InputError, {"relator": [1, 1]})
+    ),
+    "not-generating": (("a",), [], [[0, 0], [2, 2], [1, 1]], (InputError, {})),
+}
+
+
+@pytest.mark.parametrize("name", HAND_TABLES)
+def test_a_hand_table_meets_the_exhaustive_check_first(name, monkeypatch):
+    labels, relators, table, want = HAND_TABLES[name]
+    exhaustive, check = [], coset._check_relators_close
+    spy = lambda *args: (exhaustive.append(1), check(*args))
+    monkeypatch.setattr(coset, "_check_relators_close", spy)
+
+    def run(self):  # one live coset per row
+        self.table = np.array(table, dtype=np.int64)
+        self.p = list(range(len(table)))
+        self.size = self.defined = len(table)
+
+    monkeypatch.setattr(coset._Enumerator, "run", run)
+    pres = make_presentation(labels, relators)
+    if isinstance(want[0], int):
+        res = coset_enumerate(pres)
+        assert (res.group.order, bool(exhaustive)) == want
+        # the normal-form tree is kept only when closure was proven at coset 0
+        assert (res.tree is None) == bool(exhaustive)
+    else:
+        with pytest.raises(MlaError) as exc:
+            coset_enumerate(pres)
+        assert (type(exc.value), exc.value.payload) == want
+        assert exhaustive == [1]
 
 
 def test_relators_deduplicated_and_empty_dropped():

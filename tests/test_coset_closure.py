@@ -24,7 +24,7 @@ from mlacalc.corpus import group_names
 from mlacalc.coset import coset_enumerate, make_presentation
 from mlacalc.errors import CosetCapExceeded
 from mlacalc.tensor import build_tensor_presentation
-from self_pairs import self_pair
+from .self_pairs import gl2_f2_self_pair, self_pair
 
 # --- the scalar reference ------------------------------------------------------------
 
@@ -371,3 +371,34 @@ def test_the_order_512_enumeration_is_frozen(monkeypatch):
     parts = (np.array(engines[0].p, dtype=np.int64), res.group.table, res.gen_image)
     digest = hashlib.sha256(b"".join(a.tobytes() for a in parts) + "\n".join(res.group.labels).encode())
     assert digest.hexdigest() == "534a3f48239256dbdd9df5dbd503faa5415f07256dccaf4accba87fdb5e400e1"
+
+
+# --- relator closure proven at coset 0, and the enumeration's normal-form tree ----------
+
+PROOF_PAIRS = ALL_PAIRS + [("gl2(F2)", "bracket")]
+
+
+@pytest.mark.parametrize("name,star", PROOF_PAIRS, ids=[f"{n}-{s}" for n, s in PROOF_PAIRS])
+def test_closure_at_coset_0_agrees_with_the_exhaustive_check(name, star, monkeypatch):
+    # C2xC2xC2 included: the order-512 rung
+    proofs, closes, exhaustive = [], coset._closes_at_identity, coset._check_relators_close
+
+    def spy(by_length, tbl, K):
+        proofs.append((by_length, tbl, closes(by_length, tbl, K)))
+        return proofs[-1][2]
+
+    def refuse(*args):
+        raise AssertionError("the exhaustive closure check ran")
+
+    monkeypatch.setattr(coset, "_closes_at_identity", spy)
+    monkeypatch.setattr(coset, "_check_relators_close", refuse)
+    pres = build_tensor_presentation(gl2_f2_self_pair() if star == "bracket" else self_pair(name, star))
+    res = coset_enumerate(pres)
+    [(by_length, tbl, proven)] = proofs
+    assert proven
+    exhaustive(pres, by_length, tbl)  # every relator closes at every coset
+    # the table is the regular representation: the tree over its forward
+    # letters is the default normal-form tree over the generator images
+    want = tensor._normal_forms(res.group, res.gen_image, "default")
+    assert np.array_equal(res.tree[0], want[0]) and np.array_equal(res.tree[1], want[1])
+    assert [lv.tolist() for lv in res.tree[2]] == [lv.tolist() for lv in want[2]]

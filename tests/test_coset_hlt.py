@@ -20,7 +20,7 @@ import pytest
 from mlacalc.corpus import group_names
 from mlacalc.coset import coset_enumerate
 from mlacalc.tensor import build_tensor_algebra, build_tensor_presentation
-from self_pairs import gl2_f2_self_pair, self_pair
+from .self_pairs import gl2_f2_self_pair, self_pair
 
 
 MAX_COSETS = 20_000  # the order-512 tensor defines 2,000-5,000 cosets here, dead ones included

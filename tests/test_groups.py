@@ -26,7 +26,7 @@ from mlacalc.groups import (
 )
 from mlacalc.mla import check_lie_identities, ideal_closure, make_trivial_star
 from mlacalc.tensor import build_tensor_algebra
-from self_pairs import self_pair
+from .self_pairs import self_pair
 
 EXPECTED_ORDERS = {
     "C1": 1, "C2": 2, "C3": 3, "C4": 4, "C5": 5, "C6": 6, "C7": 7, "C8": 8,
@@ -80,7 +80,14 @@ def test_element_order_multisets():
 
 
 def test_least_generators_generate_and_are_least():
-    for name, G in all_groups().items():
+    # every corpus group, two of order 32 and the order-512 rung, whose spans
+    # least_generators closes under right multiplication by its generators
+    more = {
+        "D4xC4": direct_product(get_group("D4"), get_group("C4")),
+        "Q8xC4": direct_product(get_group("Q8"), get_group("C4")),
+        "rung-512": build_tensor_algebra(self_pair("C2xC2xC2", "trivial")).group,
+    }
+    for name, G in {**all_groups(), **more}.items():
         gens = G.generators
         assert gens.dtype == np.int64, name
         span = naive_closure(G.table, ())
@@ -362,6 +369,51 @@ def test_quotient_rejects_non_normal():
         quotient(s3, subgroup_closure(s3, [refl]))
 
 
+def _naive_subgroup_failure(table, members):
+    """What quotient refuses a hand-built member set for: the missing
+    identity (0 in the corpus), else the least (a, b) whose product leaves."""
+    if 0 not in members:
+        return "identity", 0
+    for a, b in product(sorted(members), repeat=2):
+        if int(table[a, b]) not in members:
+            return "not closed", [a, b]
+    return None
+
+
+def test_quotient_refuses_a_set_that_is_not_a_subgroup():
+    C4 = get_group("C4")
+    with pytest.raises(InputError) as exc:
+        quotient(C4, Subgroup(C4, frozenset({1})))
+    assert str(exc.value) == "the set does not hold the identity 0"
+    assert exc.value.payload == {"witness": 0}
+    with pytest.raises(InputError) as exc:
+        quotient(C4, Subgroup(C4, frozenset({0, 1})))
+    assert str(exc.value) == "the set is not closed: 1·1 leaves it"
+    assert exc.value.payload == {"witness": [1, 1]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_quotient_by_a_hand_built_set(data):
+    G = get_group(data.draw(st.sampled_from(group_names())))
+    members = data.draw(st.sets(st.integers(0, G.order - 1)))
+    if data.draw(st.booleans()):  # often a subgroup, sometimes a normal one
+        members = set(naive_closure(G.table, members))
+    failure = _naive_subgroup_failure(G.table, members)
+    if failure is not None:
+        with pytest.raises(InputError) as exc:
+            quotient(G, Subgroup(G, frozenset(members)))
+        assert failure[0] in str(exc.value)
+        assert exc.value.payload == {"witness": failure[1]}
+        return
+    try:
+        Q, onto = quotient(G, Subgroup(G, frozenset(members)))
+    except MathViolation:  # not normal
+        assert normal_closure(G, members).members != frozenset(members)
+    else:
+        assert Q.order * len(members) == G.order
+
+
 def test_conj_and_comm_tables_agree_with_loops():
     G = get_group("D4")
     for z in range(8):
@@ -370,3 +422,4 @@ def test_conj_and_comm_tables_agree_with_loops():
             assert G.conj_table[z, x] == c
             k = G.table[G.table[G.table[z, x], G.inverses[z]], G.inverses[x]]
             assert G.comm_table[z, x] == k
+

@@ -49,7 +49,8 @@ from mlacalc.mla import (
 )
 from mlacalc import groups, mla, util
 from mlacalc.groups import Subgroup, subgroup_closure
-from mlacalc.tensor import tensor_ideal
+from mlacalc.tensor import build_tensor_algebra, tensor_ideal
+from .self_pairs import self_pair
 
 
 # --- naive oracle -------------------------------------------------------------
@@ -318,6 +319,8 @@ def test_recognized_stars_build_no_laws(groups, monkeypatch):
             # elsewhere L is the group commutator and the identities are scanned
             if M.star_is_commutator:
                 assert all(w is None for w in check_lie_identities(M).values())
+    # nor does the tensor fixpoint on the order-512 rung, whose star it recognizes
+    assert build_tensor_algebra(self_pair("C2xC2xC2", "trivial")).order == 512
 
 
 def test_an_expired_budget_stops_both_recognitions(monkeypatch):

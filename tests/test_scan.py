@@ -1,9 +1,13 @@
-"""util.scan: the one loop that turns failure slabs into a least witness."""
+"""util.scan: the one loop that turns failure slabs into a least witness; and
+util.distinct, the distinct indices of arrays by mask."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mlacalc import util
 from mlacalc.errors import BudgetExceeded
@@ -56,3 +60,17 @@ def test_budget_is_checked_before_each_slab(monkeypatch):
 
     assert util.scan("s", slabs()) == (None, 6)
     assert checks == ["s"] * 4  # once more before the exhausted generator says so
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_distinct_is_np_unique(data):
+    n = data.draw(st.integers(1, 600))
+    dtype = data.draw(st.sampled_from([np.int32, np.int64]))
+    shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=12)
+    arrays = data.draw(
+        st.lists(hnp.arrays(dtype, shapes, elements=st.integers(0, n - 1)), min_size=1, max_size=3)
+    )
+    got = util.distinct(n, *arrays)
+    assert got == np.unique(np.concatenate([a.ravel() for a in arrays])).tolist()
+    assert all(type(v) is int for v in got)

@@ -71,8 +71,8 @@ from mlacalc.tensor import (
 )
 from mlacalc.coset import coset_enumerate, make_presentation
 from mlacalc.util import first_true
-from defining_relations import check_defining_relations
-from self_pairs import gl2_f2_self_pair, self_pair
+from .defining_relations import check_defining_relations
+from .self_pairs import gl2_f2_self_pair, self_pair
 
 
 # --- frozen reference values ------------------------------------------------------
@@ -685,6 +685,45 @@ def test_square_checks_refuse_other_pairs_before_any_work(tensors, monkeypatch):
             check(t)
         assert str(exc.value) == "requires a self pair whose bracket is the star"
     assert log == []
+
+
+# --- the star extension --------------------------------------------------------------
+
+
+def _peeled_star(K, tree, seed_elem):
+    """The star from its generator seed by both peelings of _extend_star,
+    for every seed: a ⋆ (q·w) = (a ⋆ q) · ^q(a ⋆ w), then
+    (q·w) ⋆ v = ^q(w ⋆ v) · (q ⋆ v), one word length at a time."""
+    parent, letter, levels = tree
+    T, C, e = K.table, K.conj_table, K.identity
+    genrows = np.empty((len(seed_elem), K.order), dtype=np.int64)
+    genrows[:, e] = e
+    for level in levels[1:]:
+        q, b = parent[level], letter[level]
+        genrows[:, level] = T[genrows[:, q], C[q, seed_elem[:, b]]]
+    star = np.empty((K.order, K.order), dtype=np.int64)
+    star[e] = e
+    for level in levels[1:]:
+        q, b = parent[level], letter[level]
+        star[level] = T[C[q[:, None], genrows[b]], star[q]]
+    return star
+
+
+SEED_PAIRS = [(n, s) for n in group_names() if n != "C1" for s in ("trivial", "improper")]
+
+
+@pytest.mark.parametrize("name,star", SEED_PAIRS, ids=[f"{n}-{s}" for n, s in SEED_PAIRS])
+def test_the_star_extension_is_the_peeled_star(name, star):
+    # a trivial seed (every trivial pair, the order-512 rung among them)
+    # extends to the trivial star; the general peeling gives the same table
+    pair = self_pair(name, star)
+    res = coset_enumerate(build_tensor_presentation(pair))
+    K, images = res.group, res.gen_image
+    seed_elem = images[tensor.star_seed_indices(pair)]
+    assert (seed_elem == K.identity).all() == (star == "trivial" or K.is_abelian)
+    for order in ("default", "alt"):
+        tree = tensor._normal_forms(K, images, order)
+        assert np.array_equal(tensor._extend_star(K, tree, seed_elem), _peeled_star(K, tree, seed_elem))
 
 
 # --- the star fixpoint's collector ---------------------------------------------------

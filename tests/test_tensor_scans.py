@@ -22,7 +22,7 @@ from mlacalc.tensor import (
     check_tensor_lie_commutator,
 )
 from mlacalc.util import CheckReport
-from defining_relations import check_defining_relations
+from .defining_relations import check_defining_relations
 
 # --- the nested-loop references -------------------------------------------------
 
