@@ -46,6 +46,8 @@ BOUNDS = {
 PAIRS, TRACED_PAIRS, TRACED_SEED = 10, 2, 1
 LAYERS = (
     "groups.validate_cayley.busy_s",
+    "mla.check_axioms.busy_s",
+    "actions.pair_build.busy_s",
     "coset.enumerate.busy_s",
     "coset.cosets_defined",
     "coset.cosets_collapsed",
@@ -56,6 +58,8 @@ LAYERS = (
     "tensor.induce_actions.busy_s",
     "tensor.order",
     "cli.subprocess.busy_s",
+    "harness.axioms.busy_s",
+    "harness.identities.busy_s",
     "harness.compat.busy_s",
     "harness.tensor.busy_s",
     "harness.tuples",

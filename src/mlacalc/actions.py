@@ -50,7 +50,7 @@ from .mla import (
     sub_algebra,
     validate_ideal,
 )
-from .util import CheckReport, check_budget, distinct, memoized, scan
+from .util import CheckReport, blocks, check_budget, distinct, memoized, scan
 
 SIDES = ("g-on-h", "h-on-g")
 
@@ -171,34 +171,31 @@ def _require_bracket_laws(
     2, 1, 3, 4) of the given bracket laws; the message and payload name the
     side when one is given."""
     G, H = act.actor.group, act.acted.group
-    B, P = act.bracket, act.phi
+    B, P, T, inv = act.bracket, act.phi, H.table, H.inverses
     Gs, Hs = act.actor.star, act.acted.star
-    wanted = set(which)
-    assert co is not None or wanted <= {2}
-
-    def slabs() -> Iterator:
-        for x in range(G.order):
-            if 2 in wanted:
-                lhs = B[G.table[x]]  # <x·x', y> at [x', y]
-                yield (2, x), lhs != H.table[B[np.ix_(G.conj_table[x], P[x])], B[x][None, :]]
-            if 1 in wanted:
-                lhs = B[x][H.table]  # <x, y·y'> at [y, y']
-                t = B[co.phi[:, x][:, None], H.conj_table]  # <^y x, ^y y'>
-                yield (1, x), lhs != H.table[B[x][:, None], t]
-            if 3 in wanted:
-                t1 = B[Gs[x][:, None], P]  # <x*x', ^{x'}y> at [x', y]
-                t2 = B[co.phi[:, x][None, :], B]  # <^y x, <x', y>>
-                t3 = B[G.conj_table[x][:, None], H.inverses[B[x]][None, :]]
-                prod = H.table[H.table[t1, H.inverses[t2]], H.inverses[t3]]
-                yield (3, x), prod != H.identity
-            if 4 in wanted:
-                u1 = B[co.phi[:, x][None, :], Hs]  # <^{y'}x, y*y'> at [y, y']
-                u2 = B[G.inverses[co.bracket[:, x]][:, None], H.conj_table]
-                u3 = B[co.bracket[:, x][None, :], P[x][:, None]]
-                prod = H.table[H.table[u1, H.inverses[u2]], H.inverses[u3]]
-                yield (4, x), prod != H.identity
-
-    at = scan("bracket laws", slabs())[0]
+    laws = [law for law in (2, 1, 3, 4) if law in set(which)]
+    assert co is not None or laws in ([], [2])
+    # each law's failure mask at x (a block, along axis 0) and two of x', y, y'
+    xp, y, yp = np.arange(G.order)[:, None], np.arange(H.order)[:, None], np.arange(H.order)
+    fails = {
+        # <x·x', y> at [x', y]
+        2: lambda x: B[G.table[x, xp], yp] != T[B[G.conj_table[x, xp], P[x, yp]], B[x, yp]],
+        # <x, y·y'> = <x, y> · <^y x, ^y y'> at [y, y']
+        1: lambda x: B[x, T[y, yp]] != T[B[x, y], B[co.phi[y, x], H.conj_table[y, yp]]],
+        # <x*x', ^{x'}y> · <^y x, <x', y>>^-1 · <^x x', <x, y>^-1>^-1 at [x', y]
+        3: lambda x: T[T[B[Gs[x, xp], P[xp, yp]], inv[B[co.phi[yp, x], B[xp, yp]]]],
+                       inv[B[G.conj_table[x, xp], inv[B[x, yp]]]]] != H.identity,
+        # <^{y'}x, y*y'> · <<y,x>^-1, ^y y'>^-1 · <<y',x>, ^x y>^-1 at [y, y']
+        4: lambda x: T[T[B[co.phi[yp, x], Hs[y, yp]],
+                         inv[B[G.inverses[co.bracket[y, x]], H.conj_table[y, yp]]]],
+                       inv[B[co.bracket[yp, x], P[x, y]]]] != H.identity,
+    }
+    slabs = (
+        ([(law, v) for v in x.tolist() for law in laws],
+         tuple(fails[law](x[:, None, None]) for law in laws))
+        for x in blocks(G.order, 2 * H.order * (G.order + H.order))
+    )
+    at = scan("bracket laws", slabs)[0]
     if at is not None:
         cond, *witness = at
         raise ActionViolation(
@@ -293,8 +290,9 @@ def _require_pair_conditions(gh: MlaAction, hg: MlaAction) -> None:
     conditions, scanned in order, each on its two displays in turn; the
     payload names the condition, the display and [a, b, primed].
 
-    Each display scans a outer-major, one (b, primed) failure slab per a.
-    (a, b) is (g, h) or (h, g), and primed runs over the display's group:
+    Each display scans a outer-major, in blocks of a, one (b, primed) failure
+    slab per a.  (a, b) is (g, h) or (h, g), and primed runs over the
+    display's group:
 
         condition   first display       second display
         1           G  (g, h, g')       H  (h, g, h')
@@ -306,44 +304,37 @@ def _require_pair_conditions(gh: MlaAction, hg: MlaAction) -> None:
     G, H = gh.actor.group, gh.acted.group
     Gs, Hs = gh.actor.star, gh.acted.star
     CG, CH = G.conj_table, H.conj_table
-    displays = {
+    gphi, hphi, gbr, hbr = gh.phi, hg.phi, gh.bracket, hg.bracket
+    # (condition, display, outer group, failure mask at a block a, b, primed)
+    displays = [
         # ^(^g h) g' must equal acting with the word g·h·g^-1
-        1: (
-            ("G", G.order, lambda g: hg.phi[gh.phi[g]] != CG[g][hg.phi[:, CG[G.inverses[g]]]]),
-            ("H", H.order, lambda h: gh.phi[hg.phi[h]] != CH[h][gh.phi[:, CH[H.inverses[h]]]]),
-        ),
+        (1, "G", G, lambda a, b, p: hphi[gphi[a, b], p] != CG[a, hphi[b, CG[G.inverses[a], p]]]),
+        (1, "H", H, lambda a, b, p: gphi[hphi[a, b], p] != CH[a, gphi[b, CH[H.inverses[a], p]]]),
         # <<h,g>^-1, h'> = <g,h> * h'
-        2: (
-            ("H", G.order, lambda g: gh.bracket[G.inverses[hg.bracket[:, g]]] != Hs[gh.bracket[g]]),
-            ("G", H.order, lambda h: hg.bracket[H.inverses[gh.bracket[:, h]]] != Gs[hg.bracket[h]]),
-        ),
+        (2, "H", G, lambda a, b, p: gbr[G.inverses[hbr[b, a]], p] != Hs[gbr[a, b], p]),
+        (2, "G", H, lambda a, b, p: hbr[H.inverses[gbr[b, a]], p] != Gs[hbr[a, b], p]),
         # acting by <g,h> then <h,g> fixes everything
-        3: (
-            ("H", G.order, lambda g: CH[gh.bracket[g][:, None], gh.phi[hg.bracket[:, g]]]
-             != np.arange(H.order)),
-            ("G", G.order, lambda g: hg.phi[gh.bracket[g][:, None], CG[hg.bracket[:, g]]]
-             != np.arange(G.order)),
-        ),
+        (3, "H", G, lambda a, b, p: CH[gbr[a, b], gphi[hbr[b, a], p]] != p),
+        (3, "G", G, lambda a, b, p: hphi[gbr[a, b], CG[hbr[b, a], p]] != p),
         # ^g <h,g'> = <^g h, ^g g'>
-        4: (
-            ("G", G.order, lambda g: CG[g][hg.bracket] != hg.bracket[gh.phi[g][:, None], CG[g]]),
-            ("H", H.order, lambda h: CH[h][gh.bracket] != gh.bracket[hg.phi[h][:, None], CH[h]]),
-        ),
+        (4, "G", G, lambda a, b, p: CG[a, hbr[b, p]] != hbr[gphi[a, b], CG[a, p]]),
+        (4, "H", H, lambda a, b, p: CH[a, gbr[b, p]] != gbr[hphi[a, b], CH[a, p]]),
         # <g·^h g^-1, h'> = (^g h·h^-1) * h'
-        5: (
-            ("H", G.order, lambda g: gh.bracket[G.table[g, hg.phi[:, G.inverses[g]]]]
-             != Hs[gh.mixed_comm_table[g]]),
-            ("G", H.order, lambda h: hg.bracket[H.table[h, gh.phi[:, H.inverses[h]]]]
-             != Gs[hg.mixed_comm_table[h]]),
-        ),
-    }
-    slabs = (
-        ((cond, side, a), fails(a))
-        for cond, both in displays.items()
-        for side, n, fails in both
-        for a in range(n)
-    )
-    at = scan("pair conditions", slabs)[0]
+        (5, "H", G, lambda a, b, p: gbr[G.table[a, hphi[b, G.inverses[a]]], p]
+         != Hs[gh.mixed_comm_table[a, b], p]),
+        (5, "G", H, lambda a, b, p: hbr[H.table[a, gphi[b, H.inverses[a]]], p]
+         != Gs[hg.mixed_comm_table[a, b], p]),
+    ]
+    n = {"G": G.order, "H": H.order}
+
+    def slabs() -> Iterator:
+        for cond, side, outer, fails in displays:
+            nb = H.order if outer is G else G.order  # b runs over the other group
+            b, p = np.arange(nb)[:, None], np.arange(n[side])
+            for a in blocks(outer.order, nb * n[side]):
+                yield [(cond, side, v) for v in a.tolist()], fails(a[:, None, None], b, p)
+
+    at = scan("pair conditions", slabs())[0]
     if at is not None:
         cond, side, *witness = at
         raise CompatibilityViolation(
@@ -559,11 +550,11 @@ def check_partner_generators(pair: CompatiblePair) -> CheckReport:
     def slabs() -> Iterator:
         for side in SIDES:
             act, co = pair.action(side), pair.companion(side)
-            h = np.arange(act.acted.order)
-            for g in range(act.actor.order):
+            h, n = np.arange(act.acted.order), act.actor.order + act.acted.order
+            for g in blocks(act.actor.order, act.acted.order * n):
                 # the one-letter words (("gen", g, h, 1),) and their partners, over h
-                x, y = act.mixed_defect_table[g], _partner_defect(co, g, h)
-                yield (side, g), _disagreement(pair, side, x, y)
+                x, y = act.mixed_defect_table[g], _partner_defect(co, g[:, None], h)
+                yield [(side, v) for v in g.tolist()], _disagreement(pair, side, x, y)
 
     message = "generator partner does not act identically"
     checked = _require_agreement(pair, "partner generators", message, slabs(), list)
@@ -710,11 +701,14 @@ def check_bracket_conjugation(pair: CompatiblePair) -> CheckReport:
         for side in SIDES:
             act, co = pair.action(side), pair.companion(side)
             B, Hc = act.bracket, act.acted.group.conj_table
-            for x in range(act.actor.order):
-                c = act.mixed_comm_table[x]  # ^x y · y^-1 over acted y
-                # one slab over (acted y, actor x', acted y')
-                lhs = Hc[B[x][:, None, None], B]
-                yield (side, x), lhs != B[co.phi[c][:, :, None], Hc[c][:, None, :]]
+            ng, nh = act.actor.order, act.acted.order
+            # one slab per x over (acted y, actor x', acted y')
+            y, xp, yp = np.arange(nh)[:, None, None], np.arange(ng)[:, None], np.arange(nh)
+            for x in blocks(ng, nh * ng * nh):
+                x4 = x[:, None, None, None]
+                c = act.mixed_comm_table[x4, y]  # ^x y · y^-1
+                fails = Hc[B[x4, y], B[xp, yp]] != B[co.phi[c, xp], Hc[c, yp]]
+                yield [(side, v) for v in x.tolist()], fails
 
     at, checked = scan("bracket conjugation", slabs())
     if at is not None:
@@ -733,11 +727,13 @@ def check_lemma_commutator_bracket(pair: CompatiblePair) -> CheckReport:
         for side in SIDES:
             act, co = pair.action(side), pair.companion(side)
             G, H = act.actor.group, act.acted.group
-            for g in range(G.order):
-                left = H.comm_table[act.bracket[g]]  # [<g,h>, h'] over (h, h')
-                mid = act.bracket[G.table[g, co.phi[:, G.inverses[g]]]]
-                right = act.acted.star[act.mixed_comm_table[g]]
-                yield (side, g), (left != mid) | (mid != right)
+            h, hp = np.arange(H.order)[:, None], np.arange(H.order)
+            for g in blocks(G.order, H.order * H.order):
+                g3 = g[:, None, None]
+                left = H.comm_table[act.bracket[g3, h], hp]  # [<g,h>, h'] over (h, h')
+                mid = act.bracket[G.table[g3, co.phi[h, G.inverses[g3]]], hp]
+                right = act.acted.star[act.mixed_comm_table[g3, h], hp]
+                yield [(side, v) for v in g.tolist()], (left != mid) | (mid != right)
 
     at, checked = scan("commutator bracket", slabs())
     if at is not None:

@@ -11,11 +11,11 @@ The star table S is an order x order matrix over element indices.  Axioms
 
 with ^z x = z x z^-1, written once in _axiom_laws for the reduced and the
 exhaustive checks alike, with one variable fixed and two over a plane
-(_plane).  Tables of 32 or more columns are read from int32 copies, a value
-that indexes rows from a copy scaled by n (_FlatTable): a read is a row, a
-slice, or one add and one take.  Axiom 4's sides are P1·P2 and P3^-1 (from
-the inverse-star table): they differ where P1·P2·P3 != 1, and lhs·rhs^-1 is
-P1·P2·P3.
+(_plane), or x over a block and y, z over G (_space).  Tables of 32 or more
+columns are read from int32 copies, a value that indexes rows from a copy
+scaled by n (_FlatTable): a read is a row, a slice, or one add and one take.
+Axiom 4's sides are P1·P2 and P3^-1 (from the inverse-star table): they
+differ where P1·P2·P3 != 1, and lhs·rhs^-1 is P1·P2·P3.
 broken_axioms decides each axiom on a reduced set of tuples:
 
   Axioms 2, 3 and 5 are closed under products in one variable (y, x and z
@@ -71,7 +71,7 @@ from .errors import (
 )
 from .groups import ORDER_CAP, FiniteGroup, GroupMap, Subgroup, _closure, _freeze, quotient
 from .groups import validate_cayley
-from .util import check_budget, distinct, first_true, scan
+from .util import blocks, check_budget, distinct, first_true, scan
 
 V = TypeVar("V")
 
@@ -143,14 +143,15 @@ assert ORDER_CAP**2 <= np.iinfo(_KEY).max
 
 
 class _Range:
-    """A law variable over range(lo, n) along one axis of the plane: as
-    indices (col, shaped along that axis) and as row keys (key = n * col)."""
+    """A law variable over range(lo, hi) along one axis of the law, counted
+    from the last (-1): as indices (col, shaped along that axis) and as row
+    keys (key = n * col)."""
 
-    __slots__ = ("lo", "col", "key")
+    __slots__ = ("at", "axis", "col", "key")
 
-    def __init__(self, n: int, lo: int, axis: int) -> None:
-        r = np.arange(lo, n, dtype=_KEY)
-        self.lo, self.col = lo, r.reshape((-1, 1) if axis == 0 else (1, -1))
+    def __init__(self, n: int, lo: int, hi: int, axis: int) -> None:
+        self.at, self.axis = slice(lo, hi), axis
+        self.col = np.arange(lo, hi, dtype=_KEY).reshape((-1,) + (1,) * (-1 - axis))
         self.key = self.col * n
 
 
@@ -188,14 +189,15 @@ class _FlatTable:
         i, j = ij
         if not isinstance(i, (np.ndarray, _Range)):  # an element: read its row
             if isinstance(j, _Range):
-                return self._values(self.A[i, j.lo :]).reshape(j.col.shape)
+                return self._values(self.A[i, j.at]).reshape(j.col.shape)
             return self._values(self.A[i]).take(j)
         if isinstance(i, _Range):
             if isinstance(j, _Range):
-                plane = self.grid[i.lo :, j.lo :]
-                return plane if i.col.shape[1] == 1 else plane.T
+                plane = self.grid[i.at, j.at]
+                plane = plane if i.axis < j.axis else plane.T
+                return plane.reshape(np.broadcast_shapes(i.col.shape, j.col.shape))
             if not isinstance(j, np.ndarray):  # an element: read its column
-                return self._values(self.A[i.lo :, j]).reshape(i.col.shape)
+                return self._values(self.A[i.at, j]).reshape(i.col.shape)
             i = i.key
         at = i + (j.col if isinstance(j, _Range) else j)  # a fresh array: read into it
         return self.grid.ravel().take(at, out=at, mode="clip")
@@ -212,7 +214,17 @@ def _plane(n: int, lo: int = 0) -> tuple:
     if n < 32:
         r = np.arange(lo, n)
         return r[:, None], r[None, :]
-    return _Range(n, lo, 0), _Range(n, lo, 1)
+    return _Range(n, lo, n, -2), _Range(n, lo, n, -1)
+
+
+def _space(n: int, xs: np.ndarray) -> tuple:
+    """The law variables over a block: x over the consecutive elements xs,
+    y and z over range(n), along axes 0, 1 and 2."""
+    if n < 32:
+        r = np.arange(n)
+        return xs[:, None, None], r[:, None], r
+    lo, hi = int(xs[0]), int(xs[-1]) + 1
+    return _Range(n, lo, hi, -3), _Range(n, 0, n, -2), _Range(n, 0, n, -1)
 
 
 def _axiom_laws(G: FiniteGroup, S: np.ndarray) -> dict[int, Callable]:
@@ -265,25 +277,26 @@ def axiom_sides(
 ) -> Iterator[tuple[int, tuple[int, ...], np.ndarray, np.ndarray | int]]:
     """The exhaustive evaluation of the given axioms on a star table S over G.
 
-    Yields (axiom, prefix, lhs, rhs) in axiom order, for axioms 2-5 once per
-    outer x in increasing order.  The axiom fails exactly where lhs != rhs (rhs
-    may be the identity), with witness (*prefix, *position), so the first
-    mismatch met is the least witness of the first failing axiom.  Positions
-    are [y, z], and [z, y] for axiom 5.  Each row is built when it is pulled,
-    so a consumer that checks the budget first (util.budgeted) builds none
-    past it.
+    Yields (axiom, prefix, lhs, rhs) in axiom order: axiom 1 as one slab
+    with prefix (), axioms 2-5 as util.blocks of outer x in increasing order,
+    prefixed by the keys [(x,), ...] of the block, in util.scan's block form.
+    The axiom fails exactly where lhs != rhs (rhs may be the identity), with
+    witness (x, *position), so the first mismatch met is the least witness of
+    the first failing axiom.  Positions are [y, z], and [z, y] for axiom 5.
+    Each block is built when it is pulled, so a consumer that checks the
+    budget first (util.budgeted) builds none past it.
     """
     wanted = set(axioms)
     if 1 in wanted:
         yield 1, (), np.diagonal(S), G.identity
     if not wanted - {1}:
         return  # no law is built for axiom 1 alone, or for none
-    laws = _axiom_laws(G, S)
-    col, row = _plane(G.order)
+    laws, n = _axiom_laws(G, S), G.order
     for num in sorted(wanted - {1}):
-        yz = (row, col) if num == 5 else (col, row)
-        for x in range(G.order):
-            yield num, (x,), *laws[num](x, *yz)
+        for xs in blocks(n, n * n):
+            x, col, row = _space(n, xs)
+            yz = (row, col) if num == 5 else (col, row)
+            yield num, [(v,) for v in xs.tolist()], *laws[num](x, *yz)
 
 
 def check_axioms(M: MultLieAlg) -> None:
@@ -343,18 +356,21 @@ def star_iso_failure(
     The star slab is skipped when both stars are trivial or both are the
     commutator: a row reaching it is a bijective homomorphism, so it maps
     a*b = e to e = row(a)*row(b), and [a, b] to [row(a), row(b)]."""
-    g, A, B = M.group.generators, M.group.table, N.group.table
+    g, A, B, n = M.group.generators, M.group.table, N.group.table, M.order
     proven = (M.star_is_trivial and N.star_is_trivial) or (
         M.star_is_commutator and N.star_is_commutator
     )
 
-    def slabs() -> Iterator:
-        for r, row in enumerate(rows):
-            yield (r, 0), np.sort(row) != np.arange(N.order)
-            if not (row[A[:, g]] == B[row[:, None], row[g]]).all():
-                yield (r, 1), row[A] != B[row[:, None], row[None, :]]
+    def slabs() -> Iterator:  # blocks of rows R, each row's reasons in order
+        for rs in blocks(len(rows), n * (2 * n + 1)):
+            R = rows[rs]
+            stacks = {0: np.sort(R, axis=1) != np.arange(N.order)}
+            if not (R[:, A[:, g]] == B[R[:, :, None], R[:, None, g]]).all():
+                # a row that passes on generators passes here (see above)
+                stacks[1] = R[:, A] != B[R[:, :, None], R[:, None, :]]
             if not proven:
-                yield (r, 2), row[M.star] != N.star[row[:, None], row[None, :]]
+                stacks[2] = R[:, M.star] != N.star[R[:, :, None], R[:, None, :]]
+            yield [(r, reason) for r in rs.tolist() for reason in stacks], tuple(stacks.values())
 
     at = scan(stage, slabs())[0]
     if at is None:
@@ -364,9 +380,13 @@ def star_iso_failure(
 
 
 def compose_failure(G: FiniteGroup, rows: np.ndarray, stage: str) -> tuple[int, ...] | None:
-    """Least (a, b, x) with rows[a·b][x] != rows[a][rows[b][x]], scanned one
-    slab per a; None when the rows compose as an action of G."""
-    return scan(stage, (((a,), rows[G.table[a]] != rows[a][rows]) for a in range(G.order)))[0]
+    """Least (a, b, x) with rows[a·b][x] != rows[a][rows[b][x]], scanned in
+    blocks of a; None when the rows compose as an action of G."""
+    slabs = (
+        ([(v,) for v in a.tolist()], rows[G.table[a]] != rows[a[:, None, None], rows])
+        for a in blocks(G.order, rows.size)
+    )
+    return scan(stage, slabs)[0]
 
 
 IDENTITY_NAMES = {
@@ -456,8 +476,9 @@ def check_lie_identities(
     for num in sorted(wanted & set(laws)):
         law = laws[num]
         at = scan("identity scan", (((), law(*on_generator[num](g))) for g in G.generators))[0]
-        if at is not None:  # the least witness, by rows in a
-            at = scan("identity scan", (((a,), law(a, col, row)) for a in range(n)))[0]
+        if at is not None:  # the least witness, by blocks of rows in a
+            slabs = (([(v,) for v in a.tolist()], law(*_space(n, a))) for a in blocks(n, n * n))
+            at = scan("identity scan", slabs)[0]
         results[num] = None if at is None else list(at)
 
     if 6 in wanted:

@@ -44,6 +44,7 @@ from .mla import (
     _record_verified,
     axiom_sides,
     broken_axioms,
+    check_axioms,
     compose_failure,
     lie_commutator_ideal,
     make_star_table,
@@ -54,7 +55,7 @@ from .mla import (
     star_iso_failure,
     validate_ideal,
 )
-from .util import CheckReport, budgeted, check_budget, distinct, first_true, memoized, scan
+from .util import CheckReport, blocks, budgeted, check_budget, distinct, first_true, memoized, scan
 
 DEFAULT_MAX_ROUNDS = 8
 SEED_ORDERS = ("default", "alt")
@@ -347,16 +348,6 @@ def induce_actions(t: TensorAlgebra) -> TensorAlgebra:
     return replace(t, act_g=act_g, act_h=act_h)
 
 
-def _first_failing(name: str, slabs: Iterator) -> CheckReport:
-    """A report over single slabs, each prefixed by its detail: the first
-    failing slab names the detail and the witness, the tuples counted up to
-    and including it."""
-    at, checked = scan(name, slabs)
-    if at is None:
-        return CheckReport(name, True, checked)
-    return CheckReport(name, False, checked, at[1:], at[0])
-
-
 def check_induced_action_formulas(t: TensorAlgebra) -> CheckReport:
     """Induced actions restricted to symbols match the coordinatewise formulas."""
     act_g, act_h = t._require_actions()
@@ -364,12 +355,13 @@ def check_induced_action_formulas(t: TensorAlgebra) -> CheckReport:
     CG, CH = pair.G.group.conj_table, pair.H.group.conj_table
     tm = t.tensor_map
 
-    def slabs() -> Iterator:
-        # over (g, x, y), then (h, x, y)
+    def slabs() -> Iterator:  # each prefixed by its detail: over (g, x, y), then (h, x, y)
         yield ("left factor",), act_g[:, tm] != tm[CG[:, :, None], pair.g_on_h.phi[:, None, :]]
         yield ("right factor",), act_h[:, tm] != tm[pair.h_on_g.phi[:, :, None], CH[:, None, :]]
 
-    return _first_failing("induced-action-formulas", slabs())
+    at, checked = scan("induced-action-formulas", slabs())
+    detail = at[0] if at else ""
+    return CheckReport("induced-action-formulas", at is None, checked, at and at[1:], detail)
 
 
 def check_tensor_identities(t: TensorAlgebra, only: int | None = None) -> dict[int, CheckReport]:
@@ -386,51 +378,40 @@ def check_tensor_identities(t: TensorAlgebra, only: int | None = None) -> dict[i
     gslot = G.table[np.arange(ng)[:, None], G.inverses[co.phi.T]]  # g·(^h g)⁻¹
     hslot = act.mixed_comm_table  # ^g h·h⁻¹
     which = [only] if only is not None else sorted(TENSOR_IDENTITY_NAMES)
+    # identities 3-6: (entries per g, failure mask at a block g of shape (k, 1, 1)),
+    # one slab per g over (h, x), (h, h'), (g', h) and (h, g', h') respectively
+    h, hc, gc, x = np.arange(nh), np.arange(nh)[:, None], np.arange(ng)[:, None], np.arange(K.order)
+    fails = {
+        3: (nh * K.order, lambda g: K.conj_table[tm[g, hc], x] != act_h[hslot[g, hc], x]),
+        4: (nh * nh, lambda g: tm[gslot[g, hc], h] != T[tm[g, hc], act_h[h, inv[tm[g, hc]]]]),
+        5: (ng * nh, lambda g: tm[gc, hslot[g, h]] != T[act_g[gc, tm[g, h]], inv[tm[g, h]]]),
+        6: (nh * ng * nh, lambda g: K.comm_table[tm[g[..., None], hc[..., None]], tm]
+            != tm[gslot[g[..., None], hc[..., None]], hslot]),
+    }
     out: dict[int, CheckReport] = {}
 
     for k in which:
         if k not in TENSOR_IDENTITY_NAMES:
             raise InputError(f"unknown tensor identity {k}")
         name = f"tensor-identity-{k}"
-        witness: tuple[int, ...] | None = None
-        checked = 0
         if k == 1:
             checked = ng + nh
             bad_h = first_true(tm[G.identity, :] != K.identity)
             bad_g = first_true(tm[:, H.identity] != K.identity)
-            if bad_h is not None:
-                witness = (int(G.identity), *bad_h)
-            elif bad_g is not None:
-                witness = (*bad_g, int(H.identity))
+            witness = (int(G.identity), *bad_h) if bad_h else bad_g and (*bad_g, int(H.identity))
         elif k == 2:
             lhs = inv[tm]
             r1 = act_g[np.arange(ng)[:, None], tm[G.inverses, :]]
             r2 = act_h[np.arange(nh)[None, :], tm[:, H.inverses]]
             checked = 2 * tm.size
             witness = first_true((lhs != r1) | (lhs != r2))
-        elif k == 3:
-            checked = ng * nh * K.order
-            slabs = (((g,), K.conj_table[tm[g]] != act_h[hslot[g]]) for g in range(ng))
+        elif k in fails:  # one slab per g, in blocks of g
+            entries, fail = fails[k]
+            checked = ng * entries
+            slabs = (([(v,) for v in g.tolist()], fail(g[:, None, None])) for g in blocks(ng, entries))
             witness = scan(name, slabs)[0]
-        elif k == 4:
-            checked = ng * nh * nh
-            slabs = (  # over (h, h')
-                ((g,), tm[gslot[g]] != T[tt[:, None], act_h[:, inv[tt]].T]) for g, tt in enumerate(tm)
-            )
-            witness = scan(name, slabs)[0]
-        elif k == 5:
-            checked = ng * nh * ng
-            slabs = (  # over (g', h), reported as (g, h, g')
-                ((g,), tm[:, hslot[g]] != T[act_g[:, tt], inv[tt][None, :]]) for g, tt in enumerate(tm)
-            )
-            at = scan(name, slabs)[0]
-            witness = at and (at[0], at[2], at[1])
-        elif k == 6:
-            checked = (ng * nh) ** 2
-            slabs = (  # over (h, g', h')
-                ((g,), K.comm_table[tm[g]][:, tm] != tm[gslot[g]][:, hslot]) for g in range(ng)
-            )
-            witness = scan(name, slabs)[0]
+            if k == 5:  # scanned over (g', h), reported as (g, h, g')
+                witness = witness and (witness[0], witness[2], witness[1])
         out[k] = CheckReport(name, witness is None, checked, witness, TENSOR_IDENTITY_NAMES[k])
     return out
 
@@ -439,27 +420,18 @@ def check_tensor_lie_commutator(t: TensorAlgebra) -> CheckReport:
     """Closed form of the star defect between two symbols: a conjugated
     bracket-defect symbol times two defect-slot symbols."""
     act_g, act_h = t._require_actions()
-    pair = t.pair
-    act, co = pair.g_on_h, pair.h_on_g
-    G, H = pair.G.group, pair.H.group
-    K = t.group
-    T = K.table
-    D = t.algebra.lie_defect_table
-    tm = t.tensor_map
-    ng, nh = G.order, H.order
-    dh = act.mixed_defect_table  # ^L[g', h'] over (g', h')
-    bh = act.bracket
+    act, co = t.pair.g_on_h, t.pair.h_on_g
+    inv, T, D, tm = t.pair.G.group.inverses, t.group.table, t.algebra.lie_defect_table, t.tensor_map
+    dh, bh = act.mixed_defect_table, act.bracket  # ^L[g', h'] and <g', h'> over (g', h')
 
-    def slabs() -> Iterator:
-        for g in range(ng):
-            for h in range(nh):
-                dg = int(co.mixed_defect_table[h, g])  # ^L[h, g]
-                bg = int(co.bracket[h, g])
-                f1 = tm[G.inverses[bg]][dh]
-                f2 = tm[G.inverses[dg]][bh]
-                f3 = tm[G.inverses[dg]][dh]
-                pref = act_g[G.inverses[dg]][act_h[bh, f1]]
-                yield (g, h), D[tm[g, h]][tm] != T[T[pref, f2], f3]
+    def slabs() -> Iterator:  # one slab per (g, h), in blocks of (g, h) in row-major order
+        for q in blocks(tm.size, tm.size):
+            g, h = divmod(q[:, None, None], tm.shape[1])
+            dg = inv[co.mixed_defect_table[h, g]]  # (^L[h, g])^-1
+            f1 = tm[inv[co.bracket[h, g]], dh]
+            pref = act_g[dg, act_h[bh, f1]]
+            fails = D[tm[g, h], tm] != T[T[pref, tm[dg, bh]], tm[dg, dh]]
+            yield list(zip(g.ravel().tolist(), h.ravel().tolist())), fails
 
     at, checked = scan("tensor-lie-commutator", slabs())
     return CheckReport("tensor-lie-commutator", at is None, checked, at)
@@ -630,7 +602,10 @@ def build_tensor_algebra(
     seed_order: str = "default",
 ) -> TensorAlgebra:
     """Full pipeline: presentation, enumeration, star fixpoint, induced actions.
-    A pair that check_compatibility has not proven is checked first."""
+    Algebras and a pair that make_algebra and check_compatibility have not
+    proven are checked first."""
+    for M in dict.fromkeys((pair.G, pair.H)):  # a self pair's algebra once
+        check_axioms(M)
     if not pair._verified:
         check_compatibility(pair.g_on_h, pair.h_on_g)
     if pair.G.order == 1 or pair.H.order == 1:

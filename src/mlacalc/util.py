@@ -72,7 +72,7 @@ def first_true(mask: np.ndarray) -> tuple[int, ...] | None:
     """Row-major index of the first True entry of ``mask``, or None."""
     if not mask.any():
         return None
-    return tuple(int(v) for v in np.unravel_index(int(mask.argmax()), mask.shape))
+    return tuple(np.array(np.unravel_index(mask.argmax(), mask.shape)).tolist())
 
 
 def distinct(n: int, *values: np.ndarray) -> list[int]:
@@ -97,21 +97,54 @@ def budgeted(stage: str, items: Iterable[T]) -> Iterator[T]:
         yield item
 
 
-def scan(stage: str, slabs: Iterable[tuple[tuple, np.ndarray]]) -> tuple[tuple | None, int]:
+# the most entries a law family builds in one block of slabs (see blocks)
+BLOCK_ENTRIES = 1 << 16
+
+
+def blocks(n: int, entries: int) -> Iterator[np.ndarray]:
+    """range(n) cut into consecutive blocks of outer elements, for a family
+    that builds ``entries`` mask entries per outer element: each block holds
+    as many elements as BLOCK_ENTRIES allows, and at least one, so an outer
+    element whose slabs exceed the cap scans alone."""
+    k = max(1, BLOCK_ENTRIES // max(entries, 1))
+    for lo in range(0, n, k):
+        yield np.arange(lo, min(lo + k, n))
+
+
+def scan(stage: str, items: Iterable[tuple]) -> tuple[tuple | None, int]:
     """The least failure of a law scanned slab by slab: (witness or None, tuples).
 
-    ``slabs`` yields (prefix, mask) in the order of their tuples, mask set where
-    the law fails at (*prefix, *position).  The witness is that tuple at the
-    first set entry of the first slab with one; tuples counts the entries of
-    every slab scanned, the failing one included.  The budget is checked before
-    each slab is pulled (budgeted).
+    ``items`` yields, in the order of their tuples, single slabs (prefix, mask)
+    or blocks (keys, stacks), each mask set where the law fails at
+    (*prefix, *position).  A block's stacks are one mask or a tuple of them,
+    each holding the slabs of one law along a leading axis of one length k;
+    its slabs are taken in the order i = 0..k-1, and within each i stack by
+    stack, and keys[i * len(stacks) + j] is the prefix of slab i of stack j.
+    So a block gives the witness and the count its slabs give one at a time,
+    in one numpy pass instead of a Python step per slab; a family cuts its
+    outer elements into blocks of at most BLOCK_ENTRIES entries (blocks).
+
+    The witness is the tuple at the first set entry of the first slab with
+    one; tuples counts the entries of every slab scanned, the failing one
+    included.  The budget is checked before each item is pulled (budgeted).
     """
     tuples = 0
-    for prefix, mask in budgeted(stage, slabs):
-        tuples += mask.size
-        at = first_true(mask)
-        if at is not None:
-            return (*prefix, *at), tuples
+    for keys, stacks in budgeted(stage, items):
+        if isinstance(keys, tuple):  # a single slab
+            tuples += stacks.size
+            if (at := first_true(stacks)) is not None:
+                return (*keys, *at), tuples
+            continue
+        stacks = (stacks,) if isinstance(stacks, np.ndarray) else stacks
+        # (slab i, stack j, position in the slab) of each stack's first failure
+        hits = [(at[0], j, at[1:]) for j, at in enumerate(map(first_true, stacks)) if at]
+        if not hits:
+            tuples += sum(m.size for m in stacks)
+            continue
+        i, j, pos = min(hits)
+        sizes = [m.size // len(m) for m in stacks]
+        tuples += i * sum(sizes) + sum(sizes[: j + 1])
+        return (*keys[i * len(stacks) + j], *pos), tuples
     return None, tuples
 
 

@@ -10,7 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from mlacalc.tensor import _defining_relations, _first_failing, star_seed_indices
+from mlacalc.tensor import _defining_relations, star_seed_indices
+from mlacalc.util import CheckReport, scan
+
+
+def _first_failing(name, slabs):
+    """A report over single slabs, each prefixed by its detail: the first
+    failing slab names the detail and the witness, the tuples counted up to
+    and including it."""
+    at, checked = scan(name, slabs)
+    if at is None:
+        return CheckReport(name, True, checked)
+    return CheckReport(name, False, checked, at[1:], at[0])
 
 
 def check_defining_relations(t):

@@ -1,7 +1,10 @@
-"""util.scan: the one loop that turns failure slabs into a least witness; and
+"""util.scan: the one loop that turns failure slabs, alone or in blocks, into a
+least witness; util.blocks, the cut of outer elements into blocks; and
 util.distinct, the distinct indices of arrays by mask."""
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -60,6 +63,67 @@ def test_budget_is_checked_before_each_slab(monkeypatch):
 
     assert util.scan("s", slabs()) == (None, 6)
     assert checks == ["s"] * 4  # once more before the exhausted generator says so
+
+
+def test_expired_budget_raises_before_the_first_block_is_built(monkeypatch):
+    monkeypatch.setenv(util.BUDGET_ENV, "-1")
+    built = []
+
+    def items():
+        for xs in util.blocks(10, 4):
+            built.append(xs)
+            yield [(int(x),) for x in xs], np.ones((len(xs), 4), dtype=bool)
+
+    with pytest.raises(BudgetExceeded) as exc, util.run_budget():
+        util.scan("a stage", items())
+    assert exc.value.payload == {"stage": "a stage"}
+    assert built == []
+
+
+def test_blocks_cut_at_the_cap():
+    cap = util.BLOCK_ENTRIES
+    assert [b.tolist() for b in util.blocks(5, cap // 2)] == [[0, 1], [2, 3], [4]]
+    assert [b.tolist() for b in util.blocks(3, cap + 1)] == [[0], [1], [2]]  # above it: alone
+    assert [b.tolist() for b in util.blocks(4, 0)] == [[0, 1, 2, 3]]
+    assert list(util.blocks(0, 7)) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_blocks_scan_as_their_slabs_one_at_a_time(data):
+    # slab (i, j) is slab i of stack j; one at a time they come i-major
+    n = data.draw(st.integers(0, 7))
+    shapes = data.draw(st.lists(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                                min_size=1, max_size=3))
+    sparse = st.sampled_from((False,) * 7 + (True,))
+    stacks = [data.draw(hnp.arrays(bool, (n, *shape), elements=sparse)) for shape in shapes]
+    m = len(stacks)
+    singles = [((i, j), stacks[j][i]) for i in range(n) for j in range(m)]
+    want = util.scan("s", singles)
+
+    def keyed(xs):
+        return [(int(i), j) for i in xs for j in range(m)]
+
+    # blocks at the cap, entries counted over all stacks
+    cap = data.draw(st.integers(1, 40))
+    entries = sum(int(np.prod(shape)) for shape in shapes)
+    with mock.patch.object(util, "BLOCK_ENTRIES", cap):
+        cut = list(util.blocks(n, entries))
+    assert all(len(xs) == 1 or len(xs) * entries <= cap for xs in cut)
+    assert util.scan("s", ((keyed(xs), tuple(s[xs] for s in stacks)) for xs in cut)) == want
+
+    # random cuts, each piece a block or its slabs one at a time
+    bounds = sorted(set(data.draw(st.lists(st.integers(0, n), max_size=4))) | {0, n})
+    items = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        xs = np.arange(lo, hi)
+        if data.draw(st.booleans()):
+            items += [((int(i), j), stacks[j][i]) for i in xs for j in range(m)]
+        elif m == 1 and data.draw(st.booleans()):  # one stack may come as a bare mask
+            items.append((keyed(xs), stacks[0][xs]))
+        else:
+            items.append((keyed(xs), tuple(s[xs] for s in stacks)))
+    assert util.scan("s", items) == want
 
 
 @settings(max_examples=200, deadline=None)

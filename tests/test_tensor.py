@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from mlacalc.actions import (
     check_compatibility,
+    conjugation_self_action,
     trivial_action,
     validate_action,
 )
@@ -246,6 +247,32 @@ def test_an_unproven_pair_is_checked_before_it_is_enumerated(name):
     with pytest.raises(NotAutomorphism) as exc:
         build_tensor_algebra(bad)
     assert exc.value.payload == {"g": 1, "reason": "not-bijective", "side": "h-on-g"}
+
+
+# a verified pair over a hand-built star that breaks axiom 2: check_compatibility
+# proves the actions and the pair laws, not the algebras, and unchecked the
+# build returned a "tensor" of order 2
+def test_an_unproven_algebra_is_checked_before_it_is_enumerated():
+    G = get_group("C4")
+    star = np.full((4, 4), G.identity)
+    star[1, 2] = star[2, 1] = 2
+    M = MultLieAlg(G, mla.make_star_table(G, star))
+    act = conjugation_self_action(M, np.full((4, 4), G.identity))
+    pair = check_compatibility(act, act)
+    assert pair._verified and not M._verified
+    with pytest.raises(AxiomViolation) as exc:
+        build_tensor_algebra(pair)
+    assert exc.value.payload == {"axiom": 2, "witness": [1, 1, 1]}
+
+
+def test_proven_algebras_are_not_checked_again(monkeypatch):
+    G = get_group("S3")
+    M = mla.make_algebra(G, G.comm_table)
+    act = conjugation_self_action(M, M.star)
+    pair = check_compatibility(act, act)
+    order = build_tensor_algebra(pair).order
+    monkeypatch.setattr(mla, "broken_axioms", lambda *a: pytest.fail("a proven algebra re-checked"))
+    assert build_tensor_algebra(pair).order == order
 
 
 def test_a_proven_pair_is_not_checked_again(monkeypatch):

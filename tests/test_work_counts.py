@@ -1,4 +1,5 @@
-"""Work counts of the order-512 rung: one tensor build and its whole ledger.
+"""Work counts of a tensor build and its whole ledger: the order-512 rung and
+D5 with the commutator star.
 
 The rung's tensor (the C2xC2xC2 trivial self pair, C2^9) is built once and
 proven along the way.  These counts are deterministic, so work that proves
@@ -8,7 +9,10 @@ again what is already proven fails here, without depending on a timing:
   the star extension and the induced actions);
 - no axiom law table (the trivial star is recognized);
 - no exhaustive relator-closure scan (closure is proven at coset 0);
-- no np.unique without return_index (distinct values are read off a mask).
+- no np.unique without return_index (distinct values are read off a mask);
+- the items util.scan pulls, from the pair through the ledger: the law
+  families scan blocks of outer elements, not one slab per element (386
+  items for the rung and 488 for D5 when they did).
 """
 
 from __future__ import annotations
@@ -17,8 +21,33 @@ from collections import Counter
 
 import numpy as np
 
-from mlacalc import coset, harness, mla, tensor
+from mlacalc import actions, coset, harness, mla, tensor, util
 from .self_pairs import self_pair
+
+
+def count_scan_items(monkeypatch) -> Counter:
+    """The items util.scan pulls, by stage, from here on."""
+    pulled: Counter = Counter()
+
+    def counting(stage, items):
+        def each():
+            for item in items:
+                pulled[stage] += 1
+                yield item
+
+        return util.scan(stage, each())
+
+    for module in (actions, mla, tensor):
+        monkeypatch.setattr(module, "scan", counting)
+    return pulled
+
+
+def test_the_d5_improper_ledger_scans_in_blocks(monkeypatch):
+    pulled = count_scan_items(monkeypatch)
+    t = tensor.build_tensor_algebra(self_pair("D5", "improper"))
+    ledger = harness.run_suite(harness.Instance.from_tensor(t, "D5/improper"))
+    assert ledger.counts() == {"pass": 37, "fail": 0, "inapplicable": 0, "skipped": 0}
+    assert sum(pulled.values()) == 88
 
 
 def test_the_order_512_rung_proves_nothing_twice(monkeypatch):
@@ -46,6 +75,7 @@ def test_the_order_512_rung_proves_nothing_twice(monkeypatch):
         return unique(*args, **kwargs)
 
     monkeypatch.setattr(np, "unique", unique_spy)
+    pulled = count_scan_items(monkeypatch)
 
     pair = self_pair("C2xC2xC2", "trivial")
     t = tensor.build_tensor_algebra(pair)
@@ -53,3 +83,4 @@ def test_the_order_512_rung_proves_nothing_twice(monkeypatch):
     assert (t.order, t.rounds, t.result.stats.cosets_defined) == (512, 1, 513)
     assert ledger.counts() == {"pass": 37, "fail": 0, "inapplicable": 0, "skipped": 0}
     assert calls == Counter(coset_enumerate=1, spanning_tree=1)
+    assert sum(pulled.values()) == 102
