@@ -242,10 +242,12 @@ def check_compatibility(g_on_h: MlaAction, h_on_g: MlaAction) -> CompatiblePair:
     """Verify the phi rows of each action that validate_action has not
     proven, then bracket laws 1-4 on both actions (law 2 only where
     validate_action has not proven it) and the five pair conditions.  The
-    pair is recorded as verified when both of its actions are."""
+    pair is recorded as verified when both of its actions are.  A self pair
+    (one action on both sides) checks its action once, as "g-on-h": the
+    second side would scan the same tables after the first one passed."""
     if g_on_h.actor is not h_on_g.acted or g_on_h.acted is not h_on_g.actor:
         raise InputError("actions are not over the same pair of algebras")
-    sides = (("g-on-h", g_on_h, h_on_g), ("h-on-g", h_on_g, g_on_h))
+    sides = (("g-on-h", g_on_h, h_on_g), ("h-on-g", h_on_g, g_on_h))[: 1 + (g_on_h is not h_on_g)]
     for side, act, _ in sides:
         if not act._verified:
             _require_automorphisms(act, side)

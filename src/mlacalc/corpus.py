@@ -7,7 +7,8 @@ the generic dihedral/dicyclic builders use exponent-style labels instead.
 
 from __future__ import annotations
 
-from itertools import permutations
+from functools import partial
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -32,16 +33,9 @@ def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
 
 def _dihedral_table(m: int) -> np.ndarray:
     # element index f*m + k stands for s^f r^k; r s = s r^-1
-    n = 2 * m
-    table = np.zeros((n, n), dtype=np.int64)
-    for f1 in (0, 1):
-        for k1 in range(m):
-            for f2 in (0, 1):
-                for k2 in range(m):
-                    f = f1 ^ f2
-                    k = ((-k1 if f2 else k1) + k2) % m
-                    table[f1 * m + k1, f2 * m + k2] = f * m + k
-    return table
+    f, k = np.divmod(np.arange(2 * m), m)
+    f1, k1, f2, k2 = f[:, None], k[:, None], f, k
+    return (f1 ^ f2) * m + (np.where(f2, -k1, k1) + k2) % m
 
 
 def dihedral(m: int) -> FiniteGroup:
@@ -59,20 +53,9 @@ def s3() -> FiniteGroup:
 
 def _dicyclic_table(m: int) -> np.ndarray:
     # element index f*2m + k stands for a^k x^f; x^2 = a^m, x a = a^-1 x
-    n = 4 * m
-    table = np.zeros((n, n), dtype=np.int64)
-    for f1 in (0, 1):
-        for k1 in range(2 * m):
-            for f2 in (0, 1):
-                for k2 in range(2 * m):
-                    if f1 == 0:
-                        f, k = f2, (k1 + k2) % (2 * m)
-                    elif f2 == 0:
-                        f, k = 1, (k1 - k2) % (2 * m)
-                    else:
-                        f, k = 0, (k1 - k2 + m) % (2 * m)
-                    table[f1 * 2 * m + k1, f2 * 2 * m + k2] = f * 2 * m + k
-    return table
+    f, k = np.divmod(np.arange(4 * m), 2 * m)
+    f1, k1, f2, k2 = f[:, None], k[:, None], f, k
+    return (f1 ^ f2) * 2 * m + np.where(f1, k1 - k2 + m * f2, k1 + k2) % (2 * m)
 
 
 def dicyclic(m: int) -> FiniteGroup:
@@ -91,35 +74,15 @@ def q8() -> FiniteGroup:
 
 
 def alternating4() -> FiniteGroup:
-    perms = sorted(p for p in permutations(range(4)) if _is_even(p))
+    # the even permutations of 0..3 in lexicographic order, composed as p∘q
+    perms = [p for p in permutations(range(4)) if sum(a > b for a, b in combinations(p, 2)) % 2 == 0]
     pos = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = pos[tuple(p[q[x]] for x in range(4))]
-    labels = tuple("".join(str(x) for x in p) for p in perms)
-    return validate_cayley(labels, table)
-
-
-def _is_even(p: tuple[int, ...]) -> bool:
-    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-    return inv % 2 == 0
+    table = [[pos[tuple(p[x] for x in q)] for q in perms] for p in perms]
+    return validate_cayley(tuple("".join(map(str, p)) for p in perms), table)
 
 
 GROUP_BUILDERS = {
-    "C1": lambda: cyclic(1),
-    "C2": lambda: cyclic(2),
-    "C3": lambda: cyclic(3),
-    "C4": lambda: cyclic(4),
-    "C5": lambda: cyclic(5),
-    "C6": lambda: cyclic(6),
-    "C7": lambda: cyclic(7),
-    "C8": lambda: cyclic(8),
-    "C9": lambda: cyclic(9),
-    "C10": lambda: cyclic(10),
-    "C11": lambda: cyclic(11),
-    "C12": lambda: cyclic(12),
+    **{f"C{n}": partial(cyclic, n) for n in range(1, 13)},
     "V4": lambda: direct_product(cyclic(2), cyclic(2)),
     "C4xC2": lambda: direct_product(cyclic(4), cyclic(2)),
     "C2xC2xC2": lambda: direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2)),

@@ -36,23 +36,31 @@ Letters encode generators as 2i (forward) and 2i+1 (inverse).  A presentation
 stores its relators once, as rows of signed 1-based generator numbers grouped
 by length, which the enumerator and the closure check read; the tuples of
 Presentation.relators are built only when something reads them.
+
+The set-up sorts packed int64 keys: a relator row is deduplicated on its
+entries shifted by n, in (2n).bit_length()-bit fields (rows past 63 bits
+take the list path), and a length-3 rotation (l, x, y) over nl letters is
+l << 2B | x << B | y, B = (nl - 1).bit_length().  Three fields fit in 63
+bits up to 2^21 letters: coset_enumerate refuses more than MAX_GENERATORS =
+2^20 generators before any table exists.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
 from typing import Callable
 
 import numpy as np
 
-from .errors import CosetCapExceeded, InputError, MlaError
+from .errors import CosetCapExceeded, InputError, MlaError, ResourceError
 from .groups import FiniteGroup, check_order_cap, spanning_tree, tree_words, validate_cayley
 from .util import check_budget
 
 DEFAULT_MAX_COSETS = 200_000
+MAX_GENERATORS = 1 << 20  # 2^21 letters: a rotation key's three fields fill 63 bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,18 +94,30 @@ class Presentation:
         return tuple(w for _, w in sorted(chain.from_iterable(at)))
 
 
+def _row_keys(relators: np.ndarray, n: int) -> np.ndarray | None:
+    """One key per row of a 2-D relator array, first entry highest; None if
+    it is empty, not int, past 63 bits or has an entry outside [-n, n]."""
+    bits = (2 * n).bit_length()
+    if relators.dtype.kind != "i" or not relators.size or relators.shape[1] * bits > 63:
+        return None
+    rows = relators.astype(np.int64) + n  # range-checked in int64
+    if rows.min() < 0 or rows.max() > 2 * n:
+        return None
+    return reduce(lambda key, col: key << bits | col, rows.T)
+
+
 def make_presentation(generator_labels, relators) -> Presentation:
     """Relators are words (or rows of a 2-D int array) of signed 1-based
     generator numbers; empty words and repeats after the first are dropped."""
-    labels = tuple(str(s) for s in generator_labels)
+    labels = tuple(map(str, generator_labels))
     if len(set(labels)) != len(labels):
         raise InputError("generator labels are not distinct")
     if isinstance(relators, np.ndarray) and relators.ndim != 2:
         raise InputError("a relator array must be 2-D", shape=list(relators.shape))
-    if isinstance(relators, np.ndarray) and relators.dtype.kind == "i" and relators.size:
-        rows = np.ascontiguousarray(relators, dtype=np.int64)  # range-checked in int64
-        first = np.unique(rows.view(np.dtype((np.void, 8 * rows.shape[1]))), return_index=True)[1]
-        by_length = {rows.shape[1]: (np.arange(len(first)), rows[np.sort(first)])}  # in input order
+    key = _row_keys(relators, len(labels)) if isinstance(relators, np.ndarray) else None
+    if key is not None:
+        rows = relators[np.sort(np.unique(key, return_index=True)[1])]  # first ones, in input order
+        by_length = {rows.shape[1]: (np.arange(len(rows)), rows.astype(np.int64, copy=False))}
     else:
         words = [w for w in dict.fromkeys(tuple(map(int, w)) for w in relators) if w]
         at: dict[int, list[int]] = {}
@@ -137,26 +157,38 @@ def _rotations(lets: np.ndarray, n: int) -> np.ndarray:
     return both[np.concatenate([cols, cols + n])].transpose(0, 2, 1)
 
 
+def _rotation_keys(w3: np.ndarray, B: int) -> np.ndarray:
+    """The six rotations (l, x, y) of each word and its inverse, as keys l << 2B | x << B | y."""
+    lets = np.empty((2, 5, len(w3)), dtype=np.int64)  # a b c a b, and c^1 b^1 a^1 c^1 b^1
+    lets[0, :3], lets[1, :3] = w3.T, w3.T[::-1] ^ 1
+    lets[:, 3:] = lets[:, :2]
+    return ((lets[:, :3] << B | lets[:, 1:4]) << B | lets[:, 2:]).ravel()
+
+
 def _rotation_words(by_length, nl: int):
     """Distinct cyclic rotations of the relators and their inverses, by first letter.
 
-    Length-3 words come as one (2, k) int32 block per first letter l: the
-    words (l, x, y) as the offsets y^1 - l and x - (l^1), from the slots
-    (a, l) and (b, l^1) of a deduction (a, l) = b to the slots (a, y^1) and
-    (b, x) that its scan reads.  Words of every other length are listed per
-    first letter, as tuples.
+    Length-3 words come as one (2, k) int32 block per first letter l, and k
+    as counts[l]: the words (l, x, y), in (x, y) order, as the offsets
+    y^1 - l and x - (l^1), from the slots (a, l) and (b, l^1) of a deduction
+    (a, l) = b to the slots (a, y^1) and (b, x) that its scan reads.  Words
+    of every other length are listed per first letter, as tuples.
     """
+    B = (nl - 1).bit_length()
     w3 = by_length[3][1] if 3 in by_length else np.empty((0, 3), dtype=np.int64)
-    key = np.sort(_rotations(w3, 3) @ [nl * nl, nl, 1], axis=None)  # (l, x, y) by first letter
-    L, key = np.divmod(key[np.diff(key, prepend=-1) != 0], nl * nl)  # keys are >= 0
+    key = _rotation_keys(w3, B)  # its letters are freed before the sort
+    key.sort()
+    key, m = key[np.diff(key, prepend=-1) != 0], (1 << B) - 1  # distinct; keys are >= 0
+    L = key >> 2 * B
     rel = np.empty((2, len(key)), dtype=np.int32)
-    rel[0], rel[1] = (key % nl ^ 1) - L, key // nl - (L ^ 1)
-    blocks = np.split(rel, np.searchsorted(L, np.arange(1, nl)), axis=1)
+    rel[0], rel[1] = (key & m ^ 1) - L, (key >> B & m) - (L ^ 1)
+    starts = np.searchsorted(L, np.arange(nl + 1))
+    blocks = [rel[:, s:e] for s, e in zip(starts.tolist(), starts[1:].tolist())]
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(nl)]
     longer = (_rotations(w, n).reshape(-1, n).tolist() for n, (_, w) in by_length.items() if n != 3)
     for rot in dict.fromkeys(map(tuple, chain.from_iterable(longer))):
         buckets[rot[0]].append(rot)
-    return blocks, buckets
+    return blocks, np.diff(starts), buckets
 
 
 class _Enumerator:
@@ -165,8 +197,7 @@ class _Enumerator:
         self.by_length = {  # letters, grouped as the presentation's relators
             n: (i, np.where(w > 0, 2 * w - 2, -2 * w - 1)) for n, (i, w) in pres.by_length.items()
         }
-        self.blocks, self.buckets = _rotation_words(self.by_length, self.nletters)
-        self.counts = np.array([b.shape[1] for b in self.blocks], dtype=np.int64)
+        self.blocks, self.counts, self.buckets = _rotation_words(self.by_length, self.nletters)
         self.longer = any(self.buckets)
         self.max_cosets = max_cosets
         # rows below `size` are cosets; the rest is room to grow
@@ -416,6 +447,9 @@ def coset_enumerate(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) ->
         raise InputError("max_cosets must be at least 1")
     if pres.generator_count == 0 and pres.by_length:
         raise InputError("relators over an empty generator set")
+    if (n := pres.generator_count) > MAX_GENERATORS:  # before the (16, 2n) coset table exists
+        msg = f"{n} generators exceed the {MAX_GENERATORS} that packed rotation keys hold"
+        raise ResourceError(msg, generators=n, cap=MAX_GENERATORS)
 
     eng = _Enumerator(pres, max_cosets)
     eng.run()

@@ -71,7 +71,7 @@ from .errors import (
 )
 from .groups import ORDER_CAP, FiniteGroup, GroupMap, Subgroup, _closure, _freeze, quotient
 from .groups import validate_cayley
-from .util import blocks, check_budget, distinct, first_true, scan
+from .util import blocks, check_budget, distinct, first_true, memoized, scan
 
 V = TypeVar("V")
 
@@ -247,18 +247,17 @@ def _axiom_laws(G: FiniteGroup, S: np.ndarray) -> dict[int, Callable]:
 
 
 def broken_axioms(
-    G: FiniteGroup,
-    S: np.ndarray,
-    stage: str = "axiom scan",
+    G: FiniteGroup, S: np.ndarray, stage: str = "axiom scan", memo: dict | None = None
 ) -> Iterator[int]:
     """The axioms that fail on S, in increasing order, each decided on the
-    reduced tuple set of the module docstring."""
+    reduced tuple set of the module docstring.  A ``memo`` dict keeps the
+    _axiom_laws(G, S) built here for an axiom_sides call given the same."""
     if (np.diagonal(S) != G.identity).any():
         yield 1
     check_budget(stage)
     if (S == G.identity).all() or (S == G.comm_table).all():
         return  # the trivial and the commutator star (module docstring)
-    laws = _axiom_laws(G, S)
+    laws = memoized({} if memo is None else memo, "laws", lambda: _axiom_laws(G, S))
     col, row = _plane(G.order)
     gens = G.generators
     reduced = {
@@ -273,7 +272,7 @@ def broken_axioms(
 
 
 def axiom_sides(
-    G: FiniteGroup, S: np.ndarray, axioms: Iterable[int]
+    G: FiniteGroup, S: np.ndarray, axioms: Iterable[int], memo: dict | None = None
 ) -> Iterator[tuple[int, tuple[int, ...], np.ndarray, np.ndarray | int]]:
     """The exhaustive evaluation of the given axioms on a star table S over G.
 
@@ -284,14 +283,14 @@ def axiom_sides(
     witness (x, *position), so the first mismatch met is the least witness of
     the first failing axiom.  Positions are [y, z], and [z, y] for axiom 5.
     Each block is built when it is pulled, so a consumer that checks the
-    budget first (util.budgeted) builds none past it.
-    """
+    budget first (util.budgeted) builds none past it.  ``memo`` as in
+    broken_axioms."""
     wanted = set(axioms)
     if 1 in wanted:
         yield 1, (), np.diagonal(S), G.identity
     if not wanted - {1}:
         return  # no law is built for axiom 1 alone, or for none
-    laws, n = _axiom_laws(G, S), G.order
+    laws, n = memoized({} if memo is None else memo, "laws", lambda: _axiom_laws(G, S)), G.order
     for num in sorted(wanted - {1}):
         for xs in blocks(n, n * n):
             x, col, row = _space(n, xs)
@@ -304,15 +303,16 @@ def check_axioms(M: MultLieAlg) -> None:
 
     The reduced checks of broken_axioms run in axiom order, so the first one
     that fails names the first failing axiom; only that axiom is then scanned
-    exhaustively.  Returns at once on a verified algebra; a hand-built one is
-    always checked.
+    exhaustively, on the laws the reduced checks built.  Returns at once on
+    a verified algebra; a hand-built one is always checked.
     """
     if M._verified:
         return
-    num = next(broken_axioms(M.group, M.star), None)
+    memo: dict = {}
+    num = next(broken_axioms(M.group, M.star, memo=memo), None)
     if num is None:
         return
-    sides = axiom_sides(M.group, M.star, (num,))
+    sides = axiom_sides(M.group, M.star, (num,), memo)
     at = scan("axiom scan", ((prefix, lhs != rhs) for _, prefix, lhs, rhs in sides))[0]
     if at is None:
         raise AssertionError(f"axiom {num} failed on a reduced tuple the full scan missed")

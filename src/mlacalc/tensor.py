@@ -105,8 +105,7 @@ class TensorAlgebra:
 
 
 def _pair_labels(pair: CompatiblePair) -> list[str]:
-    G, H = pair.G.group, pair.H.group
-    return [f"({G.label(g)}⊗{H.label(h)})" for g in range(G.order) for h in range(H.order)]
+    return [f"({g}⊗{h})" for g in pair.G.group.labels for h in pair.H.group.labels]
 
 
 def _defining_relations(pair: CompatiblePair) -> Iterator[tuple[str, np.ndarray]]:
@@ -437,14 +436,19 @@ def check_tensor_lie_commutator(t: TensorAlgebra) -> CheckReport:
     return CheckReport("tensor-lie-commutator", at is None, checked, at)
 
 
-def tensor_ideal(t: TensorAlgebra, I: Subgroup, J: Subgroup) -> Ideal:
+def tensor_ideal(t: TensorAlgebra, I: Subgroup | Ideal, J: Subgroup | Ideal) -> Ideal:
     """Ideal generated by the symbols over I×J; the factor subgroups must be
-    ideals, each invariant under the other factor's group action."""
+    ideals, each invariant under the other factor's group action.  A factor
+    given as an Ideal of its factor algebra is proven; a bare Subgroup (or
+    an Ideal of another algebra) is checked."""
     pair = t.pair
-    G, H = pair.G.group, pair.H.group
-    if I.parent is not G or J.parent is not H:
+    factors = (("left", pair.G, I), ("right", pair.H, J))
+    I, J = (x.subgroup if isinstance(x, Ideal) else x for x in (I, J))
+    if I.parent is not pair.G.group or J.parent is not pair.H.group:
         raise InputError("factor subgroups must live in the pair's groups")
-    for name, alg, sub in (("left", pair.G, I), ("right", pair.H, J)):
+    for (name, alg, given), sub in zip(factors, (I, J)):
+        if isinstance(given, Ideal) and given.algebra is alg:
+            continue  # validated when it was built
         try:
             validate_ideal(alg, sub)
         except IdealityFailure as ex:
@@ -476,9 +480,9 @@ def canonical_tensor_ideal(t: TensorAlgebra) -> tuple[Subgroup, Subgroup, Ideal]
     generate; built once per tensor."""
 
     def build() -> tuple[Subgroup, Subgroup, Ideal]:
-        I = mixed_lie_ideal(t.pair, side="h-on-g").carrier
-        J = bracket_ideal(t.pair, side="g-on-h").subgroup
-        return I, J, tensor_ideal(t, I, J)
+        I = mixed_lie_ideal(t.pair, side="h-on-g").ideal
+        J = bracket_ideal(t.pair, side="g-on-h")
+        return I.subgroup, J.subgroup, tensor_ideal(t, I, J)
 
     return memoized(t._canonical, "ideal", build)
 
@@ -567,7 +571,7 @@ def defect_square_bound(t: TensorAlgebra) -> CheckReport:
 
     def quotient() -> MultLieAlg:
         everything = range(t.pair.G.order)
-        D = lie_commutator_ideal(t.pair.G, everything, everything).subgroup
+        D = lie_commutator_ideal(t.pair.G, everything, everything)
         return quotient_algebra(t.algebra, tensor_ideal(t, D, D))[0]
 
     return _square_bound(t, "tensor-defect-square", "defect-square quotient", quotient, True)

@@ -441,6 +441,56 @@ def test_hand_built_phi_that_is_not_multiplicative_names_its_side(pairs):
     assert exc.value.payload["side"] == "g-on-h"
 
 
+def _count_law_scans(monkeypatch):
+    """(side, action, companion, laws) of every bracket-law and phi-row check."""
+    seen = []
+    for name in ("_require_bracket_laws", "_require_automorphisms"):
+        fn = getattr(actions, name)
+
+        def spy(act, *rest, fn=fn, name=name):
+            seen.append((name, act, *rest))
+            return fn(act, *rest)
+
+        monkeypatch.setattr(actions, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("name,star", [("S3", "improper"), ("Q8", "trivial"), ("D4", "improper")])
+def test_a_self_pair_scans_its_action_once(name, star, monkeypatch):
+    act = self_pair(name, star).g_on_h
+    hand = replace(act, bracket=act.bracket.copy())  # unverified: phi rows and law 2 too
+    seen = _count_law_scans(monkeypatch)
+    check_compatibility(act, act)
+    assert seen == [("_require_bracket_laws", act, act, (1, 3, 4), "g-on-h")]
+    seen.clear()
+    check_compatibility(hand, hand)
+    assert seen == [
+        ("_require_automorphisms", hand, "g-on-h"),
+        ("_require_bracket_laws", hand, hand, (1, 2, 3, 4), "g-on-h"),
+    ]
+    seen.clear()
+    check_compatibility(hand, act)  # two actions: each side is scanned
+    assert [(s[0], s[-1]) for s in seen] == [
+        ("_require_automorphisms", "g-on-h"),
+        ("_require_bracket_laws", "g-on-h"),
+        ("_require_bracket_laws", "h-on-g"),
+    ]
+
+
+@pytest.mark.parametrize("cell", [(1, 2), (2, 1), (0, 3), (4, 5)])
+def test_a_broken_self_pair_names_g_on_h(cell):
+    act = self_pair("S3", "improper").g_on_h
+    bad = act.bracket.copy()
+    bad[cell] = (bad[cell] + 1) % 6
+    hand = replace(act, bracket=bad)
+    with pytest.raises(ActionViolation) as want:  # the first side's scan, as both sides ran it
+        actions._require_bracket_laws(hand, hand, (1, 2, 3, 4), "g-on-h")
+    with pytest.raises(ActionViolation) as got:
+        check_compatibility(hand, hand)
+    assert (str(got.value), got.value.payload) == (str(want.value), want.value.payload)
+    assert got.value.payload["side"] == "g-on-h"
+
+
 def test_swapped_pair_still_compatible(pairs):
     for pair in pairs.values():
         sw = pair.swapped()

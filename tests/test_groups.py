@@ -6,7 +6,7 @@ code with the implementation under test.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -67,6 +67,52 @@ def test_corpus_covers_every_order_up_to_twelve():
     orders = sorted(EXPECTED_ORDERS.values())
     for k in range(1, 13):
         assert k in orders
+
+
+def _loop_dihedral(m):
+    # s^f r^k at index f*m + k; r s = s r^-1
+    return [
+        [(f1 ^ f2) * m + ((-k1 if f2 else k1) + k2) % m for f2 in (0, 1) for k2 in range(m)]
+        for f1 in (0, 1)
+        for k1 in range(m)
+    ]
+
+
+def _loop_dicyclic(m):
+    # a^k x^f at index f*2m + k; x^2 = a^m, x a = a^-1 x
+    def mul(f1, k1, f2, k2):
+        if f1 == 0:
+            return f2, (k1 + k2) % (2 * m)
+        return (1, (k1 - k2) % (2 * m)) if f2 == 0 else (0, (k1 - k2 + m) % (2 * m))
+
+    idx = [(f, k) for f in (0, 1) for k in range(2 * m)]
+    return [[(lambda f, k: f * 2 * m + k)(*mul(*a, *b)) for b in idx] for a in idx]
+
+
+def _loop_a4():
+    # the even permutations of 0..3, sorted, under (p q)(x) = p(q(x))
+    def inversions(p):
+        return sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
+
+    even = sorted(p for p in permutations(range(4)) if inversions(p) % 2 == 0)
+    pos = {p: i for i, p in enumerate(even)}
+    return ["".join(map(str, p)) for p in even], [
+        [pos[tuple(p[q[x]] for x in range(4))] for q in even] for p in even
+    ]
+
+
+def test_corpus_tables_match_their_loop_definitions():
+    for m in range(3, 7):
+        assert get_group(f"D{m}" if m > 3 else "S3").table.tolist() == _loop_dihedral(m)
+    for name, m in (("Q8", 2), ("Dic3", 3)):
+        assert get_group(name).table.tolist() == _loop_dicyclic(m)
+    labels, table = _loop_a4()
+    A4 = get_group("A4")
+    assert list(A4.labels) == labels and A4.table.tolist() == table
+    for n in range(1, 13):
+        G = get_group(f"C{n}")
+        assert G.labels == tuple(map(str, range(n)))
+        assert G.table.tolist() == [[(a + b) % n for b in range(n)] for a in range(n)]
 
 
 def test_element_order_multisets():

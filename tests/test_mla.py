@@ -301,6 +301,39 @@ def test_recognized_stars_hold_every_law_by_the_full_scans():
             assert exc.value.payload == {"axiom": num, "witness": witness}, (name, i, j)
 
 
+def _one_cell_perturbations():
+    for name in ("C4", "S3", "Q8"):
+        G = get_group(name)
+        for make in (make_trivial_star, make_improper_star):
+            for i, j in product(range(G.order), repeat=2):
+                S = make(G).star.copy()
+                S[i, j] = (S[i, j] + 1) % G.order
+                yield G, S
+    # order 32: the laws read flat int32 tables
+    G = direct_product(get_group("D4"), get_group("C4"))
+    for i, j in ((1, 2), (5, 17), (31, 0), (9, 9)):
+        S = make_improper_star(G).star.copy()
+        S[i, j] = (S[i, j] + 1) % G.order
+        yield G, S
+
+
+def test_a_failing_check_builds_the_laws_once(monkeypatch):
+    # the reduced checks' laws serve the exhaustive rescan; the least witness
+    # and the message are those of the reference that built them twice
+    from . import slab_oracles
+
+    built, laws = [], mla._axiom_laws
+    monkeypatch.setattr(mla, "_axiom_laws", lambda G, S: built.append(1) or laws(G, S))
+    for G, S in _one_cell_perturbations():
+        with pytest.raises(AxiomViolation) as want:
+            slab_oracles.check_axioms(MultLieAlg(G, S))
+        built.clear()
+        with pytest.raises(AxiomViolation) as got:
+            check_axioms(MultLieAlg(G, S))
+        assert (str(got.value), got.value.payload) == (str(want.value), want.value.payload)
+        assert len(built) == (got.value.payload["axiom"] != 1)
+
+
 def _no_laws(*args):
     raise AssertionError("a law table was built")
 
