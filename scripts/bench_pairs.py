@@ -23,7 +23,9 @@ prints that comparison per metric once a workload's pairs are done.  For a
 traced workload it lists each layer metric per round (the metric summed
 over the run, divided by the run's rounds) for both sides.  Its
 ``src_lines`` gives each side's line count of ``src/mlacalc/*.py`` (what
-``cat src/mlacalc/*.py | wc -l`` prints).
+``cat src/mlacalc/*.py | wc -l`` prints).  The script exits 1 when any run,
+traced or not, reports ``correct: false`` or ``failed > 0``, after writing
+its output.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,6 +124,11 @@ def iqr(xs: list[float]) -> float:
     return q[2] - q[0]
 
 
+def sound(runs: list[dict]) -> bool:
+    """Every run reports correct results and no failed instance."""
+    return all(r["lines"][1]["correct"] and not r["lines"][1]["failed"] for r in runs)
+
+
 def summarize(runs: list[dict]) -> dict:
     out = {}
     for metric, bound in BOUNDS.items():
@@ -136,7 +144,7 @@ def summarize(runs: list[dict]) -> dict:
             "relative_change": round(cm / pm - 1, 4),
             "bound": bound,
         }
-    out["correct_and_no_failures"] = all(r["lines"][1]["correct"] and not r["lines"][1]["failed"] for r in runs)
+    out["correct_and_no_failures"] = sound(runs)
     return out
 
 
@@ -196,6 +204,9 @@ def main(argv: list[str] | None = None) -> int:
         result["summary"][f"{w}-traced"] = layers
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(json.dumps(result["summary"], indent=1))
+    if not sound([*chain.from_iterable(result["runs"].values()), *result["traced"]]):
+        print("a run reported correct: false or failed > 0", file=sys.stderr)
+        return 1
     return 0
 
 

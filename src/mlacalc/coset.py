@@ -1,10 +1,10 @@
 """Coset enumeration over the trivial subgroup of a finite presentation.
 
 Definition-order (Felsch-style): the least undefined entry gets a fresh
-coset, whose consequences are closed before the next definition.  Scanning
-a rotation of a relator or its inverse from a coset deduces its one missing
-edge, or a coincidence when it completes away from its start; coincidences
-merge through a union-find into the smaller coset.  Output: the regular
+coset, and the scans close its consequences.  Scanning a rotation of a
+relator or its inverse from a coset deduces its one missing edge, or a
+coincidence when it completes away from its start; coincidences merge
+through a union-find into the smaller coset.  Output: the regular
 representation as a validated Cayley table, plus the generator images.
 
 The order of the scans does not matter.  Deductions and merges only add
@@ -31,6 +31,18 @@ another writes, so the loop would write each and push (f, x) in turn:
 _drain writes them at once and carries their slots (f, x) and (g, x^1)
 into the next wave, in that order, where T[f, x] = g need not be read
 again.  Longer words go to _scan.
+
+After a wave written at once, _drain defines the next coset at the least
+gap from run()'s row pointer (_gap), and the next wave scans it with the
+closure.  This is exact: the closure only fills gaps, and a gap it would
+fill, defined ahead, gets a second value, a coincidence; without one the
+least gap of the partial closure is that of the finished one, and cosets
+come in the same order.  A wave with a fresh definition that is not
+written at once takes it back and is read again; a coincidence after a
+kept one clears the drain's writes, and the drain and the rest of the
+enumeration run one definition at a time.  No coset is defined ahead of a
+wave of more than EAGER_SCANS scans, from a merge on, at the cap, or with
+longer relators.
 
 Letters encode generators as 2i (forward) and 2i+1 (inverse).  A presentation
 stores its relators once, as rows of signed 1-based generator numbers grouped
@@ -61,6 +73,7 @@ from .util import check_budget
 
 DEFAULT_MAX_COSETS = 200_000
 MAX_GENERATORS = 1 << 20  # 2^21 letters: a rotation key's three fields fill 63 bits
+EAGER_SCANS = 8192  # np.getbufsize(): the most scans a wave may hold when a coset is defined ahead
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,15 +213,17 @@ class _Enumerator:
         self.blocks, self.counts, self.buckets = _rotation_words(self.by_length, self.nletters)
         self.longer = any(self.buckets)
         self.max_cosets = max_cosets
-        # rows below `size` are cosets; the rest is room to grow
+        # rows below `defined` are cosets; the rest is room to grow
         self.table = np.full((min(16, max_cosets), self.nletters), -1, dtype=np.int64)
         self.mark = np.full_like(self.table, -1, np.int32).ravel()  # _fills' scratch, per slot
-        self.size = 1
         self.p: list[int] = [0]
         self.deductions: list[tuple[int, int]] = []
         self.cqueue: deque[int] = deque()
         self.defined = 1
         self.collapsed = 0
+        self.row = 0  # where run()'s least-gap search resumes
+        self.eager = True  # cosets may be defined ahead of a closure (_drain)
+        self.waves = 0
 
     def rep(self, a: int) -> int:
         r = a
@@ -309,12 +324,14 @@ class _Enumerator:
 
     def _drain(self, d: np.ndarray) -> None:
         """Close the table under the deductions (a, l) = b given as the slots
-        (a, l) and (b, l^1), the columns of d, and those pushed meanwhile."""
-        nl, T = self.nletters, self.table
-        Tf = T.ravel()  # T[i, j] is Tf[i * nl + j]; a drain adds no rows
-        collapsed = self.collapsed
+        (a, l) and (b, l^1), the columns of d, and those pushed meanwhile,
+        defining cosets ahead where it may (see the module docstring)."""
+        nl, row, size, first = self.nletters, self.row, self.defined, d
+        collapsed, fresh, ahead, self.written = self.collapsed, None, True, []
         while self.deductions or d.size:
             check_budget("coset enumeration")
+            self.waves += 1
+            Tf = self.table.ravel()  # T[i, j] is Tf[i * nl + j]; a definition may grow T
             if self.deductions or self.collapsed != collapsed:  # else the last wave wrote b
                 a, l = np.array(self.deductions, dtype=np.int64).reshape(-1, 2).T
                 s = np.concatenate([d[0], a * nl + l])  # in the order they were pushed
@@ -327,16 +344,26 @@ class _Enumerator:
             a, l = divmod(d[0], nl)
             slots = d.repeat(self.counts[l], axis=1)  # each scan's: (a, y^1) above (b, x)
             slots += np.concatenate([self.blocks[j] for j in l.tolist()], axis=1)
-            EC = Tf[slots]
-            i = (EC[0] != EC[1]).nonzero()[0]
-            d = d[:, :0]
-            if i.size:
-                fs, gs, g, at_once = self._fills(*EC[:, i], *slots[:, i])
+            EC = Tf.take(slots)
+            i = (EC[0] != EC[1]).nonzero()[0]  # take(i, 1): EC[:, i] is a slower 2-d fancy index
+            fills = self._fills(*EC.take(i, 1), *slots.take(i, 1)) if i.size else None
+            if fresh is not None and fills and not fills[3]:  # take it back, read the rest again
+                self._take_back(fresh, self.defined - 1, -1)
+                d, fresh = d[:, :-1], None
+                continue
+            fresh, d = None, d[:, :0]
+            if fills and not fills[3] and self.defined > size:  # undo, and define no more ahead
+                self._take_back(row, size)
+                d, self.eager = first, False
+                continue
+            if fills:
+                fs, gs, g, at_once = fills
                 if at_once:  # no fill reads a slot another one writes
                     Tf[fs], Tf[gs] = g, fs // nl
                     d = np.array([fs, gs])
+                    self.written.append(d)
                 else:
-                    before, (f, x) = self.collapsed, divmod(fs, nl)
+                    ahead, before, (f, x) = False, self.collapsed, divmod(fs, nl)
                     for f, x, g in zip(f.tolist(), x.tolist(), g.tolist()):
                         if self.collapsed != before:  # the snapshot's cosets may be dead
                             f, g = self.rep(f), self.rep(g)
@@ -344,37 +371,50 @@ class _Enumerator:
             if self.longer:
                 for ai, li in zip(a.tolist(), l.tolist()):
                     for word in self.buckets[li]:
-                        if T[ai, li] < 0:
+                        if self.table[ai, li] < 0:
                             break
                         self._scan(ai, word)
+            elif ahead and self.eager and d.size and self.defined < self.max_cosets:
+                if self.counts[d[0] % nl].sum() <= EAGER_SCANS and (gap := self._gap()):
+                    fresh, self.row = self.row, gap[0]  # the pointer to go back to
+                    self.written.append(self._add(*gap))
+                    d = np.concatenate([d, self.written[-1]], axis=1)
 
-    def _define(self, alpha: int, l: int) -> None:
-        cap = self.max_cosets
-        if self.defined >= cap:
+    def _take_back(self, row: int, size: int, since: int = 0) -> None:
+        """Clear the drain's writes from the since-th on, and the cosets from size on."""
+        self.table.ravel()[np.concatenate(self.written[since:], axis=1)] = -1  # none is empty
+        del self.written[since:], self.p[size:]
+        self.row, self.defined = row, size
+
+    def _add(self, alpha: int, l: int) -> np.ndarray:
+        """The next coset as T[alpha, l], as the deduction column of its two slots."""
+        cap, new, nl = self.max_cosets, self.defined, self.nletters
+        if new >= cap:
             raise CosetCapExceeded(f"coset table would exceed {cap} rows", max_cosets=cap)
-        new = self.size
         if new == len(self.table):  # double, up to the cap
             self.table = np.concatenate([self.table, np.full_like(self.table[: cap - new], -1)])
             self.mark = np.full_like(self.table, -1, np.int32).ravel()
-        self.size = self.defined = new + 1
+        self.defined = new + 1
         self.p.append(new)
-        self.table[alpha, l] = new
-        self.table[new, l ^ 1] = alpha
-        nl = self.nletters
-        self._drain(np.array([[alpha * nl + l], [new * nl + (l ^ 1)]]))
+        self.table[alpha, l], self.table[new, l ^ 1] = new, alpha
+        return np.array([[alpha * nl + l], [new * nl + (l ^ 1)]])
+
+    def _gap(self) -> tuple[int, int] | None:
+        """The least gap in a live row from the row pointer on, if any."""
+        for a in range(self.row, self.defined):  # each drain checks the budget
+            l = int(self.table[a].argmin())  # the least gap, if the row has one
+            if self.p[a] == a and self.table[a, l] < 0:
+                return a, l
+        return None
 
     def run(self) -> None:
         changed = self.nletters > 0  # else the one coset has no gap
         while changed:
-            changed, alpha = False, 0
-            while alpha < self.size:
-                check_budget("coset enumeration")
-                l = int(self.table[alpha].argmin())  # the least gap, if the row has one
-                if self.p[alpha] == alpha and self.table[alpha, l] < 0:
-                    self._define(alpha, l)
-                    changed = True
-                else:
-                    alpha += 1
+            changed, self.row = False, 0
+            while gap := self._gap():
+                self.row = gap[0]
+                self._drain(self._add(*gap))
+                changed = True
 
 
 def _check_relators_close(pres: Presentation, by_length, tbl: np.ndarray) -> None:
@@ -459,7 +499,7 @@ def coset_enumerate(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) ->
     m = len(live)
     check_order_cap(m)  # before the m x m Cayley table exists
     raw = eng.table[live]
-    eng.table = eng.mark = None  # freed before the Cayley assembly, which reads only raw
+    eng.table = eng.mark = eng.written = None  # freed before the Cayley assembly, which reads only raw
     if (raw < 0).any():
         raise InputError("enumeration finished with an incomplete row")
     while (p[p] != p).any():

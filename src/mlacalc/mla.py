@@ -90,6 +90,7 @@ class MultLieAlg:
     star: np.ndarray
     # the five axioms are proven; set only by _record_verified, never by a caller
     _verified: bool = field(default=False, init=False, repr=False)
+    _series: dict = field(default_factory=dict, init=False, repr=False)  # by kind, built on first use
 
     @property
     def order(self) -> int:
@@ -325,7 +326,7 @@ def check_axioms(M: MultLieAlg) -> None:
 
 
 def _record_verified(obj: V) -> V:
-    """Set the proof flag of an algebra, an action or a compatible pair."""
+    """Set the proof flag of an algebra, an ideal, an action or a compatible pair."""
     object.__setattr__(obj, "_verified", True)
     return obj
 
@@ -505,6 +506,7 @@ def check_lie_identities(
 class Ideal:
     algebra: MultLieAlg
     subgroup: Subgroup
+    _verified: bool = field(default=False, init=False, repr=False)  # by validate_ideal, ideal_closure
 
     @property
     def members(self) -> frozenset[int]:
@@ -525,7 +527,7 @@ def validate_ideal(M: MultLieAlg, S: Subgroup) -> Ideal:
 
     at = scan("ideal check", slabs())[0]
     if at is None:
-        return Ideal(M, S)
+        return _record_verified(Ideal(M, S))
     kind, i, j = at
     x, y = (int(mem[i]), j) if kind == "star-left" else (i, int(mem[j]))
     lx, ly = G.labels[x], G.labels[y]
@@ -536,7 +538,8 @@ def validate_ideal(M: MultLieAlg, S: Subgroup) -> Ideal:
 def ideal_closure(M: MultLieAlg, seed: Iterable[int]) -> Ideal:
     """Smallest subset containing the seed that passes validate_ideal: the
     normal closure, also closed under * against the whole algebra."""
-    return Ideal(M, Subgroup(M.group, _closure(M.group, seed, conjugate=True, star=M.star)))
+    members = _closure(M.group, seed, conjugate=True, star=M.star)
+    return _record_verified(Ideal(M, Subgroup(M.group, members)))
 
 
 def lie_commutator_ideal(M: MultLieAlg, A: Iterable[int], B: Iterable[int]) -> Ideal:
@@ -570,12 +573,13 @@ def _run_series(
 
 
 def derived_series(M: MultLieAlg) -> SeriesReport:
-    return _run_series(M, lambda cur: lie_commutator_ideal(M, cur, cur), "derived")
+    step = lambda cur: lie_commutator_ideal(M, cur, cur)
+    return memoized(M._series, "derived", lambda: _run_series(M, step, "derived"))
 
 
 def lower_central_series(M: MultLieAlg) -> SeriesReport:
-    full = tuple(range(M.order))
-    return _run_series(M, lambda cur: lie_commutator_ideal(M, full, cur), "lower-central")
+    step = lambda cur: lie_commutator_ideal(M, range(M.order), cur)
+    return memoized(M._series, "lower-central", lambda: _run_series(M, step, "lower-central"))
 
 
 def nilpotency_class(M: MultLieAlg) -> int | None:

@@ -439,16 +439,16 @@ def check_tensor_lie_commutator(t: TensorAlgebra) -> CheckReport:
 def tensor_ideal(t: TensorAlgebra, I: Subgroup | Ideal, J: Subgroup | Ideal) -> Ideal:
     """Ideal generated by the symbols over I×J; the factor subgroups must be
     ideals, each invariant under the other factor's group action.  A factor
-    given as an Ideal of its factor algebra is proven; a bare Subgroup (or
-    an Ideal of another algebra) is checked."""
+    given as a proven Ideal (validate_ideal, ideal_closure) of its factor
+    algebra is not checked again; any other is."""
     pair = t.pair
     factors = (("left", pair.G, I), ("right", pair.H, J))
     I, J = (x.subgroup if isinstance(x, Ideal) else x for x in (I, J))
     if I.parent is not pair.G.group or J.parent is not pair.H.group:
         raise InputError("factor subgroups must live in the pair's groups")
     for (name, alg, given), sub in zip(factors, (I, J)):
-        if isinstance(given, Ideal) and given.algebra is alg:
-            continue  # validated when it was built
+        if isinstance(given, Ideal) and given.algebra is alg and given._verified:
+            continue
         try:
             validate_ideal(alg, sub)
         except IdealityFailure as ex:

@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -31,3 +33,27 @@ def test_each_relative_change_is_summarized_beside_its_declared_bound():
         assert summary[metric]["bound"] == bound
         assert summary[metric]["relative_change"] == -0.25
         assert summary[metric]["change_better_pairs"] == 4
+
+
+@pytest.mark.parametrize("bad_trace", [None, 0, 1])  # a clean set, or one bad untraced or traced run
+@pytest.mark.parametrize("bad", [{"correct": False}, {"failed": 1}])
+def test_a_wrong_or_failed_run_makes_the_script_exit_1(tmp_path, monkeypatch, bad, bad_trace):
+    bench = _bench_pairs()
+    metrics = {m: {"value": 1.0} for m in bench.BOUNDS}
+    seen = []
+
+    def run(cwd, workload, seed, trace):
+        seen.append(trace)
+        line = {"correct": True, "failed": 0, "metrics": metrics}
+        if trace == bad_trace and seen.count(trace) == 3:  # one run, in the second pair
+            line |= bad
+        return [{"info": {"rounds": 1}}, line]
+
+    monkeypatch.setattr(bench, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench, "build", lambda parent: {"parent": tmp_path, "change": tmp_path})
+    monkeypatch.setattr(bench, "src_lines", lambda root: 0)
+    monkeypatch.setattr(bench, "run", run)
+    out = tmp_path / "bench.json"
+    args = ["--parent", "HEAD", "--seed", "1", "--workload", "corpus", "--traced", "corpus", "--out", str(out)]
+    assert bench.main(args) == (0 if bad_trace is None else 1)
+    assert json.loads(out.read_text())["summary"]["corpus"]["correct_and_no_failures"] is (bad_trace != 0)

@@ -344,7 +344,7 @@ def test_a_hand_table_meets_the_exhaustive_check_first(name, monkeypatch):
     def run(self):  # one live coset per row
         self.table = np.array(table, dtype=np.int64)
         self.p = list(range(len(table)))
-        self.size = self.defined = len(table)
+        self.defined = len(table)
 
     monkeypatch.setattr(coset._Enumerator, "run", run)
     pres = make_presentation(labels, relators)

@@ -219,8 +219,8 @@ def _assert_same_closure(pres, max_cosets=coset.DEFAULT_MAX_COSETS):
     assert new_capped == ref_capped
     assert (new.defined, new.collapsed) == (ref.defined, ref.collapsed)
     # the partition; the raw union-find differs wherever paths were compressed
-    assert [new.rep(a) for a in range(new.size)] == [ref.rep(a) for a in range(len(ref.p))]
-    assert np.array_equal(new.table[: new.size], np.array(ref.table, dtype=np.int64))
+    assert [new.rep(a) for a in range(new.defined)] == [ref.rep(a) for a in range(len(ref.p))]
+    assert np.array_equal(new.table[: new.defined], np.array(ref.table, dtype=np.int64))
     if ref_capped:
         return
     labels, cayley, gen_image = _scalar_cayley(pres, ref)
@@ -334,6 +334,7 @@ def _enumerated(pres):
 
 
 ALL_PAIRS = [(n, s) for n in group_names() for s in ("trivial", "improper")]
+PROOF_PAIRS = ALL_PAIRS + [("gl2(F2)", "bracket")]
 
 
 @pytest.mark.parametrize("name,star", ALL_PAIRS, ids=[f"{n}-{s}" for n, s in ALL_PAIRS])
@@ -373,9 +374,100 @@ def test_the_order_512_enumeration_is_frozen(monkeypatch):
     assert digest.hexdigest() == "534a3f48239256dbdd9df5dbd503faa5415f07256dccaf4accba87fdb5e400e1"
 
 
-# --- relator closure proven at coset 0, and the enumeration's normal-form tree ----------
+# --- cosets defined ahead of a closure ---------------------------------------------------
 
-PROOF_PAIRS = ALL_PAIRS + [("gl2(F2)", "bracket")]
+
+def _one_at_a_time(monkeypatch):
+    """Every closure ends before the next definition: no wave is small enough
+    for a coset to be defined ahead of it."""
+    monkeypatch.setattr(coset, "EAGER_SCANS", -1)
+
+
+def _engine(pres, max_cosets=coset.DEFAULT_MAX_COSETS):
+    """The enumerator's state where it stops: capped or not, the cap's payload,
+    stats, the partition and the table."""
+    eng = coset._Enumerator(pres, max_cosets)
+    try:
+        eng.run()
+        payload = None
+    except CosetCapExceeded as exc:
+        payload = exc.payload
+    reps = [eng.rep(a) for a in range(eng.defined)]
+    return payload, eng.defined, eng.collapsed, reps, eng.table[: eng.defined].tobytes()
+
+
+def _both(pres, read):
+    """read(pres) with cosets defined ahead, and one definition at a time."""
+    ahead = read(pres)
+    with pytest.MonkeyPatch.context() as m:
+        _one_at_a_time(m)
+        return ahead, read(pres)
+
+
+@pytest.mark.parametrize("name,star", PROOF_PAIRS, ids=[f"{n}-{s}" for n, s in PROOF_PAIRS])
+def test_defining_ahead_matches_one_definition_at_a_time(name, star):
+    # all 48 corpus self pairs (C2xC2xC2, the order-512 rung, included) and gl2(F2)
+    pres = build_tensor_presentation(gl2_f2_self_pair() if star == "bracket" else self_pair(name, star))
+    ahead, alone = _both(pres, _enumerated)
+    assert ahead == alone
+
+
+@settings(max_examples=150, deadline=None)
+@given(pres=_length3_presentations(), max_cosets=st.integers(1, 200))
+def test_defining_ahead_matches_on_small_presentations(pres, max_cosets):
+    # length-3 relators only, so that cosets may be defined ahead; the cap
+    # falls at the same definition, on the same table
+    ahead, alone = _both(pres, lambda p: _engine(p, max_cosets))
+    assert ahead == alone
+    if ahead[0] is None:
+        assert len(set(_both(pres, _enumerated))) == 1
+
+
+def _take_backs(monkeypatch):
+    """Spy on _take_back: "take-back" for one fresh definition (since=-1),
+    "undo" for the whole drain (since=0)."""
+    seen, take_back = [], coset._Enumerator._take_back
+
+    def spy(self, row, size, since=0):
+        seen.append("take-back" if since else "undo")
+        take_back(self, row, size, since)
+
+    monkeypatch.setattr(coset._Enumerator, "_take_back", spy)
+    return seen
+
+
+def test_the_order_512_enumeration_takes_definitions_back(monkeypatch):
+    seen = _take_backs(monkeypatch)
+    engines, run = [], coset._Enumerator.run
+    monkeypatch.setattr(coset._Enumerator, "run", lambda self: (engines.append(self), run(self))[1])
+    coset_enumerate(build_tensor_presentation(self_pair("C2xC2xC2", "trivial")))
+    assert seen == ["take-back", "take-back"]
+    # 1,675 waves when each definition waited for its closure to end; two
+    # of the 523 read a wave again without its fresh definition
+    assert engines[0].waves == 523 and engines[0].eager
+
+
+@pytest.mark.parametrize("name,star", [("D6", "trivial"), ("Dic3", "improper")])
+def test_a_coincidence_after_a_kept_definition_undoes_the_drain(name, star, monkeypatch):
+    seen = _take_backs(monkeypatch)
+    engines, run = [], coset._Enumerator.run
+    monkeypatch.setattr(coset._Enumerator, "run", lambda self: (engines.append(self), run(self))[1])
+    pres = build_tensor_presentation(self_pair(name, star))
+    ahead = _enumerated(pres)
+    assert "undo" in seen and not engines[0].eager  # none defined ahead after an undo
+    _one_at_a_time(monkeypatch)
+    assert _enumerated(pres) == ahead
+
+
+@pytest.mark.parametrize("max_cosets", [1, 2, 50, 512, 513])
+def test_the_order_512_cap_falls_where_it_did(max_cosets):
+    pres = build_tensor_presentation(self_pair("C2xC2xC2", "trivial"))
+    ahead, alone = _both(pres, lambda p: _engine(p, max_cosets))
+    assert ahead == alone
+    assert ahead[0] == (None if max_cosets == 513 else {"max_cosets": max_cosets})
+
+
+# --- relator closure proven at coset 0, and the enumeration's normal-form tree ----------
 
 
 @pytest.mark.parametrize("name,star", PROOF_PAIRS, ids=[f"{n}-{s}" for n, s in PROOF_PAIRS])

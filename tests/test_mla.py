@@ -527,6 +527,24 @@ def test_series_of_the_order_one_algebra_end_at_once():
         assert series(M) == mla.SeriesReport(kind, ((0,),), "terminated-at-trivial", 0, 0)
 
 
+def test_each_series_is_built_once_per_algebra(monkeypatch):
+    M = make_trivial_star(get_group("S3"))
+    monkeypatch.setenv("MLACALC_BUDGET_SECS", "-1")
+    for _ in range(2):  # a spent budget stores nothing, so it raises again
+        with pytest.raises(BudgetExceeded) as exc, util.run_budget():
+            derived_series(M)
+        assert exc.value.payload == {"stage": "derived series"}
+    monkeypatch.delenv("MLACALC_BUDGET_SECS")
+    built, run = [], mla._run_series
+    monkeypatch.setattr(mla, "_run_series", lambda M, step, kind: built.append(kind) or run(M, step, kind))
+    ds, lc = derived_series(M), lower_central_series(M)
+    assert (nilpotency_class(M), solvable_length(M)) == (None, 2)
+    assert derived_series(M) is ds and lower_central_series(M) is lc
+    assert built == ["derived", "lower-central"]
+    # another algebra on the same group builds its own
+    assert derived_series(make_improper_star(get_group("S3"))) is not ds
+
+
 def test_series_q8_trivial_frozen():
     M = make_trivial_star(get_group("Q8"))
     assert nilpotency_class(M) == 2

@@ -41,11 +41,13 @@ from mlacalc.errors import (
 from mlacalc.groups import subgroup_closure
 from mlacalc.harness import Instance, run_suite
 from mlacalc.mla import (
+    Ideal,
     MultLieAlg,
     axiom_sides,
     broken_axioms,
     check_axioms,
     check_lie_identities,
+    ideal_closure,
     make_improper_star,
     make_trivial_star,
     quotient_algebra,
@@ -521,6 +523,26 @@ def test_tensor_ideal_rejects_non_ideal_factor(tensors):
     with pytest.raises(PreconditionFailed) as exc:
         tensor_ideal(t, crooked, full)
     assert exc.value.payload["which"] == "left-ideal"
+
+
+def test_a_hand_built_ideal_is_checked_like_a_bare_subgroup(tensors):
+    # Ideal is a public dataclass: one built around a non-normal subgroup
+    # carries no proof, so tensor_ideal validates it as it would the subgroup
+    t = tensors["s3-improper-star"]
+    G = t.pair.G.group
+    refl = next(x for x in range(6) if x != G.identity and G.table[x, x] == G.identity)
+    crooked = subgroup_closure(G, [refl])
+    hand = Ideal(t.pair.G, crooked), Ideal(t.pair.H, crooked)
+    assert not any(ideal._verified for ideal in hand)
+    for given in ((crooked, crooked), hand):
+        with pytest.raises(PreconditionFailed) as exc:
+            tensor_ideal(t, *given)
+        assert str(exc.value) == "left subgroup is not an ideal of its factor"
+        assert exc.value.payload["which"] == "left-ideal"
+    # the validators' ideals carry the proof, and are trusted
+    full = subgroup_closure(G, range(6))
+    assert validate_ideal(t.pair.G, full)._verified and ideal_closure(t.pair.G, [refl])._verified
+    assert tensor_ideal(t, validate_ideal(t.pair.G, full), ideal_closure(t.pair.H, [refl]))._verified
 
 
 def test_tensor_ideal_lets_a_spent_budget_through(tensors, monkeypatch):

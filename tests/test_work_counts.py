@@ -17,6 +17,8 @@ again what is already proven fails here, without depending on a timing:
   proven is not validated again (102 and 88 items before either);
 - validate_ideal runs 8 times for D5 (12 when the tensor ideals re-checked
   their proven factors);
+- D5's ledger builds each series once per algebra: 8 builds on 4 algebras
+  (16 when derived_series and lower_central_series built on every call);
 - the enumeration's set-up sorts packed int64 keys: no np.split per
   letter and no np.unique over void rows.
 """
@@ -53,11 +55,15 @@ def test_the_d5_improper_ledger_scans_in_blocks(monkeypatch):
     validated, validate = [], mla.validate_ideal
     for module in (actions, mla, tensor):  # each module calls its own import
         monkeypatch.setattr(module, "validate_ideal", lambda M, S: validated.append(S) or validate(M, S))
+    built, run = [], mla._run_series  # (algebra, kind) per series build, the algebras kept alive
+    monkeypatch.setattr(mla, "_run_series", lambda M, step, kind: built.append((M, kind)) or run(M, step, kind))
     t = tensor.build_tensor_algebra(self_pair("D5", "improper"))
     ledger = harness.run_suite(harness.Instance.from_tensor(t, "D5/improper"))
     assert ledger.counts() == {"pass": 37, "fail": 0, "inapplicable": 0, "skipped": 0}
     assert sum(pulled.values()) == 75
     assert len(validated) == 8
+    assert len(built) == len({(id(M), kind) for M, kind in built}) == 8
+    assert len({id(M) for M, _ in built}) == 4
 
 
 def test_the_order_512_rung_proves_nothing_twice(monkeypatch):
