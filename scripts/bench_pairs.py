@@ -19,7 +19,10 @@ Its ``summary`` gives, per workload and end-to-end metric, the median and
 interquartile range of each side (linear quantiles), the number of pairs in
 which the change is better, and the relative change of the medians next to
 the metric's ``bound`` as ``BENCHMARK.json`` declares it; the script also
-prints that comparison per metric once a workload's pairs are done.  For a
+prints that comparison per metric once a workload's pairs are done.  Each
+run keeps the ``rounds`` it completed, and the summary's ``median_rounds``
+gives each side's median, printed beside ``peak_rss_mb``, which grows with
+the rounds a run completes.  For a
 traced workload it lists each layer metric per round (the metric summed
 over the run, divided by the run's rounds) for both sides.  Its
 ``src_lines`` gives each side's line count of ``src/mlacalc/*.py`` (what
@@ -110,7 +113,7 @@ def alternate(dirs, workload: str, seed: int, trace: int, pairs: int) -> list[di
             print(f"{workload} trace {trace} pair {pair} {side}: "
                   f"{json.dumps(lines[1]['metrics'].get('wall_s', {}).get('value'))}", file=sys.stderr)
             runs.append({"pair": pair, "side": side, "first": order[0], "workload": workload,
-                         "seed": seed, "lines": lines})
+                         "seed": seed, "rounds": lines[0]["info"]["rounds"], "lines": lines})
     return runs
 
 
@@ -146,6 +149,13 @@ def summarize(runs: list[dict]) -> dict:
         }
     out["correct_and_no_failures"] = sound(runs)
     return out
+
+
+def median_rounds(runs: list[dict]) -> dict[str, float]:
+    """Each side's median of the rounds its runs completed: a run that
+    completes more rounds reads a higher peak_rss_mb for that alone."""
+    return {side: statistics.median(r["rounds"] for r in runs if r["side"] == side)
+            for side in ("parent", "change")}
 
 
 def per_round(run: dict) -> dict[str, float]:
@@ -188,11 +198,14 @@ def main(argv: list[str] | None = None) -> int:
     for w in args.workload:
         runs = alternate(dirs, w, args.seed, 0, PAIRS)
         result["runs"][w] = runs
-        result["summary"][w] = summarize(runs)
+        result["summary"][w] = summarize(runs) | {"median_rounds": median_rounds(runs)}
         for metric in BOUNDS:
             m = result["summary"][w][metric]
+            rounds = result["summary"][w]["median_rounds"]
+            beside = f", median rounds {rounds['parent']:g} parent, {rounds['change']:g} change"
             print(f"{w} {metric}: {m['relative_change']:+.1%} against a bound of {m['bound']:.0%}, "
-                  f"change better in {m['change_better_pairs']} of {m['pairs']} pairs", file=sys.stderr)
+                  f"change better in {m['change_better_pairs']} of {m['pairs']} pairs"
+                  f"{beside if metric == 'peak_rss_mb' else ''}", file=sys.stderr)
     for w in args.traced:
         runs = alternate(dirs, w, TRACED_SEED, 1, TRACED_PAIRS)
         layers = {}

@@ -466,7 +466,7 @@ def _cayley(pres: Presentation, tbl: np.ndarray) -> tuple[FiniteGroup, tuple]:
     tree = parent, letter, levels = spanning_tree(tbl[:, 0::2], 0)
     if sum(map(len, levels)) != m:
         raise InputError("generator images do not generate the enumerated group")
-    cols = np.empty((m, m), dtype=np.int64)  # cols[b] = (x -> x·b)
+    cols = np.empty((m, m), dtype=np.int32)  # cols[b] = (x -> x·b), each below ORDER_CAP
     cols[0] = np.arange(m)
     for level in levels[1:]:
         cols[level] = tbl[cols[parent[level]], 2 * letter[level][:, None]]

@@ -50,8 +50,8 @@ Only an axiom whose reduced check fails is scanned exhaustively, by
 axiom_sides, for its least witness (check_axioms) or its offending values
 (the tensor fixpoint).  An algebra records that its axioms hold once a
 check, the tensor fixpoint or a verified parent proves it, and check_axioms
-skips it from then on.  The defect operator L[a,b] = (a*b)^-1 [a,b]
-measures how far * sits from the commutator and drives the two series.
+skips it from then on.  The defect operator L[a,b] = (a*b)^-1 [a,b], 1 on
+the commutator star, measures how far * sits from it and drives the series.
 """
 
 from __future__ import annotations
@@ -101,10 +101,12 @@ class MultLieAlg:
 
     @cached_property
     def lie_defect_table(self) -> np.ndarray:
-        # L[a,b] = (a*b)^-1 · [a,b], which is [a,b] on the trivial star
+        # L[a,b] = (a*b)^-1 · [a,b]: [a,b] on the trivial star, 1 on the commutator star
         G = self.group
         if self.star_is_trivial:
             return G.comm_table
+        if self.star_is_commutator:
+            return G.identity_table
         return _freeze(G.table[G.inverses[self.star], G.comm_table])
 
     def lie_defect(self, a: int, b: int) -> int:
@@ -127,11 +129,13 @@ def make_star_table(G: FiniteGroup, star) -> np.ndarray:
     at = first_true((arr < 0) | (arr >= n))
     if at is not None:
         raise InputError("star table entry out of range", witness=list(at))
-    return _freeze(arr.copy())
+    if arr.flags.writeable or (isinstance(arr.base, np.ndarray) and arr.base.flags.writeable):
+        arr = arr.copy()  # kept only if frozen with all it views, as the trivial star's view is
+    return _freeze(arr)
 
 
 def make_trivial_star(G: FiniteGroup) -> MultLieAlg:
-    return MultLieAlg(G, make_star_table(G, np.full((G.order, G.order), G.identity)))
+    return MultLieAlg(G, make_star_table(G, G.identity_table))
 
 
 def make_improper_star(G: FiniteGroup) -> MultLieAlg:
@@ -543,7 +547,9 @@ def ideal_closure(M: MultLieAlg, seed: Iterable[int]) -> Ideal:
 
 
 def lie_commutator_ideal(M: MultLieAlg, A: Iterable[int], B: Iterable[int]) -> Ideal:
-    """Ideal closure of { L[a,b] : a in A, b in B }."""
+    """Ideal closure of { L[a,b] : a in A, b in B }: {1}, ungathered, on the commutator star."""
+    if M.star_is_commutator:
+        return ideal_closure(M, ())
     rows, cols = (np.fromiter(X, dtype=np.int64) for X in (A, B))
     return ideal_closure(M, distinct(M.order, M.lie_defect_table[np.ix_(rows, cols)]))
 

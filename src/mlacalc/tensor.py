@@ -195,7 +195,7 @@ def _extend_star(K: FiniteGroup, tree: tuple, seed_elem: np.ndarray) -> np.ndarr
     e, n = K.identity, K.order
     if (seed_elem == e).all():
         # by induction on word length, both peelings below give 1 · ^q 1 = 1
-        return np.full((n, n), e, dtype=np.int64)
+        return K.identity_table
     parent, letter, levels = tree
     T, C = K.table, K.conj_table
     ngen = len(seed_elem)

@@ -101,14 +101,18 @@ def budgeted(stage: str, items: Iterable[T]) -> Iterator[T]:
 BLOCK_ENTRIES = 1 << 16
 
 
-def blocks(n: int, entries: int) -> Iterator[np.ndarray]:
+def row_blocks(n: int, entries: int) -> list[slice]:
     """range(n) cut into consecutive blocks of outer elements, for a family
     that builds ``entries`` mask entries per outer element: each block holds
     as many elements as BLOCK_ENTRIES allows, and at least one, so an outer
     element whose slabs exceed the cap scans alone."""
     k = max(1, BLOCK_ENTRIES // max(entries, 1))
-    for lo in range(0, n, k):
-        yield np.arange(lo, min(lo + k, n))
+    return [slice(lo, min(lo + k, n)) for lo in range(0, n, k)]
+
+
+def blocks(n: int, entries: int) -> Iterator[np.ndarray]:
+    """The row_blocks as arrays of their elements."""
+    return (np.arange(s.start, s.stop) for s in row_blocks(n, entries))
 
 
 def scan(stage: str, items: Iterable[tuple]) -> tuple[tuple | None, int]:

@@ -7,12 +7,14 @@ code with the implementation under test.
 from __future__ import annotations
 
 from itertools import permutations, product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlacalc import util
 from mlacalc.corpus import all_groups, direct_product, get_group, group_names
 from mlacalc.errors import InputError, MathViolation, NotAssociative
 from mlacalc.groups import (
@@ -156,9 +158,7 @@ def oracle_associativity_witness(table):
     return None
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_perturbed_tables_raise_the_least_associativity_witness(data):
+def _perturbed_table_keeps_the_least_witness(data):
     # associativity is proven on the generators (Light's test); a table it
     # rejects must still report the least witness of the full scan
     name = data.draw(st.sampled_from([n for n in group_names() if EXPECTED_ORDERS[n] >= 2]))
@@ -182,6 +182,12 @@ def test_perturbed_tables_raise_the_least_associativity_witness(data):
         assert want is None
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_perturbed_tables_raise_the_least_associativity_witness(data):
+    _perturbed_table_keeps_the_least_witness(data)
+
+
 def _least_associativity_witness(table):
     """Least (i, j, k) with (i·j)·k != i·(j·k), over every triple in blocks of i."""
     n, cols = len(table), np.arange(len(table))
@@ -202,12 +208,10 @@ LARGE_TABLES = {
 }
 
 
-@pytest.mark.parametrize("name", LARGE_TABLES)
-def test_light_test_on_large_tables_keeps_the_least_witness(name):
+def _perturbed_large_tables_keep_the_least_witness(G):
     # one entry (i, j) changed, with i, j, the old and the new value all not
     # the identity: the identity and every inverse survive, so only
     # associativity can fail, and it must, with the exhaustive least witness
-    G = LARGE_TABLES[name]()
     n, e = G.order, G.identity
     assert n >= 64
     rng = np.random.default_rng(21)
@@ -223,6 +227,11 @@ def test_light_test_on_large_tables_keeps_the_least_witness(name):
         with pytest.raises(NotAssociative) as exc:
             validate_cayley(G.labels, table)
         assert exc.value.payload["witness"] == want
+
+
+@pytest.mark.parametrize("name", LARGE_TABLES)
+def test_light_test_on_large_tables_keeps_the_least_witness(name):
+    _perturbed_large_tables_keep_the_least_witness(LARGE_TABLES[name]())
 
 
 def _f_order(table):
@@ -259,10 +268,8 @@ def test_an_f_order_table_fails_as_its_c_order_copy(data):
     assert _failure(G.labels, _f_order(table)) == _failure(G.labels, table)
 
 
-@pytest.mark.parametrize("name", ["A4xC8", "C2xC2xC2-tensor"])
-def test_an_f_order_table_breaks_associativity_as_its_c_order_copy(name):
+def _f_order_breaks_associativity_as_its_c_order_copy(G):
     # one entry changed away from the identity: only associativity fails
-    G = LARGE_TABLES[name]()
     table = G.table.copy()
     rng = np.random.default_rng(24)
     while True:
@@ -273,6 +280,63 @@ def test_an_f_order_table_breaks_associativity_as_its_c_order_copy(name):
     cls, payload = _failure(G.labels, table)
     assert cls is NotAssociative and payload["witness"] == _least_associativity_witness(table)
     assert _failure(G.labels, _f_order(table)) == (cls, payload)
+
+
+@pytest.mark.parametrize("name", ["A4xC8", "C2xC2xC2-tensor"])
+def test_an_f_order_table_breaks_associativity_as_its_c_order_copy(name):
+    _f_order_breaks_associativity_as_its_c_order_copy(LARGE_TABLES[name]())
+
+
+# Light's test reads the table in blocks of rows of at most util.BLOCK_ENTRIES
+# entries per generator: one block up to order 256, and here a few rows
+FEW_ROWS = 24  # 3 rows at order 8, 2 at order 12, 1 from order 25 on
+
+
+def _in_few_row_blocks(check, *args):
+    with mock.patch.object(util, "BLOCK_ENTRIES", FEW_ROWS):
+        assert len(util.row_blocks(64, 64)) == 64
+        check(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_light_test_in_few_row_blocks_keeps_the_least_witness(data):
+    _in_few_row_blocks(_perturbed_table_keeps_the_least_witness, data)
+
+
+@pytest.mark.parametrize("name", LARGE_TABLES)
+def test_light_test_in_few_row_blocks_keeps_the_least_witness_on_large_tables(name):
+    _in_few_row_blocks(_perturbed_large_tables_keep_the_least_witness, LARGE_TABLES[name]())
+
+
+@pytest.mark.parametrize("name", ["A4xC8", "C2xC2xC2-tensor"])
+def test_an_f_order_table_in_few_row_blocks_breaks_associativity_as_its_c_order_copy(name):
+    _in_few_row_blocks(_f_order_breaks_associativity_as_its_c_order_copy, LARGE_TABLES[name]())
+
+
+def test_every_corpus_group_passes_light_test_in_few_row_blocks(groups):
+    def validate_all():
+        for G in groups.values():
+            H = validate_cayley(G.labels, G.table)
+            assert (H.table == G.table).all() and (H.generators == G.generators).all()
+
+    _in_few_row_blocks(validate_all)
+
+
+def test_light_test_in_two_blocks_at_the_cap_finds_an_intercalate_swap():
+    # Z300 with the intercalate (a, c), (a, c'), (a', c), (a', c') swapped, for
+    # a' = a + 150 and c' = c + 150: still a Latin square with identity 0 and
+    # every inverse, but not associative; 300 rows are two blocks at the cap
+    n, a, c = 300, 7, 11
+    table = (np.arange(n)[:, None] + np.arange(n)) % n
+    rows, cols = [a, a, a + 150, a + 150], [c, c + 150, c, c + 150]
+    table[rows, cols] = table[rows, cols[::-1]]
+    assert len(util.row_blocks(n, n)) == 2
+    want = _least_associativity_witness(table)
+    assert want is not None
+    with pytest.raises(NotAssociative) as exc:
+        validate_cayley([f"z{i}" for i in range(n)], table)
+    assert exc.value.payload["witness"] == want
 
 
 def test_validate_cayley_rejects_shape_and_range():
